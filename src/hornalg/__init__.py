@@ -11,7 +11,6 @@ programs.
 from __future__ import annotations
 
 from .algebra import (
-    SearchBudget,
     check_representation,
     compose,
     concat_atoms,
@@ -21,7 +20,6 @@ from .algebra import (
     omega,
     plus_closure,
     power,
-    search_representation,
     star,
 )
 from .errors import (

@@ -1,5 +1,5 @@
 """The program algebra: sequential composition, powers and closures,
-concatenation, and syntactic representation (decomposition) search.
+concatenation, and checking of syntactic representations.
 
 Composition `compose(p, r)` resolves every body atom of every rule of p
 against a standardized-apart copy of some rule of r, in all possible
@@ -12,13 +12,11 @@ sharing is the operation's expressive point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .errors import CompositionOverflowError, FixpointBudgetError
 from .syntax import (
     Atom,
-    Compound,
     Program,
     Rule,
     Var,
@@ -28,7 +26,6 @@ from .syntax import (
 )
 from .unify import (
     FreshNames,
-    Subst,
     _resolve,
     _unify_atoms,
     apply,
@@ -93,7 +90,7 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
         # triangular substitution.  Each chosen rule is copied apart first.
         def assign(i: int, s: dict, bodies: tuple):
             if i == len(goals):
-                theta = Subst(_resolve(s))
+                theta = _resolve(s)
                 head = apply(theta, rho.head)
                 new_body = frozenset(apply(theta, a) for b in bodies for a in b)
                 out.append(Rule(head, new_body))
@@ -103,7 +100,7 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             for idx in goal_cands[i]:
                 cand = r_rules[idx]
                 copy = cand if idx not in var_set else fresh_variant(cand, fresh)
-                s2 = _unify_atoms(goals[i], copy.head, dict(s))
+                s2 = _unify_atoms(goals[i], copy.head, s)
                 if s2 is not None:
                     assign(i + 1, s2, bodies + (copy.body,))
 
@@ -209,112 +206,3 @@ def check_representation(p: Program, r: Program, w: DecompositionWitness,
                          cap: int = DEFAULT_COMPOSE_CAP) -> bool:
     """True iff p equals (w.left ∘ r) ∘ w.right."""
     return compose(compose(w.left, r, cap=cap), w.right, cap=cap) == p
-
-
-@dataclass(frozen=True, slots=True)
-class SearchBudget:
-    """Bounds for representation search: candidate transfer programs have at
-    most max_rules rules, bodies of at most max_body atoms, argument terms
-    of depth at most max_term_depth built over the alphabet of the inputs,
-    and at most max_vars distinct variables.  At most max_candidates
-    candidate programs are enumerated per side."""
-
-    max_rules: int = 2
-    max_body: int = 2
-    max_term_depth: int = 0
-    max_vars: int = 0
-    max_candidates: int = 4096
-
-
-def _term_pool(functor_arities: dict, max_depth: int, max_vars: int) -> list:
-    by_depth: list[list] = [[Var(f"X{i + 1}") for i in range(max_vars)]]
-    by_depth[0].extend(Compound(f) for f, ns in sorted(functor_arities.items()) if 0 in ns)
-    for d in range(1, max_depth + 1):
-        level = []
-        smaller = [t for lvl in by_depth for t in lvl]
-        for f, ns in sorted(functor_arities.items()):
-            for n in sorted(ns):
-                if n == 0:
-                    continue
-                for args in product(smaller, repeat=n):
-                    level.append(Compound(f, args))
-        by_depth.append(level)
-    seen = dict.fromkeys(t for lvl in by_depth for t in lvl)
-    return list(seen)
-
-
-def _candidate_programs(alphabet_preds: Iterable, functor_arities: dict,
-                        budget: SearchBudget) -> Iterator[Program]:
-    terms = _term_pool(functor_arities, budget.max_term_depth, budget.max_vars)
-    atoms = []
-    for pred, arity in sorted(alphabet_preds):
-        for args in product(terms, repeat=arity):
-            atoms.append(Atom(pred, args))
-    atoms.sort(key=render_atom)
-    rules = []
-    for head in atoms:
-        for k in range(budget.max_body + 1):
-            for body in combinations(atoms, k):
-                rules.append(Rule(head, frozenset(body)))
-    emitted = 0
-    for k in range(budget.max_rules + 1):
-        for chosen in combinations(rules, k):
-            yield Program(chosen)
-            emitted += 1
-            if emitted >= budget.max_candidates:
-                return
-
-
-def search_representation(p: Program, r: Program,
-                          budget: SearchBudget = SearchBudget(),
-                          cap: int = DEFAULT_COMPOSE_CAP) -> Optional[DecompositionWitness]:
-    """Bounded search for transfer programs Q, S with p = Q ∘ r ∘ S.
-
-    Candidates are built over the predicate and functor alphabet of p and r
-    only.  Returns a checked witness, or None when the budget is exhausted —
-    which does NOT establish that no representation exists.
-    """
-    ident = identity_program(p | r)
-    fast = [
-        DecompositionWitness(ident, ident),
-        DecompositionWitness(Program(), Program()),
-        DecompositionWitness(ident, Program()),
-        DecompositionWitness(p, Program()),
-    ]
-    for w in fast:
-        if check_representation(p, r, w, cap=cap):
-            return w
-
-    alphabet_preds = (p | r).pred_signature()
-    functor_arities: dict = {}
-    combined = p | r
-
-    def collect(t):
-        if isinstance(t, Compound):
-            functor_arities.setdefault(t.functor, set()).add(len(t.args))
-            for a in t.args:
-                collect(a)
-
-    for atom in combined.all_atoms():
-        for t in atom.args:
-            collect(t)
-
-    lefts = list(_candidate_programs(alphabet_preds, functor_arities, budget))
-    mids = []
-    for q in lefts:
-        try:
-            mids.append(compose(q, r, cap=cap))
-        except CompositionOverflowError:
-            mids.append(None)
-    rights = lefts
-    for qi, q in enumerate(lefts):
-        mid = mids[qi]
-        if mid is None:
-            continue
-        for s in rights:
-            try:
-                if compose(mid, s, cap=cap) == p:
-                    return DecompositionWitness(q, s)
-            except CompositionOverflowError:
-                continue
-    return None

@@ -53,19 +53,12 @@ from .syntax import Program, render_atom, render_program, render_term
 OK, USAGE_ERROR, INPUT_ERROR, EXHAUSTED, NOT_VERIFIED = 0, 1, 2, 3, 4
 
 _PREFIX = "corpus:"
+_SUFFIXES = {"programs": ".lp", "forms": ".lpf", "proportions": ".prop"}
 
 
 def _read_text(path: str, folder: str) -> str:
     if path.startswith(_PREFIX):
-        rel = path[len(_PREFIX):]
-        if "." not in rel.rsplit("/", 1)[-1]:
-            rel += {"programs": ".lp", "forms": ".lpf", "proportions": ".prop"}[folder]
-        if "/" not in rel:
-            rel = f"{folder}/{rel}"
-        try:
-            return corpus.data_text(rel)
-        except FileNotFoundError:
-            raise ParseError(f"no bundled file {rel}", source=path)
+        return corpus.data_text(corpus._normalize(path, folder, _SUFFIXES[folder]))
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -378,6 +371,10 @@ def main(argv: Optional[list] = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except RecursionError:
+        # Term traversals recurse once per nesting level.
+        print("budget exhausted: term nesting exceeds the recursion limit", file=sys.stderr)
+        return EXHAUSTED
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Program forms: a small expression language over programs.
 
 A form is an expression built from program variables, inline program
-literals, references to named programs, and the algebra's operations.
+literals, and the algebra's operations.
 Binding each variable to a program and evaluating yields a program, so a
 form denotes a program transformation.
 
@@ -16,7 +16,6 @@ Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`:
               |  "[" IDENT "/" IDENT "]"     predicate rename (old/new)
               |  "[" VAR ":=" term "]"       variable substitution
     primary  :=  "{" rules "}"               inline program literal
-              |  "@" IDENT                   named program reference
               |  VAR                         form parameter
               |  fn "(" expr ")"             fn ∈ facts proper rev gnd body refresh
               |  NAME "(" VAR ("," VAR)* ")" call of an earlier form
@@ -42,15 +41,13 @@ from typing import Optional
 
 from . import algebra, semantics
 from .errors import BudgetError, FormEvalError, ParseError
-from .parser import parse_program
+from .parser import Token, _Parser, parse_program
 from .syntax import (
     Compound,
-    NIL,
     Program,
     Rule,
     Term,
     Var,
-    cons,
     program_vars_ordered,
     render_atom,
     render_program,
@@ -58,7 +55,7 @@ from .syntax import (
     term_vars,
     vars_of,
 )
-from .unify import Subst, apply
+from .unify import apply
 
 # ---------------------------------------------------------------------------
 # Expression nodes
@@ -72,11 +69,6 @@ class VarRef:
 @dataclass(frozen=True, slots=True)
 class Lit:
     program: Program
-
-
-@dataclass(frozen=True, slots=True)
-class ProgramRef:
-    name: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +189,7 @@ def make_binding(program: Program, main_pred: Optional[str] = None,
                 f"binding tuple has {len(var_tuple)} entries, program has "
                 f"{len(ordered)} variables"
             )
-        program = apply(Subst(dict(zip(ordered, var_tuple))), program)
+        program = apply(dict(zip(ordered, var_tuple)), program)
     if main_pred is None:
         heads = {r.head.pred for r in program}
         if len(heads) == 1:
@@ -237,14 +229,14 @@ def refresh_body_vars(p: Program) -> Program:
         while f"Z{i}" in kept_names:
             i += 1
         mapping[v] = Var(f"Z{i}")
-    return apply(Subst(mapping), p)
+    return apply(mapping, p)
 
 
 def free_vars(expr) -> frozenset:
     """The parameter names a form expression depends on."""
     if isinstance(expr, VarRef):
         return frozenset([expr.name])
-    if isinstance(expr, (Lit, ProgramRef)):
+    if isinstance(expr, Lit):
         return frozenset()
     if isinstance(expr, (UnionOf, ComposeOf, ConcatOf)):
         return free_vars(expr.left) | free_vars(expr.right)
@@ -274,8 +266,6 @@ def expr_key(expr) -> tuple:
         return ("var", expr.name)
     if isinstance(expr, Lit):
         return ("lit", _program_key(expr.program))
-    if isinstance(expr, ProgramRef):
-        return ("ref", expr.name)
     if isinstance(expr, (UnionOf, ComposeOf, ConcatOf)):
         return (type(expr).__name__, expr_key(expr.left), expr_key(expr.right))
     if isinstance(expr, PowerOf):
@@ -292,9 +282,8 @@ def expr_key(expr) -> tuple:
     raise TypeError(f"not a form expression: {type(expr).__name__}")
 
 
-def literal_requirements(expr, table: Optional[dict] = None,
-                         programs: Optional[dict] = None) -> tuple:
-    """All fixed material a form forces into its outputs: the inline/named
+def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
+    """All fixed material a form forces into its outputs: the inline
     program literals, the predicates introduced by renames, and the functors
     introduced by substitutions.  Walks into called forms."""
     lits: list = []
@@ -304,10 +293,6 @@ def literal_requirements(expr, table: Optional[dict] = None,
     def walk(e):
         if isinstance(e, Lit):
             lits.append(e.program)
-        elif isinstance(e, ProgramRef):
-            if programs is None or e.name not in programs:
-                raise FormEvalError(f"unknown program reference @{e.name}")
-            lits.append(programs[e.name])
         elif isinstance(e, (UnionOf, ComposeOf, ConcatOf)):
             walk(e.left)
             walk(e.right)
@@ -350,9 +335,8 @@ class Evaluator:
     bindings in the environment cannot influence the result).
     """
 
-    def __init__(self, table: Optional[dict] = None, programs: Optional[dict] = None):
+    def __init__(self, table: Optional[dict] = None):
         self.table = table or {}
-        self.programs = programs or {}
         self._memo: dict = {}
         # expr_key and free_vars are recursive; cache them per expression
         # object.  Keeping the expression in the value pins it, so its id
@@ -402,11 +386,6 @@ class Evaluator:
             return b.program
         if isinstance(expr, Lit):
             return expr.program
-        if isinstance(expr, ProgramRef):
-            p = self.programs.get(expr.name)
-            if p is None:
-                raise FormEvalError(f"unknown program reference @{expr.name}")
-            return p
         if isinstance(expr, UnionOf):
             return self.eval(expr.left, env, placeholders) | self.eval(expr.right, env, placeholders)
         if isinstance(expr, ComposeOf):
@@ -444,9 +423,7 @@ class Evaluator:
                 old = b.main_pred
             return self.eval(expr.expr, env, placeholders).rename_predicate(old, expr.new)
         if isinstance(expr, SubstIn):
-            return apply(
-                Subst({Var(expr.var): expr.term}), self.eval(expr.expr, env, placeholders)
-            )
+            return apply({Var(expr.var): expr.term}, self.eval(expr.expr, env, placeholders))
         if isinstance(expr, FormCall):
             fd = self.table.get(expr.name)
             if fd is None:
@@ -471,13 +448,12 @@ class Evaluator:
 
 
 def eval_form(table: dict, name: str, bindings: dict,
-              programs: Optional[dict] = None,
               evaluator: Optional[Evaluator] = None) -> Program:
     """Evaluate the named form with bindings keyed by its parameter names."""
     fd = table.get(name)
     if fd is None:
         raise FormEvalError(f"unknown form {name}")
-    ev = evaluator or Evaluator(table, programs)
+    ev = evaluator or Evaluator(table)
     call = FormCall(fd.name, tuple(s.name for s in fd.params))
     missing = [s.name for s in fd.params if s.name not in bindings]
     if missing:
@@ -564,19 +540,10 @@ _LPF_TOKEN_RE = re.compile(
     | (?P<COMMA>,)
     | (?P<SEMI>;)
     | (?P<EQUALS>=)
-    | (?P<AT>@)
     | (?P<DOT>\.)
     """,
     re.VERBOSE,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
 
 
 def _lpf_tokenize(text: str, source: str) -> list:
@@ -589,7 +556,7 @@ def _lpf_tokenize(text: str, source: str) -> list:
             if end < 0:
                 raise ParseError("unterminated { program literal", source=source, line=line, col=col)
             raw = text[pos + 1 : end]
-            toks.append(_Tok("BLOCK", raw, line, col))
+            toks.append(Token("BLOCK", raw, line, col))
             consumed = text[pos : end + 1]
             newlines = consumed.count("\n")
             if newlines:
@@ -605,7 +572,7 @@ def _lpf_tokenize(text: str, source: str) -> list:
         kind = m.lastgroup
         lexeme = m.group()
         if kind not in ("WS", "COMMENT"):
-            toks.append(_Tok(kind, lexeme, line, col))
+            toks.append(Token(kind, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -616,32 +583,13 @@ def _lpf_tokenize(text: str, source: str) -> list:
     return toks
 
 
-class _LpfParser:
+class _LpfParser(_Parser):
+    """The form grammar on top of the `.lp` parser, whose term grammar it
+    reuses inside `[X := t]`."""
+
     def __init__(self, tokens: list, source: str, table: dict):
-        self.tokens = tokens
-        self.source = source
+        super().__init__(tokens, source)
         self.table = table
-        self.i = 0
-
-    def peek(self) -> Optional[_Tok]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            return ParseError(message + " (at end of input)", source=self.source, line=0, col=0)
-        return ParseError(f"{message} (got {tok.text!r})", source=self.source, line=tok.line, col=tok.col)
-
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
-
-    def take(self, kind: str, what: str) -> _Tok:
-        if not self.at(kind):
-            raise self.error(f"expected {what}")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
     def parse_file(self) -> dict:
         while self.peek() is not None:
@@ -702,7 +650,7 @@ class _LpfParser:
 
     def comp(self):
         node = self.concat()
-        while self.at("IDENT", "o"):
+        while self.at("IDENT") and self.peek().text == "o":
             self.i += 1
             node = ComposeOf(node, self.concat())
         return node
@@ -744,10 +692,6 @@ class _LpfParser:
         if tok.kind == "BLOCK":
             self.i += 1
             return Lit(parse_program(tok.text, source=f"{self.source}:{tok.line}"))
-        if tok.kind == "AT":
-            self.i += 1
-            name = self.take("IDENT", "a program name").text
-            return ProgramRef(name)
         if tok.kind == "LPAREN":
             self.i += 1
             node = self.expr()
@@ -787,49 +731,6 @@ class _LpfParser:
             return VarRef(tok.text)
         raise self.error("expected a form expression")
 
-    # -- terms inside [X := t] -------------------------------------------
-
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected a term")
-        if tok.kind == "VAR":
-            self.i += 1
-            return Var(tok.text)
-        if tok.kind == "INT":
-            self.i += 1
-            return Compound(tok.text, ())
-        if tok.kind == "IDENT":
-            self.i += 1
-            if self.at("LPAREN"):
-                self.i += 1
-                args = [self.term()]
-                while self.at("COMMA"):
-                    self.i += 1
-                    args.append(self.term())
-                self.take("RPAREN", "')'")
-                return Compound(tok.text, tuple(args))
-            return Compound(tok.text, ())
-        if tok.kind == "LBRACKET":
-            self.i += 1
-            if self.at("RBRACKET"):
-                self.i += 1
-                return NIL
-            items = [self.term()]
-            while self.at("COMMA"):
-                self.i += 1
-                items.append(self.term())
-            tail: Term = NIL
-            if self.at("BAR"):
-                self.i += 1
-                tail = self.term()
-            self.take("RBRACKET", "']'")
-            out = tail
-            for item in reversed(items):
-                out = cons(item, out)
-            return out
-        raise self.error("expected a term")
-
 
 def parse_forms(text: str, source: str = "<string>", table: Optional[dict] = None) -> dict:
     """Parse form definitions, appending to (and returning) the table.
@@ -847,8 +748,6 @@ def form_to_text(expr) -> str:
     if isinstance(expr, Lit):
         inner = " ".join(render_program(expr.program).splitlines())
         return "{" + inner + "}"
-    if isinstance(expr, ProgramRef):
-        return "@" + expr.name
     if isinstance(expr, UnionOf):
         return f"({form_to_text(expr.left)} | {form_to_text(expr.right)})"
     if isinstance(expr, ComposeOf):

@@ -226,8 +226,8 @@ def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
     # Fixed material inside the forms must lie in both domains, otherwise it
     # smuggles symbols across that no program of one side may use.
     try:
-        lits_f, preds_f, fun_f = literal_requirements(witness.f, ev.table, ev.programs)
-        lits_g, preds_g, fun_g = literal_requirements(witness.g, ev.table, ev.programs)
+        lits_f, preds_f, fun_f = literal_requirements(witness.f, ev.table)
+        lits_g, preds_g, fun_g = literal_requirements(witness.g, ev.table)
     except FormEvalError as e:
         raise ProportionError(str(e)) from e
     offenders = []

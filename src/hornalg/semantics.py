@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import GroundingOverflowError
 from .syntax import (
@@ -31,10 +31,12 @@ from .syntax import (
     cons,
     is_ground,
     render_atom,
+    render_term,
     rule_vars,
+    term_vars,
     vars_of,
 )
-from .unify import Subst, apply, match_atom
+from .unify import apply, match_atom
 
 Interpretation = frozenset  # of ground Atom
 
@@ -120,31 +122,32 @@ def _rule_closed(r: Rule, universe: frozenset) -> bool:
     return _atom_closed(r.head, universe) and all(_atom_closed(a, universe) for a in r.body)
 
 
+def closed_instances(rule: Rule, universe: frozenset, ordered_universe: list) -> Iterator[Rule]:
+    """The rule's instances whose argument terms all lie in the universe,
+    enumerated in `ordered_universe` order over the rule's variables; a
+    variable-free rule is its own only instance."""
+    rvars = list(dict.fromkeys(rule_vars(rule)))
+    if not rvars:
+        yield rule
+        return
+    for combo in product(ordered_universe, repeat=len(rvars)):
+        inst = apply(dict(zip(rvars, combo)), rule)
+        if _rule_closed(inst, universe):
+            yield inst
+
+
 def ground(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> Program:
     """All instances of p's rules with argument terms inside the bounded
     universe.  Variable-free rules are their own instances and pass
     through unchanged."""
     universe = herbrand_universe(p, bound)
-    ordered_universe = sorted(universe, key=_term_key)
+    ordered_universe = sorted(universe, key=render_term)
     out: list[Rule] = []
     for rule in p:
-        rvars = list(dict.fromkeys(rule_vars(rule)))
-        if not rvars:
-            out.append(rule)
-        else:
-            for combo in product(ordered_universe, repeat=len(rvars)):
-                inst = apply(Subst(dict(zip(rvars, combo))), rule)
-                if _rule_closed(inst, universe):
-                    out.append(inst)
+        out.extend(closed_instances(rule, universe, ordered_universe))
         if len(out) > bound.max_atoms:
             raise GroundingOverflowError(bound.max_atoms)
     return Program(out)
-
-
-def _term_key(t: Term):
-    from .syntax import render_term
-
-    return render_term(t)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def head_var_pools(head: Atom, universe: frozenset) -> dict:
             else:
                 pools[v] &= vals
     return {
-        v: (None if vals is None else sorted(vals, key=_term_key))
+        v: (None if vals is None else sorted(vals, key=render_term))
         for v, vals in pools.items()
     }
 
@@ -215,23 +218,21 @@ def _fire_rule(rule: Rule, sources: list, universe: frozenset,
     if pools is None and has_vars:
         pools = head_var_pools(rule.head, universe)
 
-    def match_from(i: int, s: Optional[Subst]):
+    def match_from(i: int, s: dict):
         if i == len(body):
             yield s
             return
-        pat = apply(s, body[i]) if s else body[i]
+        pat = apply(s, body[i])
         for cand in sources[i].get((pat.pred, pat.arity), ()):
-            s2 = match_atom(pat, cand, None)
+            s2 = match_atom(pat, cand, s)
             if s2 is not None:
-                merged = _merge(s, s2)
-                if merged is not None:
-                    yield from match_from(i + 1, merged)
+                yield from match_from(i + 1, s2)
 
-    for s in match_from(0, Subst()):
+    for s in match_from(0, {}):
         if has_vars and not all(_atom_closed(apply(s, b), universe) for b in body):
             continue
         head = apply(s, rule.head)
-        free = list(dict.fromkeys(v for t in head.args for v in _tvars(t)))
+        free = list(dict.fromkeys(v for t in head.args for v in term_vars(t)))
         if not free:
             if not has_vars or _atom_closed(head, universe):
                 yield head
@@ -241,26 +242,9 @@ def _fire_rule(rule: Rule, sources: list, universe: frozenset,
             pool = pools.get(v) if pools else None
             candidate_lists.append(ordered_universe if pool is None else pool)
         for combo in product(*candidate_lists):
-            inst = apply(Subst(dict(zip(free, combo))), head)
+            inst = apply(dict(zip(free, combo)), head)
             if _atom_closed(inst, universe):
                 yield inst
-
-
-def _tvars(t: Term):
-    from .syntax import term_vars
-
-    return term_vars(t)
-
-
-def _merge(s: Optional[Subst], extra: Subst) -> Optional[Subst]:
-    if s is None or not len(s):
-        return extra
-    out = dict(s.items())
-    for v, t in extra.items():
-        if v in out and out[v] != t:
-            return None
-        out[v] = t
-    return Subst(out)
 
 
 def tp_step(p: Program, i: Iterable[Atom], bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
@@ -268,7 +252,7 @@ def tp_step(p: Program, i: Iterable[Atom], bound: GroundingBound = DEFAULT_BOUND
     body is contained in i."""
     i = frozenset(i)
     universe = herbrand_universe(p, bound)
-    ordered_universe = sorted(universe, key=_term_key)
+    ordered_universe = sorted(universe, key=render_term)
     idx = _index(i)
     out: set = set()
     for rule in p:
@@ -290,7 +274,7 @@ def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
     same fixpoint as naive iteration.
     """
     universe = herbrand_universe(p, bound)
-    ordered_universe = sorted(universe, key=_term_key)
+    ordered_universe = sorted(universe, key=render_term)
     facts = [r for r in p if r.is_fact]
     propers = [r for r in p if not r.is_fact]
     pools_by_rule = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .semantics import GroundingBound, _rule_closed, herbrand_universe
+from .semantics import GroundingBound, closed_instances, herbrand_universe
 from .syntax import (
     Atom,
     Program,
@@ -20,10 +20,10 @@ from .syntax import (
     canonical_key,
     render_atom,
     render_term,
-    rule_vars,
+    term_vars,
     vars_of,
 )
-from .unify import FreshNames, Subst, apply, fresh_variant, mgu_atoms
+from .unify import FreshNames, apply, fresh_variant, mgu_atoms
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -51,22 +51,9 @@ class DerivationStep:
     query: Query
     selected_index: int
     rule_used: Rule
-    unifier: Subst
+    unifier: dict
     source_label: str
     resolvent: Query
-
-
-def resolve_step(q: Query, selected: int, rule: Rule) -> Optional[Query]:
-    """Resolve the selected goal against the rule's head; the rule is used
-    as given (standardize apart before calling when freshness matters)."""
-    if not (0 <= selected < len(q.goals)):
-        raise IndexError(f"selected goal index {selected} out of range")
-    s = mgu_atoms(q.goals[selected], rule.head)
-    if s is None:
-        return None
-    inserted = tuple(sorted(rule.body, key=render_atom))
-    goals = q.goals[:selected] + inserted + q.goals[selected + 1 :]
-    return Query(tuple(apply(s, g) for g in goals))
 
 
 def _dfs(p: Program, q: Query, remaining: int, fresh: FreshNames,
@@ -127,21 +114,20 @@ def label_rules(parts: Iterable) -> tuple:
 
 def answer_substitution(steps: Iterable[DerivationStep], q: Query) -> dict:
     """The bindings a successful derivation assigns to the query's own
-    variables, in first-occurrence order; empty for a ground query."""
-    ordered = []
-    seen = set()
-    for g in q.goals:
-        for v in atom_vars(g):
-            if v.name not in seen:
-                seen.add(v.name)
-                ordered.append(v)
-    answers = {}
-    for v in ordered:
-        t = v
+    variables, in first-occurrence order; empty for a ground query.  Other
+    variables left in the answers are renamed _1, _2, ... in order of first
+    occurrence, avoiding the query's own names."""
+    answers = {v: v for g in q.goals for v in atom_vars(g)}
+    for v in answers:
         for st in steps:
-            t = apply(st.unifier, t)
-        answers[v.name] = t
-    return answers
+            answers[v] = apply(st.unifier, answers[v])
+    fresh = FreshNames(prefix="_")
+    fresh.reserve(v.name for v in answers)
+    leftover = dict.fromkeys(
+        w for t in answers.values() for w in term_vars(t) if w not in answers
+    )
+    renaming = {w: fresh.fresh() for w in leftover}
+    return {v.name: apply(renaming, t) for v, t in answers.items()}
 
 
 def render_answer(answers: Mapping) -> str:
@@ -170,29 +156,13 @@ def render_trace(steps: Iterable[DerivationStep], q: Query) -> str:
 RULE_CHECK_BOUND = GroundingBound(max_term_depth=2)
 
 
-def _rule_instances(p: Program, rule: Rule, bound: GroundingBound):
-    from itertools import product as iproduct
-
-    from .semantics import _term_key
-
-    universe = herbrand_universe(p | Program([rule]), bound)
-    ordered = sorted(universe, key=_term_key)
-    rvars = list(dict.fromkeys(rule_vars(rule)))
-    if not rvars:
-        yield rule
-        return
-    for combo in iproduct(ordered, repeat=len(rvars)):
-        inst = apply(Subst(dict(zip(rvars, combo))), rule)
-        if _rule_closed(inst, universe):
-            yield inst
-
-
 def find_rule_counterinstance(p: Program, rule: Rule,
                               bound: GroundingBound = RULE_CHECK_BOUND,
                               max_depth: int = DEFAULT_MAX_DEPTH) -> Optional[Rule]:
     """A bounded ground instance whose body atoms are all provable while its
     head is not, or None when every checked instance passes."""
-    for inst in _rule_instances(p, rule, bound):
+    universe = herbrand_universe(p | Program([rule]), bound)
+    for inst in closed_instances(rule, universe, sorted(universe, key=render_term)):
         if all(proves(p, b, max_depth) for b in sorted(inst.body, key=render_atom)):
             if not proves(p, inst.head, max_depth):
                 return inst

@@ -1,121 +1,59 @@
-"""Substitutions, unification, matching, and renaming utilities.
+"""The term kernel: substitutions, unification, matching, and renaming.
 
-Substitutions are kept idempotent: after construction no bound variable
-occurs in any binding's range.  `mgu_*` functions return None on failure
-(failure is a value, not a fault).  Unification of atoms requires equal
-predicate name and equal arity; the occurs check is always on.
+A substitution is a plain dict from Var to Term.  Those built here are
+idempotent: no bound variable occurs in any binding's range.  `mgu_*` and
+`match_atom` return None on failure (failure is a value, not a fault).
+Unification of atoms requires equal predicate name and equal arity; the
+occurs check is always on.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .syntax import (
-    Atom,
-    Compound,
-    Program,
-    Rule,
-    Term,
-    Var,
-    render_atom,
-    rule_vars,
-    vars_of,
-)
+from .syntax import Atom, Compound, Program, Rule, Term, Var, rule_vars
 
 
-class Subst:
-    """An immutable, idempotent substitution (finite map Var -> Term)."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping: Optional[dict] = None):
-        m = {}
-        if mapping:
-            for v, t in mapping.items():
-                if v != t:
-                    m[v] = t
-        self._map = m
-
-    def __bool__(self) -> bool:
-        return bool(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, v: Var) -> bool:
-        return v in self._map
-
-    def __getitem__(self, v: Var) -> Term:
-        return self._map[v]
-
-    def get(self, v: Var, default=None):
-        return self._map.get(v, default)
-
-    def items(self):
-        return self._map.items()
-
-    def domain(self) -> frozenset:
-        return frozenset(self._map)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subst):
-            return NotImplemented
-        return self._map == other._map
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
-
-    def __repr__(self) -> str:
-        from .syntax import render_term
-
-        inner = ", ".join(
-            f"{v.name}={render_term(t)}" for v, t in sorted(self._map.items(), key=lambda p: p[0].name)
-        )
-        return "{" + inner + "}"
-
-    def is_renaming(self) -> bool:
-        """True iff this maps variables injectively to variables."""
-        values = list(self._map.values())
-        return all(isinstance(t, Var) for t in values) and len(set(values)) == len(values)
-
-    def restrict(self, keep: Iterable[Var]) -> "Subst":
-        keep = set(keep)
-        return Subst({v: t for v, t in self._map.items() if v in keep})
-
-    def compose(self, later: "Subst") -> "Subst":
-        """The substitution equivalent to applying self first, then `later`."""
-        out = {v: apply(later, t) for v, t in self._map.items()}
-        for v, t in later.items():
-            if v not in out:
-                out[v] = t
-        return Subst(_resolve(out))
+def _apply_term(s: dict, t: Term) -> Term:
+    if type(t) is Var:
+        return s.get(t, t)
+    if not t.args:
+        return t
+    return Compound(t.functor, tuple([_apply_term(s, a) for a in t.args]))
 
 
-EMPTY_SUBST = Subst()
+def _apply_atom(s: dict, a: Atom) -> Atom:
+    if not a.args:
+        return a
+    return Atom(a.pred, tuple([_apply_term(s, t) for t in a.args]))
 
 
-def apply(s: Subst, obj):
-    """Apply a substitution to a Term, Atom, Rule, Program, or tuple thereof."""
-    if isinstance(obj, Var):
-        return s.get(obj, obj)
-    if isinstance(obj, Compound):
-        if not obj.args:
-            return obj
-        return Compound(obj.functor, tuple(apply(s, a) for a in obj.args))
-    if isinstance(obj, Atom):
-        if not obj.args:
-            return obj
-        return Atom(obj.pred, tuple(apply(s, t) for t in obj.args))
-    if isinstance(obj, Rule):
-        return Rule(apply(s, obj.head), frozenset(apply(s, a) for a in obj.body))
-    if isinstance(obj, Program):
-        return Program(apply(s, r) for r in obj)
-    if isinstance(obj, tuple):
-        return tuple(apply(s, x) for x in obj)
-    if isinstance(obj, frozenset):
-        return frozenset(apply(s, x) for x in obj)
-    raise TypeError(f"cannot apply substitution to {type(obj).__name__}")
+def _apply_rule(s: dict, r: Rule) -> Rule:
+    return Rule(_apply_atom(s, r.head), frozenset([_apply_atom(s, a) for a in r.body]))
+
+
+def _apply_program(s: dict, p: Program) -> Program:
+    return Program(_apply_rule(s, r) for r in p)
+
+
+_APPLY = {
+    Var: _apply_term,
+    Compound: _apply_term,
+    Atom: _apply_atom,
+    Rule: _apply_rule,
+    Program: _apply_program,
+}
+
+
+def apply(s: dict, obj):
+    """Apply a substitution to a Term, Atom, Rule, or Program; the empty
+    substitution returns `obj` itself."""
+    if not s:
+        return obj
+    fn = _APPLY.get(type(obj))
+    if fn is None:
+        raise TypeError(f"cannot apply substitution to {type(obj).__name__}")
+    return fn(s, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +114,14 @@ def _resolve(s: dict) -> dict:
     return {v: _deep_walk(t, s) for v, t in s.items()}
 
 
-def mgu_terms(t1: Term, t2: Term) -> Optional[Subst]:
+def mgu_terms(t1: Term, t2: Term) -> Optional[dict]:
     s = _unify(t1, t2, {})
-    return None if s is None else Subst(_resolve(s))
+    return None if s is None else _resolve(s)
 
 
 def _unify_atoms(a: Atom, b: Atom, s: Optional[dict]) -> Optional[dict]:
+    """Extend the triangular substitution `s` to unify the two atoms; `s`
+    itself is never modified."""
     if s is None:
         return None
     if a.pred != b.pred or a.arity != b.arity:
@@ -193,9 +133,9 @@ def _unify_atoms(a: Atom, b: Atom, s: Optional[dict]) -> Optional[dict]:
     return s
 
 
-def mgu_atoms(a: Atom, b: Atom) -> Optional[Subst]:
+def mgu_atoms(a: Atom, b: Atom) -> Optional[dict]:
     s = _unify_atoms(a, b, {})
-    return None if s is None else Subst(_resolve(s))
+    return None if s is None else _resolve(s)
 
 
 # ---------------------------------------------------------------------------
@@ -223,70 +163,22 @@ def _match_term(pat: Term, tgt: Term, s: Optional[dict]) -> Optional[dict]:
     return s
 
 
-def match_atom(pattern: Atom, target: Atom, seed: Optional[Subst] = None) -> Optional[Subst]:
-    """Match `pattern` onto `target` one-way; extends `seed` if given."""
+def match_atom(pattern: Atom, target: Atom, seed: Optional[dict] = None) -> Optional[dict]:
+    """Match `pattern` onto `target` one-way, extending `seed` if given; a
+    pattern variable the seed binds must meet an equal target term.  The
+    seed itself is never modified."""
     if pattern.pred != target.pred or pattern.arity != target.arity:
         return None
-    s: Optional[dict] = dict(seed.items()) if seed else {}
+    s: Optional[dict] = seed or {}
     for p, t in zip(pattern.args, target.args):
         s = _match_term(p, t, s)
         if s is None:
             return None
-    return Subst(s)
+    return s
 
 
 # ---------------------------------------------------------------------------
-# Set unification: bijections between two atom sets, unified pairwise
-
-
-def iter_atom_set_unifiers(goals: Iterable[Atom], heads: Iterable[Atom]) -> Iterator[Subst]:
-    """All substitutions unifying the two atom sets under some bijection.
-
-    Atoms are bucketed by (predicate, arity); a bijection exists only when
-    the bucket sizes agree.  Goals are kept in a deterministic (rendered)
-    order so the first yielded unifier is stable.
-    """
-    goals = sorted(goals, key=render_atom)
-    heads = sorted(heads, key=render_atom)
-    if len(goals) != len(heads):
-        return
-    buckets_g: dict = {}
-    for a in goals:
-        buckets_g.setdefault((a.pred, a.arity), []).append(a)
-    buckets_h: dict = {}
-    for a in heads:
-        buckets_h.setdefault((a.pred, a.arity), []).append(a)
-    if set(buckets_g) != set(buckets_h):
-        return
-    keys = sorted(buckets_g)
-    for key in keys:
-        if len(buckets_g[key]) != len(buckets_h[key]):
-            return
-    per_bucket = [
-        [list(zip(buckets_g[k], perm)) for perm in permutations(buckets_h[k])] for k in keys
-    ]
-    for combo in product(*per_bucket):
-        s: Optional[dict] = {}
-        for pairs in combo:
-            for g, h in pairs:
-                s = _unify_atoms(g, h, s)
-                if s is None:
-                    break
-            if s is None:
-                break
-        if s is not None:
-            yield Subst(_resolve(s))
-
-
-def mgu_atom_sets(goals: Iterable[Atom], heads: Iterable[Atom]) -> Optional[Subst]:
-    """First unifier of the two atom sets under canonical ordering, or None."""
-    for s in iter_atom_set_unifiers(goals, heads):
-        return s
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Fresh names, variants, standardize-apart
+# Fresh names and variants
 
 
 class FreshNames:
@@ -314,33 +206,4 @@ class FreshNames:
 def fresh_variant(rule: Rule, fresh: FreshNames) -> Rule:
     """A copy of the rule with every variable replaced by a fresh one."""
     mapping = {v: fresh.fresh() for v in dict.fromkeys(rule_vars(rule))}
-    return apply(Subst(mapping), rule)
-
-
-def standardize_apart(p: Program, avoid: Iterable[str] = (), prefix: str = "_G") -> Program:
-    """A variant of p (one program-wide renaming) with variables fresh w.r.t. avoid.
-
-    The renaming is applied consistently across rules, so variables shared
-    between rules stay shared.
-    """
-    fresh = FreshNames(avoid, prefix=prefix)
-    fresh.reserve(v.name for v in vars_of(p))
-    mapping = {}
-    for r in p:
-        for v in rule_vars(r):
-            if v not in mapping:
-                mapping[v] = fresh.fresh()
-    s = Subst(mapping)
-    return Program(apply(s, r) for r in p)
-
-
-def is_variant(a, b) -> bool:
-    """Variant check for rules (canonical-form equality) or programs
-    (per-rule variant correspondence, which is Program equality)."""
-    from .syntax import canonical_key
-
-    if isinstance(a, Rule) and isinstance(b, Rule):
-        return canonical_key(a) == canonical_key(b)
-    if isinstance(a, Program) and isinstance(b, Program):
-        return a == b
-    raise TypeError("is_variant expects two Rules or two Programs")
+    return apply(mapping, rule)

@@ -1,11 +1,10 @@
-"""Program composition, closures, concatenation, and representation search."""
+"""Program composition, closures, concatenation, and representation checks."""
 
 import pytest
 
 from hornalg import corpus
 from hornalg.algebra import (
     DecompositionWitness,
-    SearchBudget,
     check_representation,
     compose,
     concat_atoms,
@@ -15,7 +14,6 @@ from hornalg.algebra import (
     omega,
     plus_closure,
     power,
-    search_representation,
     star,
 )
 from hornalg.errors import CompositionOverflowError, FixpointBudgetError
@@ -186,20 +184,6 @@ def test_check_representation_member_chain():
     assert check_representation(member, pluslist, w)
     bad = DecompositionWitness(corpus.program("member_q"), Program())
     assert not check_representation(member, pluslist, bad)
-
-
-def test_search_representation_finds_self():
-    p = pg("p(a). p(f(X)) :- p(X).")
-    w = search_representation(p, p)
-    assert w is not None
-    assert check_representation(p, p, w)
-
-
-def test_search_representation_respects_budget():
-    p = pg("p(a).")
-    r = pg("q(b).")
-    w = search_representation(p, r, budget=SearchBudget(max_candidates=8))
-    assert w is None or check_representation(p, r, w)
 
 
 def test_compose_is_deterministic():

@@ -100,6 +100,21 @@ def test_query_json_mirrors_text():
     assert payload["trace"][0] == "<- member(X,[a,b])"
 
 
+def test_query_answers_rename_engine_variables():
+    code, out, _ = run("query", "corpus:plus", "plus(X,Y,Z)")
+    assert code == OK
+    assert out.splitlines()[1] == "{X = 0, Y = _1, Z = _1}"
+    code, out, _ = run("query", "corpus:member", "member(a,L)")
+    assert code == OK
+    assert out.splitlines()[1] == "{L = [a|_1]}"
+
+
+def test_query_answer_names_avoid_query_variables():
+    code, out, _ = run("query", "corpus:plus", "plus(_1,Y,Z)", "--format", "json")
+    assert code == OK
+    assert json.loads(out)["answer"] == {"_1": "0", "Y": "_2", "Z": "_2"}
+
+
 def test_query_unprovable_is_exhausted():
     code, out, _ = run("query", "corpus:nat", "nat(f(0))")
     assert code == EXHAUSTED
@@ -236,3 +251,20 @@ def test_local_files_mix_with_bundled():
     code, out, _ = run("compose", path, "corpus:nat")
     assert code == OK
     assert "nat(s(s(0)))." in out
+
+
+def test_deeply_nested_term_is_a_budget_error(tmp_path):
+    path = tmp_path / "deep.lp"
+    path.write_text("p(" + "s(" * 3000 + "0" + ")" * 3000 + ").\n")
+    code, out, err = run("lm", str(path))
+    assert code == EXHAUSTED
+    assert out == ""
+    assert err == "budget exhausted: term nesting exceeds the recursion limit\n"
+
+
+def test_long_list_is_a_budget_error(tmp_path):
+    path = tmp_path / "flat.lp"
+    path.write_text("p([" + ",".join(["a"] * 1500) + "]).\n")
+    code, _, err = run("lm", str(path))
+    assert code == EXHAUSTED
+    assert err == "budget exhausted: term nesting exceeds the recursion limit\n"

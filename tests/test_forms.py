@@ -98,6 +98,19 @@ def test_form_to_text_round_trips():
 def test_parse_error_reports_location():
     with pytest.raises(ParseError):
         table("form T(X) = X |;")
+    with pytest.raises(ParseError) as info:
+        table("form T(X) = X[Y := f(a")  # ends inside the term grammar
+    assert (info.value.line, info.value.col) == (1, 23)
+
+
+def test_program_references_are_not_syntax():
+    with pytest.raises(ParseError):
+        table("form T(X) = X | @p;")
+
+
+def test_substitution_terms_use_the_program_term_grammar():
+    t = table("form T(X) = X[Y := [a,f(Z)|W]];")
+    assert form_to_text(t["T"].body) == "X[Y := [a,f(Z)|W]]"
 
 
 # ---------------------------------------------------------------------------
