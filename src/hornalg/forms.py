@@ -529,7 +529,6 @@ _LPF_TOKEN_RE = re.compile(
     | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
     | (?P<IDENT>[a-z][A-Za-z0-9_]*)
     | (?P<INT>[0-9]+)
-    | (?P<LBRACE>\{)
     | (?P<LPAREN>\()
     | (?P<RPAREN>\))
     | (?P<LBRACKET>\[)

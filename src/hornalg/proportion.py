@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -211,90 +212,42 @@ def _short(p: Program) -> str:
     return "{" + text + "}"
 
 
-def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
-                     s: Optional[Program] = None, *, strict: bool = False,
-                     evaluator: Optional[Evaluator] = None) -> CheckReport:
-    """Verify a witness for P : Q :: R : S, item by item."""
-    s_prog = s if s is not None else problem.s
-    if s_prog is None:
-        raise ProportionError("no candidate for the fourth program")
-    ev = evaluator or Evaluator()
-    source, target = problem.source, problem.target
-    inter = source.intersection(target)
-    items: list = []
-
-    # Fixed material inside the forms must lie in both domains, otherwise it
-    # smuggles symbols across that no program of one side may use.
+def fixed_material_offences(forms, inter: DomainSig, table: dict) -> list:
+    """The fixed material inside the forms (inline literals, rename targets,
+    substituted functors) that lies outside the domain intersection."""
     try:
-        lits_f, preds_f, fun_f = literal_requirements(witness.f, ev.table)
-        lits_g, preds_g, fun_g = literal_requirements(witness.g, ev.table)
+        reqs = [literal_requirements(form, table) for form in forms]
     except FormEvalError as e:
         raise ProportionError(str(e)) from e
-    offenders = []
-    for lit in lits_f + lits_g:
-        bad = alien_symbols(lit, inter)
-        if bad:
-            offenders.append(f"literal {_short(lit)} uses {', '.join(bad)}")
-    for name in sorted((preds_f | preds_g) - inter.preds):
-        offenders.append(f"rename target {name} is not shared")
-    for name in sorted((fun_f | fun_g) - inter.functors):
-        offenders.append(f"substituted functor {name} is not shared")
-    items.append(CheckItem(
-        "alien_literal",
-        not offenders,
-        "; ".join(offenders) if offenders else "all fixed material lies in both domains",
-    ))
+    offences = [f"literal {_short(lit)} uses {', '.join(bad)}"
+                for lits, _, _ in reqs for lit in lits if (bad := alien_symbols(lit, inter))]
+    preds = frozenset().union(*(req[1] for req in reqs))
+    functors = frozenset().union(*(req[2] for req in reqs))
+    offences += [f"rename target {n} is not shared" for n in sorted(preds - inter.preds)]
+    offences += [f"substituted functor {n} is not shared"
+                 for n in sorted(functors - inter.functors)]
+    return offences
 
-    for code, form in (("f_nonconstant", witness.f), ("g_nonconstant", witness.g)):
-        ok = is_nonconstant(form, witness.probe, ev)
-        items.append(CheckItem(
-            code,
-            ok,
-            f"{form_to_text(form)} {'varies' if ok else 'is constant'} on the probe programs",
-        ))
 
-    def domain_item(code: str, vec: tuple, sig: DomainSig) -> CheckItem:
-        bad = []
-        for i, b in enumerate(vec):
-            names = alien_symbols(b.program, sig)
-            if names:
-                bad.append(f"entry {i + 1} uses {', '.join(names)}")
-        return CheckItem(
-            code,
-            not bad,
-            "; ".join(bad) if bad else f"all entries lie in {sig.name}",
-        )
+def domain_offences(named, sig: DomainSig) -> list:
+    """`<name> uses <symbols>` for each (name, program) pair whose program
+    uses symbols `sig` does not allow."""
+    return [f"{name} uses {', '.join(bad)}" for name, prog in named
+            if (bad := alien_symbols(prog, sig))]
 
-    if witness.line == "ffgg":
-        items.append(domain_item("pvec_in_domain", witness.pvec, inter))
-        items.append(domain_item("rvec_in_domain", witness.rvec, inter))
-        cross_bad = []
-        for label, prog in (("P", problem.p), ("Q", problem.q),
-                            ("R", problem.r), ("S", s_prog)):
-            names = alien_symbols(prog, inter)
-            if names:
-                cross_bad.append(f"{label} uses {', '.join(names)}")
-        items.append(CheckItem(
-            "ffgg_intersection",
-            not cross_bad,
-            "; ".join(cross_bad) if cross_bad else
-            f"all four programs lie in {inter.name}",
-        ))
-    else:
-        items.append(domain_item("pvec_in_domain", witness.pvec, source))
-        items.append(domain_item("rvec_in_domain", witness.rvec, target))
 
-    s_bad = alien_symbols(s_prog, target)
-    items.append(CheckItem(
-        "s_in_target",
-        not s_bad,
-        f"S uses {', '.join(s_bad)}" if s_bad else f"S lies in {target.name}",
-    ))
+def _item(code: str, offences: list, ok_detail: str) -> CheckItem:
+    return CheckItem(code, not offences, "; ".join(offences) if offences else ok_detail)
 
+
+def _identity_items(problem: ProportionProblem, witness: ProportionWitness,
+                    s_prog: Program, ev: Evaluator, strict: bool) -> list:
+    """One item per line equation `program = form(vector)`."""
     progs = {"p": problem.p, "q": problem.q, "r": problem.r, "s": s_prog}
     envs = {"p": _vec_env(witness.pvec), "r": _vec_env(witness.rvec)}
     side = {"p": "source", "r": "target"}
     forms = {"f": witness.f, "g": witness.g}
+    items = []
     for prog_key, form_key, vec_key in _LINE_EQUATIONS[witness.line]:
         code = f"{prog_key}_identity"
         label = f"{form_key.upper()} on the {side[vec_key]} vector"
@@ -311,7 +264,47 @@ def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
             f"{label} yields {prog_key.upper()}" if equal else
             f"{label} differs from {prog_key.upper()}: got {_short(got)}",
         ))
+    return items
 
+
+def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
+                     s: Optional[Program] = None, *, strict: bool = False,
+                     evaluator: Optional[Evaluator] = None) -> CheckReport:
+    """Verify a witness for P : Q :: R : S, item by item."""
+    s_prog = s if s is not None else problem.s
+    if s_prog is None:
+        raise ProportionError("no candidate for the fourth program")
+    ev = evaluator or Evaluator()
+    source, target = problem.source, problem.target
+    inter = source.intersection(target)
+
+    # Fixed material inside the forms must lie in both domains, otherwise it
+    # smuggles symbols across that no program of one side may use.
+    items = [_item("alien_literal",
+                   fixed_material_offences((witness.f, witness.g), inter, ev.table),
+                   "all fixed material lies in both domains")]
+
+    for code, form in (("f_nonconstant", witness.f), ("g_nonconstant", witness.g)):
+        ok = is_nonconstant(form, witness.probe, ev)
+        items.append(CheckItem(
+            code,
+            ok,
+            f"{form_to_text(form)} {'varies' if ok else 'is constant'} on the probe programs",
+        ))
+
+    psig, rsig = (inter, inter) if witness.line == "ffgg" else (source, target)
+    for code, vec, sig in (("pvec_in_domain", witness.pvec, psig),
+                           ("rvec_in_domain", witness.rvec, rsig)):
+        entries = ((f"entry {i + 1}", b.program) for i, b in enumerate(vec))
+        items.append(_item(code, domain_offences(entries, sig), f"all entries lie in {sig.name}"))
+    if witness.line == "ffgg":
+        four = (("P", problem.p), ("Q", problem.q), ("R", problem.r), ("S", s_prog))
+        items.append(_item("ffgg_intersection", domain_offences(four, inter),
+                           f"all four programs lie in {inter.name}"))
+    items.append(_item("s_in_target", domain_offences((("S", s_prog),), target),
+                       f"S lies in {target.name}"))
+
+    items.extend(_identity_items(problem, witness, s_prog, ev, strict))
     return CheckReport(witness.line, tuple(items))
 
 
@@ -473,93 +466,100 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     canonical order and capped at `budget.max_solutions`."""
     budget = budget or SolveBudget()
     ev = evaluator or Evaluator()
-    forms = form_pool(problem, budget)
-    source_rules = (problem.p | problem.q).rules
-    target_rules = problem.r.rules
-    svecs = vector_pool(source_rules, budget)
-    tvecs = vector_pool(target_rules, budget)
+    # Program equality is variant equality, so the pool can hold equal forms
+    # such as {q(X).} and {q(Y).}; keep the first, or one candidate would be
+    # found once per copy.
+    forms = list(dict.fromkeys(form_pool(problem, budget)))
+    svecs = vector_pool((problem.p | problem.q).rules, budget)
+    tvecs = vector_pool(problem.r.rules, budget)
+    P, Q, R = problem.p, problem.q, problem.r
+    source, target = problem.source, problem.target
+    inter = source.intersection(target)
 
+    # A candidate is verified by the parts of `check_proportion` it depends
+    # on, each computed once where its inputs are: the form checks once per
+    # pool form, the domain checks once per (program, domain).
+    @cache
+    def form_ok(i: int) -> bool:
+        return (not fixed_material_offences((forms[i],), inter, ev.table)
+                and is_nonconstant(forms[i], DEFAULT_PROBE, ev))
+
+    @cache
+    def lies_in(prog: Program, sig: DomainSig) -> bool:
+        return not domain_offences((("", prog),), sig)
+
+    # The value map of a vector program: each form's value by pool position
+    # (None when it fails to evaluate) and the positions giving each value.
+    # It is cached by name, as the Evaluator's memo is: concatenation sees
+    # variable names, so equal programs such as {q(X).} and {q(Y).} can give
+    # a form different values.
     value_maps: dict = {}
 
     def value_map(prog: Program):
-        cached = value_maps.get(prog)
-        if cached is not None:
-            return cached
-        env = {"X1": make_binding(prog)}
-        by_value: dict = {}
-        values: dict = {}
-        for fm in forms:
-            try:
-                v = ev.eval(fm, env, {})
-            except (FormEvalError, BudgetError):
-                continue
-            values[fm] = v
-            by_value.setdefault(v, []).append(fm)
-        value_maps[prog] = (values, by_value)
-        return values, by_value
+        key = prog.name_key()
+        if key not in value_maps:
+            env = {"X1": make_binding(prog)}
+            values: list = []
+            by_value: dict = {}
+            for i, fm in enumerate(forms):
+                try:
+                    v = ev.eval(fm, env, {})
+                except (FormEvalError, BudgetError):
+                    v = None
+                else:
+                    by_value.setdefault(v, []).append(i)
+                values.append(v)
+            value_maps[key] = (values, by_value)
+        return value_maps[key]
 
-    P, Q, R = problem.p, problem.q, problem.r
-    candidates: list = []
+    # The line identities hold by construction: a candidate is generated only
+    # when the value-map lookups match.  Each map holds what the same
+    # Evaluator gives on that very vector, and lookups use the same Program
+    # equality, so `check_proportion` would evaluate and compare the same.
+    verified: list = []  # (line, f, g, source vector, target vector, S) by position
     for line in budget.lines:
-        for sv in svecs:
-            sval, sby = value_map(sv)
-            for tv in tvecs:
-                tval, tby = value_map(tv)
-                if line == "fgfg":
-                    fs = [fm for fm in sby.get(P, ()) if tval.get(fm) == R]
-                    gs = sby.get(Q, ())
-                    for fm in fs:
-                        for gm in gs:
-                            s_out = tval.get(gm)
-                            if s_out is not None:
-                                candidates.append((line, fm, gm, sv, tv, s_out))
-                elif line == "fggf":
-                    fs = sby.get(P, ())
-                    gs = [gm for gm in sby.get(Q, ()) if tval.get(gm) == R]
-                    for fm in fs:
-                        s_out = tval.get(fm)
-                        if s_out is None:
-                            continue
-                        for gm in gs:
-                            candidates.append((line, fm, gm, sv, tv, s_out))
-                else:  # ffgg
-                    fs = [fm for fm in sby.get(P, ()) if tval.get(fm) == Q]
-                    gs = sby.get(R, ())
-                    for fm in fs:
-                        for gm in gs:
-                            s_out = tval.get(gm)
-                            if s_out is not None:
-                                candidates.append((line, fm, gm, sv, tv, s_out))
-
-    verified: list = []
-    seen = set()
-    for line, fm, gm, sv, tv, s_out in candidates:
-        key = (line, fm, gm, sv, tv)
-        if key in seen:
-            continue
-        seen.add(key)
-        witness = ProportionWitness(fm, gm, (make_binding(sv),), (make_binding(tv),), line)
-        report = check_proportion(problem, witness, s=s_out, evaluator=ev)
-        if report.ok:
-            verified.append(ProportionSolution(s_out, witness))
+        if line == "ffgg":
+            if not all(lies_in(x, inter) for x in (P, Q, R)):
+                continue
+            # S in the intersection is also in the target (`s_in_target`)
+            psig = rsig = ssig = inter
+        else:
+            psig, rsig, ssig = source, target, target
+        for si, sv in enumerate(svecs):
+            if not lies_in(sv, psig):
+                continue
+            _, sby = value_map(sv)
+            for ti, tv in enumerate(tvecs):
+                if not lies_in(tv, rsig):
+                    continue
+                tval, _ = value_map(tv)
+                if line == "fggf":  # F yields S, G is pinned on the target side
+                    fs = [i for i in sby.get(P, ())
+                          if tval[i] is not None and lies_in(tval[i], ssig)]
+                    gs = [i for i in sby.get(Q, ()) if tval[i] == R]
+                else:  # F is pinned on the target side, G yields S
+                    pinned, g_value = (R, Q) if line == "fgfg" else (Q, R)
+                    fs = [i for i in sby.get(P, ()) if tval[i] == pinned]
+                    gs = [i for i in sby.get(g_value, ())
+                          if tval[i] is not None and lies_in(tval[i], ssig)]
+                # The form checks run last: they evaluate the forms on the probe.
+                fs = [i for i in fs if form_ok(i)] if gs else ()
+                gs = [i for i in gs if form_ok(i)] if fs else ()
+                verified.extend((line, f, g, si, ti, tval[f if line == "fggf" else g])
+                                for f in fs for g in gs)
 
     groups: dict = {}
-    for sol in verified:
-        w = sol.witness
-        groups.setdefault((w.line, w.f, w.g), []).append(sol)
+    for cand in verified:
+        groups.setdefault(cand[:3], []).append(cand)
     kept: list = []
     for group in groups.values():
-        for sol in group:
-            sv, tv = sol.witness.pvec[0].program, sol.witness.rvec[0].program
-            dominated = False
-            for other in group:
-                osv = other.witness.pvec[0].program
-                otv = other.witness.rvec[0].program
-                if (osv, otv) != (sv, tv) and osv.issubset(sv) and otv.issubset(tv):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(sol)
+        for line, f, g, si, ti, s in group:
+            sv, tv = svecs[si], tvecs[ti]
+            if not any((osi, oti) != (si, ti) and svecs[osi].issubset(sv)
+                       and tvecs[oti].issubset(tv) for *_, osi, oti, _ in group):
+                witness = ProportionWitness(forms[f], forms[g], (make_binding(sv),),
+                                            (make_binding(tv),), line)
+                kept.append(ProportionSolution(s, witness))
 
     def witness_key(sol: ProportionSolution):
         w = sol.witness

@@ -16,7 +16,7 @@ belongs to the bounded universe; variable-free rules are kept verbatim
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Optional
 
 from .errors import GroundingOverflowError
@@ -144,7 +144,9 @@ def ground(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> Program:
     ordered_universe = sorted(universe, key=render_term)
     out: list[Rule] = []
     for rule in p:
-        out.extend(closed_instances(rule, universe, ordered_universe))
+        # Stop at the first instance past the budget, not after them all.
+        out.extend(islice(closed_instances(rule, universe, ordered_universe),
+                          bound.max_atoms - len(out) + 1))
         if len(out) > bound.max_atoms:
             raise GroundingOverflowError(bound.max_atoms)
     return Program(out)

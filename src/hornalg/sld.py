@@ -112,21 +112,27 @@ def label_rules(parts: Iterable) -> tuple:
     return total, labels
 
 
-def answer_substitution(steps: Iterable[DerivationStep], q: Query) -> dict:
-    """The bindings a successful derivation assigns to the query's own
-    variables, in first-occurrence order; empty for a ground query.  Other
-    variables left in the answers are renamed _1, _2, ... in order of first
-    occurrence, avoiding the query's own names."""
+def _answers(steps: list, q: Query, shown: Iterable[Atom] = ()) -> tuple:
+    """The query's variables with their final bindings, and a renaming of
+    the other variables in those bindings, then in the `shown` atoms, to _1,
+    _2, ... in first-occurrence order, avoiding the query's own names."""
     answers = {v: v for g in q.goals for v in atom_vars(g)}
     for v in answers:
         for st in steps:
             answers[v] = apply(st.unifier, answers[v])
     fresh = FreshNames(prefix="_")
     fresh.reserve(v.name for v in answers)
-    leftover = dict.fromkeys(
-        w for t in answers.values() for w in term_vars(t) if w not in answers
-    )
-    renaming = {w: fresh.fresh() for w in leftover}
+    others = [w for t in answers.values() for w in term_vars(t)]
+    others += [w for a in shown for w in atom_vars(a)]
+    return answers, {w: fresh.fresh() for w in dict.fromkeys(others) if w not in answers}
+
+
+def answer_substitution(steps: Iterable[DerivationStep], q: Query) -> dict:
+    """The bindings a successful derivation assigns to the query's own
+    variables, in first-occurrence order; empty for a ground query.  Other
+    variables left in the answers are renamed _1, _2, ... in order of first
+    occurrence, avoiding the query's own names."""
+    answers, renaming = _answers(list(steps), q)
     return {v.name: apply(renaming, t) for v, t in answers.items()}
 
 
@@ -138,14 +144,15 @@ def render_answer(answers: Mapping) -> str:
 
 def render_trace(steps: Iterable[DerivationStep], q: Query) -> str:
     """One line for the query, then one line per resolvent; the empty
-    resolvent renders as []."""
+    resolvent renders as [].  Variables not in the query get the names of
+    `answer_substitution`, and those the answers do not show the next _k."""
+    steps = list(steps)
+    _, renaming = _answers(steps, q, [g for st in steps for g in st.resolvent.goals])
     lines = ["<- " + ", ".join(render_atom(g) for g in q.goals)]
     for st in steps:
         label = f"[{st.source_label}] " if st.source_label else ""
-        if st.resolvent.is_empty:
-            lines.append("<- " + label + "[]")
-        else:
-            lines.append("<- " + label + ", ".join(render_atom(g) for g in st.resolvent.goals))
+        goals = ", ".join(render_atom(apply(renaming, g)) for g in st.resolvent.goals)
+        lines.append("<- " + label + (goals or "[]"))
     return "\n".join(lines)
 
 

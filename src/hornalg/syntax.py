@@ -404,15 +404,6 @@ class Program:
     def proper(self) -> "Program":
         return Program(r for r in self._rules if not r.is_fact)
 
-    def head_atoms(self) -> tuple:
-        return tuple(r.head for r in self._rules)
-
-    def body_atoms(self) -> tuple:
-        out = []
-        for r in self._rules:
-            out.extend(sorted(r.body, key=render_atom))
-        return tuple(out)
-
     def all_atoms(self) -> tuple:
         out = []
         for r in self._rules:

@@ -115,6 +115,46 @@ def test_query_answer_names_avoid_query_variables():
     assert json.loads(out)["answer"] == {"_1": "0", "Y": "_2", "Z": "_2"}
 
 
+def test_query_trace_renames_engine_variables():
+    code, out, _ = run("query", "corpus:plus", "plus(s(X),Y,Z)", "--trace")
+    assert code == OK
+    assert out.splitlines() == [
+        "yes",
+        "{X = 0, Y = _1, Z = s(_1)}",
+        "<- plus(s(X),Y,Z)",
+        "<- plus(_2,_3,_4)",
+        "<- []",
+    ]
+    code, out, _ = run("query", "corpus:plus", "plus(s(X),Y,Z)", "--trace", "--format", "json")
+    assert code == OK
+    assert json.loads(out) == {
+        "result": "yes",
+        "answer": {"X": "0", "Y": "_1", "Z": "s(_1)"},
+        "trace": ["<- plus(s(X),Y,Z)", "<- plus(_2,_3,_4)", "<- []"],
+    }
+
+
+def test_query_trace_names_restart_each_query():
+    # iterative deepening must not leak its fresh-name counter into the trace
+    code, out, _ = run("query", "corpus:member", "member(a,[b|L])", "--trace")
+    assert code == OK
+    assert out.splitlines() == [
+        "yes",
+        "{L = [a|_1]}",
+        "<- member(a,[b|L])",
+        "<- member(a,_2)",
+        "<- []",
+    ]
+    code, out, _ = run("query", "corpus:member", "member(a,[b|L])", "--trace",
+                       "--format", "json")
+    assert code == OK
+    assert json.loads(out) == {
+        "result": "yes",
+        "answer": {"L": "[a|_1]"},
+        "trace": ["<- member(a,[b|L])", "<- member(a,_2)", "<- []"],
+    }
+
+
 def test_query_unprovable_is_exhausted():
     code, out, _ = run("query", "corpus:nat", "nat(f(0))")
     assert code == EXHAUSTED

@@ -1,6 +1,7 @@
 """Randomized law checks.  Each suite runs at least 500 pinned-seed cases."""
 
 import random
+from collections import Counter
 
 from hornalg import corpus
 from hornalg.algebra import compose, concatenate, omega
@@ -215,12 +216,12 @@ def _rand_prop_program(rng, preds, max_rules=2, max_atoms=3):
     return Program(rules)
 
 
-def _rand_problem(rng):
+def _rand_problem(rng, target_preds=("c", "d")):
     source = DomainSig("A", frozenset({"a", "b"}), frozenset())
-    target = DomainSig("B", frozenset({"c", "d"}), frozenset())
+    target = DomainSig("B", frozenset(target_preds), frozenset())
     p = _rand_prop_program(rng, ("a", "b"))
     q = _rand_prop_program(rng, ("a", "b"))
-    r = _rand_prop_program(rng, ("c", "d"))
+    r = _rand_prop_program(rng, target_preds)
     return ProportionProblem(p, q, r, source, target)
 
 
@@ -242,9 +243,11 @@ def test_solver_answers_verify():
 # 7. the solver equals a brute-force search on propositional problems
 
 
-def _oracle_solutions(problem, budget):
+def _oracle_solutions(problem, budget, rejections=None):
     """Exhaustive enumeration sharing only the pools and the checker with
-    the solver; candidate generation and pruning are reimplemented."""
+    the solver; candidate generation and pruning are reimplemented.  The
+    codes of the items failing on each rejected candidate are counted into
+    `rejections` when it is given."""
     ev = Evaluator()
     forms = form_pool(problem, budget)
     svecs = vector_pool((problem.p | problem.q).rules, budget)
@@ -285,8 +288,11 @@ def _oracle_solutions(problem, budget):
                             forms[fi], forms[gi],
                             (make_binding(sv),), (make_binding(tv),), line,
                         )
-                        if check_proportion(problem, witness, s=s_out, evaluator=ev).ok:
+                        report = check_proportion(problem, witness, s=s_out, evaluator=ev)
+                        if report.ok:
                             verified.append((line, forms[fi], forms[gi], sv, tv, s_out))
+                        elif rejections is not None:
+                            rejections.update(item.code for item in report.items if not item.ok)
 
     groups = {}
     for entry in verified:
@@ -304,6 +310,20 @@ def _oracle_solutions(problem, budget):
     return kept
 
 
+def _solver_set(problem, budget):
+    return {
+        (
+            sol.witness.line,
+            form_to_text(sol.witness.f),
+            form_to_text(sol.witness.g),
+            render_program(sol.witness.pvec[0].program),
+            render_program(sol.witness.rvec[0].program),
+            render_program(sol.s),
+        )
+        for sol in solve_proportion(problem, budget)
+    }
+
+
 def test_solver_matches_brute_force_oracle():
     rng = random.Random(1707)
     budget = SolveBudget(
@@ -315,22 +335,32 @@ def test_solver_matches_brute_force_oracle():
     agreements = 0
     for _ in range(CASES):
         problem = _rand_problem(rng)
-        solver_set = {
-            (
-                sol.witness.line,
-                form_to_text(sol.witness.f),
-                form_to_text(sol.witness.g),
-                render_program(sol.witness.pvec[0].program),
-                render_program(sol.witness.rvec[0].program),
-                render_program(sol.s),
-            )
-            for sol in solve_proportion(problem, budget)
-        }
+        solver_set = _solver_set(problem, budget)
         oracle_set = _oracle_solutions(problem, budget)
         assert solver_set == oracle_set, render_program(problem.p)
         if solver_set:
             agreements += 1
     assert agreements > 0
+
+
+def test_solver_matches_oracle_on_overlapping_domains():
+    # With a shared predicate the checks the disjoint draw never fails come
+    # into play: constant forms, vectors outside the domain and ffgg
+    # programs outside the intersection must each be rejected.
+    rng = random.Random(1808)
+    budget = SolveBudget(
+        max_form_depth=1,
+        max_vector_rules=2,
+        max_solutions=100_000,
+        witnesses_per_s=100_000,
+    )
+    rejections = Counter()
+    for _ in range(150):
+        problem = _rand_problem(rng, target_preds=("b", "c"))
+        oracle_set = _oracle_solutions(problem, budget, rejections)
+        assert _solver_set(problem, budget) == oracle_set, render_program(problem.p)
+    for code in ("f_nonconstant", "g_nonconstant", "pvec_in_domain", "ffgg_intersection"):
+        assert rejections[code] > 0, code
 
 
 # ---------------------------------------------------------------------------

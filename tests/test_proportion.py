@@ -241,6 +241,27 @@ def test_solver_respects_max_solutions():
     assert len(solve_proportion(problem, SolveBudget(max_solutions=3))) <= 3
 
 
+@pytest.mark.parametrize("p, q, r", [
+    ("q(X).", "q(X,X).", "q(Y). q(Y,Y)."),
+    # the source vector {q(X).} equals the target vector {q(Y).}, but
+    # concatenation gives them different values
+    ("q(X). q(X,Z).", "q(X). q(X,X).", "q(Y)."),
+])
+def test_solver_output_verifies_when_programs_are_variants(p, q, r):
+    sig = DomainSig("Q", frozenset({"q"}), frozenset())
+    problem = ProportionProblem(pg(p), pg(q), pg(r), sig, sig)
+    pool = form_pool(problem, SolveBudget())
+    assert len(set(pool)) < len(pool)  # {q(X).} from P equals {q(Y).} from R
+    solutions = solve_proportion(problem, SolveBudget(max_solutions=1000, witnesses_per_s=100))
+    assert solutions
+    keys = set()
+    for sol in solutions:
+        w = sol.witness
+        assert check_proportion(problem, w, s=sol.s, evaluator=Evaluator()).ok
+        keys.add((w.line, w.f, w.g, w.pvec[0].program, w.rvec[0].program))
+    assert len(keys) == len(solutions)
+
+
 def test_form_pool_respects_domain_intersection():
     spec = disjoint_spec()
     pool = form_pool(spec.problem, SolveBudget(max_form_depth=1))

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from hornalg import corpus
+from hornalg import corpus, semantics
 from hornalg.errors import GroundingOverflowError
 from hornalg.parser import parse_atom, parse_program, parse_rule
 from hornalg.semantics import (
@@ -76,6 +76,23 @@ def test_ground_keeps_variable_free_rules():
 def test_ground_of_ground_program_is_identity():
     p = pg("e(a,b). path(a,b) :- e(a,b).")
     assert ground(p, GroundingBound(max_term_depth=1)) == p
+
+
+def test_ground_stops_at_its_budget(monkeypatch):
+    # 12^5 instances of the rule; the budget must stop the enumeration early
+    p = pg(" ".join(f"p(c{i})." for i in range(12)) + " q(X1,X2,X3,X4,X5) :- p(X1).")
+    built = 0
+    real_apply = semantics.apply
+
+    def counting_apply(s, obj):
+        nonlocal built
+        built += 1
+        return real_apply(s, obj)
+
+    monkeypatch.setattr(semantics, "apply", counting_apply)
+    with pytest.raises(GroundingOverflowError):
+        ground(p, GroundingBound(max_term_depth=0, max_atoms=1000))
+    assert built <= 1001
 
 
 def test_tp_step_from_empty():
