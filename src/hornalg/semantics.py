@@ -11,12 +11,19 @@ A rule instance is admitted when every argument term of every atom in it
 belongs to the bounded universe; variable-free rules are kept verbatim
 (each is its own instance).  Answers are therefore bound-relative, and
 `equivalent` means equivalence at the bound, nothing stronger.
+
+`tp_step` and `least_model` evaluate bottom-up by matching, not through
+`ground`.  A plan fixed once per (program, universe) says how each rule's
+body atoms are looked up in an index of universe-closed atoms, and how
+head variables the body leaves open are bound by matching head arguments
+against universe terms.  `least_model` grows one index by each round's
+new atoms and fires rules semi-naively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterable, Iterator, Optional
 
 from .errors import GroundingOverflowError
@@ -33,10 +40,9 @@ from .syntax import (
     render_atom,
     render_term,
     rule_vars,
-    term_vars,
     vars_of,
 )
-from .unify import apply, match_atom
+from .unify import _match_term, apply, match_atom
 
 Interpretation = frozenset  # of ground Atom
 
@@ -102,8 +108,9 @@ def herbrand_universe(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> froz
 def list_universe(constants: Iterable[str], max_len: int) -> frozenset:
     """The given constants plus every flat list over them up to max_len
     elements — a ready-made `GroundingBound.universe` for list programs.
-    The bare constants are included because head-only variables (list
-    elements, typically) are enumerated over the universe."""
+    The bare constants are included because list elements are arguments
+    of their own in some atoms (member(X, L)), and because `ground`
+    enumerates each variable, list elements too, over the universe."""
     consts = [Compound(c) for c in sorted(set(constants))]
     out: list[Term] = list(consts)
     level: list[Term] = [NIL]
@@ -153,160 +160,167 @@ def ground(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Matching-based rule firing
+# Bottom-up evaluation over a static plan
 
 
-def _index(atoms: Iterable[Atom]) -> dict:
-    idx: dict = {}
-    for a in atoms:
-        idx.setdefault((a.pred, a.arity), []).append(a)
-    return idx
+def _key(positions: dict, base: tuple, args: tuple, bound: set) -> tuple:
+    """The lookup key of a pattern: `base`, or `base + (j,)` when argument
+    j is the first one whose variables all lie in `bound` (j is then
+    recorded in `positions` as a position to index)."""
+    j = next((j for j, t in enumerate(args) if vars_of(t) <= bound), None)
+    if j is None:
+        return base
+    positions.setdefault(base, set()).add(j)
+    return base + (j,)
 
 
-def _var_paths(t: Term, prefix: tuple = ()) -> Iterable[tuple]:
-    """(variable, path) pairs for every variable occurrence in the term;
-    a path is a sequence of (functor, arity, argument index) steps."""
-    if isinstance(t, Var):
-        yield t, prefix
-    elif isinstance(t, Compound):
-        for i, a in enumerate(t.args):
-            yield from _var_paths(a, prefix + ((t.functor, len(t.args), i),))
+def _add(idx: dict, positions: dict, base: tuple, args: tuple, item) -> None:
+    """File `item` under `base`, and under `base + (j, args[j])` for each
+    position j planned for `base`."""
+    idx.setdefault(base, []).append(item)
+    for j in positions.get(base, ()):
+        idx.setdefault(base + (j, args[j]), []).append(item)
 
 
-def head_var_pools(head: Atom, universe: frozenset) -> dict:
-    """For each head variable, the universe values it can take while keeping
-    every head argument inside the universe — a superset of the feasible
-    values, used to avoid enumerating whole universes for head-only
-    variables.  A variable that is itself a whole argument is unconstrained
-    (mapped to None, meaning: the full universe)."""
-    pools: dict = {}
-    for arg in head.args:
-        for v, path in _var_paths(arg):
-            if not path:
-                pools.setdefault(v, None)
-                continue
-            vals = set()
-            for u in universe:
-                cur = u
-                for functor, arity, index in path:
-                    if not (isinstance(cur, Compound) and cur.functor == functor
-                            and len(cur.args) == arity):
-                        break
-                    cur = cur.args[index]
-                else:
-                    vals.add(cur)
-            if pools.get(v) is None:
-                pools[v] = vals
-            else:
-                pools[v] &= vals
-    return {
-        v: (None if vals is None else sorted(vals, key=render_term))
-        for v, vals in pools.items()
-    }
+def _lookup(idx: dict, key: tuple, pattern, s: dict) -> list:
+    """The items filed under `key`, completed by the pattern's argument at
+    the key's position under `s`."""
+    if len(key) == 3:
+        key += (apply(s, pattern.args[key[2]]),)
+    return idx.get(key, ())
 
 
-def _fire_rule(rule: Rule, sources: list, universe: frozenset,
-               ordered_universe: list, pools: Optional[dict] = None) -> Iterable[Atom]:
-    """All head instances obtained by matching the rule's body atoms against
-    the given per-position atom indexes, enumerating any head variable left
-    unbound over its pool (or the universe), and keeping universe-closed
-    instances only.
+class _Plan:
+    """How each rule of a program fires over a universe, fixed once.
 
-    `sources` holds one (pred,arity)->atoms index per body position (in
-    sorted body order).  Variable-free rules skip the closedness check.
+    A rule with variables keeps its body in sorted order.  Each body atom
+    is looked up under (pred, arity), or under (pred, arity, j, argument
+    j) for the first argument j whose variables the atoms before it
+    bind.  Each head argument the body leaves open is matched against
+    universe terms looked up the same way, by (functor, arity) or by a
+    bound sub-argument; a bare open variable ranges over the universe.
+    Only the positions some lookup uses are indexed.
     """
-    body = sorted(rule.body, key=render_atom)
-    has_vars = bool(vars_of(rule))
-    if pools is None and has_vars:
-        pools = head_var_pools(rule.head, universe)
 
-    def match_from(i: int, s: dict):
-        if i == len(body):
-            yield s
-            return
-        pat = apply(s, body[i])
-        for cand in sources[i].get((pat.pred, pat.arity), ()):
-            s2 = match_atom(pat, cand, s)
-            if s2 is not None:
-                yield from match_from(i + 1, s2)
+    def __init__(self, p: Program, universe: frozenset):
+        self.universe = universe
+        self.ground_rules = [r for r in p if not vars_of(r)]
+        self.rules = []
+        self.atom_keys: dict = {}
+        term_keys: dict = {}
+        for rule in p:
+            if not vars_of(rule):
+                continue
+            body = sorted(rule.body, key=render_atom)
+            bound: set = set()
+            body_keys = []
+            for b in body:
+                body_keys.append(_key(self.atom_keys, (b.pred, b.arity), b.args, bound))
+                bound |= vars_of(b)
+            opens, closed = [], []
+            for k, t in enumerate(rule.head.args):
+                if vars_of(t) <= bound:
+                    closed.append(k)
+                elif isinstance(t, Var):
+                    opens.append((t, ()))
+                else:
+                    opens.append((t, _key(term_keys, (t.functor, len(t.args)), t.args, bound)))
+                bound |= vars_of(t)
+            self.rules.append((rule.head, body, body_keys, opens, closed))
+        self.terms: dict = {(): list(universe)}
+        for t in universe:
+            _add(self.terms, term_keys, (t.functor, len(t.args)), t.args, t)
 
-    for s in match_from(0, {}):
-        if has_vars and not all(_atom_closed(apply(s, b), universe) for b in body):
-            continue
-        head = apply(s, rule.head)
-        free = list(dict.fromkeys(v for t in head.args for v in term_vars(t)))
-        if not free:
-            if not has_vars or _atom_closed(head, universe):
-                yield head
-            continue
-        candidate_lists = []
-        for v in free:
-            pool = pools.get(v) if pools else None
-            candidate_lists.append(ordered_universe if pool is None else pool)
-        for combo in product(*candidate_lists):
-            inst = apply(dict(zip(free, combo)), head)
-            if _atom_closed(inst, universe):
-                yield inst
+    def index(self, atoms: Iterable[Atom]) -> dict:
+        """An index of the given atoms, which must be universe-closed."""
+        idx: dict = {}
+        for a in atoms:
+            _add(idx, self.atom_keys, (a.pred, a.arity), a.args, a)
+        return idx
+
+    def fire(self, rule_plan: tuple, sources: list) -> Iterator[Atom]:
+        """The rule's universe-closed head instances whose body atoms match
+        in `sources` (one index per body position).  Head arguments the
+        body leaves open are matched against universe terms next, so a
+        head-only variable takes only values that keep them closed."""
+        head, body, body_keys, opens, closed = rule_plan
+        steps = [(match_atom, src, b, key) for src, b, key in zip(sources, body, body_keys)]
+        steps += [(_match_term, self.terms, t, key) for t, key in opens]
+        universe = self.universe
+
+        # A rule with variables has a body atom or an open head argument,
+        # so there is at least one step.  `vals` holds the universe terms
+        # matched by the head steps so far.
+        def match(i: int, s: dict, vals: tuple):
+            matcher, idx, pattern, key = steps[i]
+            for item in _lookup(idx, key, pattern, s):
+                s2 = matcher(pattern, item, s)
+                if s2 is None:
+                    continue
+                more = vals + (item,) if i >= len(body) else vals
+                if i + 1 < len(steps):
+                    yield from match(i + 1, s2, more)
+                elif not closed:  # every head argument was open: `more` is the head
+                    yield Atom(head.pred, more)
+                else:
+                    h = apply(s2, head)
+                    if all(h.args[k] in universe for k in closed):
+                        yield h
+
+        return match(0, {}, ())
 
 
 def tp_step(p: Program, i: Iterable[Atom], bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
     """One van Emden-Kowalski step: heads of bounded instances whose whole
     body is contained in i."""
     i = frozenset(i)
-    universe = herbrand_universe(p, bound)
-    ordered_universe = sorted(universe, key=render_term)
-    idx = _index(i)
+    plan = _Plan(p, herbrand_universe(p, bound))
+    idx = plan.index(a for a in i if _atom_closed(a, plan.universe))
     out: set = set()
-    for rule in p:
-        n = len(rule.body)
-        sources = [idx] * n
-        pools = head_var_pools(rule.head, universe) if vars_of(rule) else None
-        for head in _fire_rule(rule, sources, universe, ordered_universe, pools):
-            out.add(head)
-            if len(out) > bound.max_atoms:
-                raise GroundingOverflowError(bound.max_atoms)
+    for head in chain((r.head for r in plan.ground_rules if r.body <= i),
+                      *(plan.fire(rp, [idx] * len(rp[1])) for rp in plan.rules)):
+        out.add(head)
+        if len(out) > bound.max_atoms:
+            raise GroundingOverflowError(bound.max_atoms)
     return frozenset(out)
 
 
 def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
     """Least fixpoint of tp_step from the empty interpretation.
 
-    Computed incrementally: each round only fires rules with at least one
-    body atom matched against the newly derived facts, which yields the
-    same fixpoint as naive iteration.
+    Computed semi-naively over one index that grows by each round's
+    delta: a round fires only rules with at least one body atom matched
+    against the atoms new in the previous round, which yields the same
+    fixpoint as naive iteration.  The budget is checked per new atom.
     """
-    universe = herbrand_universe(p, bound)
-    ordered_universe = sorted(universe, key=render_term)
-    facts = [r for r in p if r.is_fact]
-    propers = [r for r in p if not r.is_fact]
-    pools_by_rule = {
-        rule: (head_var_pools(rule.head, universe) if vars_of(rule) else None)
-        for rule in p
-    }
-
+    plan = _Plan(p, herbrand_universe(p, bound))
     model: set = set()
-    delta: set = set()
-    for rule in facts:
-        for head in _fire_rule(rule, [], universe, ordered_universe,
-                               pools_by_rule[rule]):
-            delta.add(head)
-    while delta:
-        model |= delta
-        if len(model) > bound.max_atoms:
-            raise GroundingOverflowError(bound.max_atoms)
-        model_idx = _index(model)
-        delta_idx = _index(delta)
-        new: set = set()
-        for rule in propers:
-            n = len(rule.body)
+    new: dict = {}  # atom -> whether its arguments lie in the universe
+    idx: dict = {}
+
+    def admit(heads: Iterable[Atom], known_closed: bool = True) -> None:
+        for head in heads:
+            if head not in model:
+                new[head] = known_closed or _atom_closed(head, plan.universe)
+                if len(model) + len(new) > bound.max_atoms:
+                    raise GroundingOverflowError(bound.max_atoms)
+
+    for rule_plan in plan.rules:  # bodiless rules with variables fire once
+        if not rule_plan[1]:
+            admit(plan.fire(rule_plan, []))
+    while True:
+        admit((r.head for r in plan.ground_rules if r.body <= model), known_closed=False)
+        if not new:
+            return frozenset(model)
+        delta, new = new, {}
+        model.update(delta)
+        delta_idx = plan.index(a for a, closed in delta.items() if closed)
+        for key, atoms in delta_idx.items():
+            idx.setdefault(key, []).extend(atoms)
+        for rule_plan in plan.rules:
+            n = len(rule_plan[1])
             for j in range(n):
-                sources = [delta_idx if k == j else model_idx for k in range(n)]
-                for head in _fire_rule(rule, sources, universe, ordered_universe,
-                                       pools_by_rule[rule]):
-                    if head not in model:
-                        new.add(head)
-        delta = new
-    return frozenset(model)
+                admit(plan.fire(rule_plan, [delta_idx if k == j else idx for k in range(n)]))
 
 
 def entails(p: Program, a: Atom, bound: GroundingBound = DEFAULT_BOUND) -> bool:

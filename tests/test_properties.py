@@ -33,7 +33,7 @@ from hornalg.semantics import (
     tp_step,
 )
 from hornalg.sld import proves
-from hornalg.syntax import Atom, Compound, Program, Rule, Var, render_program
+from hornalg.syntax import NIL, Atom, Compound, Program, Rule, Var, cons, render_program, vars_of
 
 CASES = 500
 
@@ -147,6 +147,79 @@ def test_least_model_matches_omega_of_grounding():
         assert frozenset(r.head for r in closure) == least_model(p, bound), render_program(p)
         checked += 1
     assert checked == CASES
+
+
+# ---------------------------------------------------------------------------
+# 4b. the least model is the naive fixpoint of the grounding, over list
+# universes and at Herbrand depth 2
+
+
+# one term deeper than each kind of universe the suite uses
+_OUTSIDE = {False: Compound("f", (Compound("f", (Compound("f", (Compound("a"),)),)),)),
+            True: cons(Compound("a"), cons(Compound("a"), cons(Compound("a"), NIL)))}
+
+
+def rand_open_term(rng, depth, lists, p_var=0.4):
+    if rng.random() < p_var:
+        return Var(rng.choice(("X", "Y", "U")))
+    roll = rng.random()
+    if roll < 0.4 or depth == 0:
+        return Compound(rng.choice(("a", "b", "nil") if lists else ("a", "0")))
+    if lists and roll < 0.75:
+        return cons(rand_open_term(rng, depth - 1, lists), rand_open_term(rng, depth - 1, lists))
+    return Compound("f", (rand_open_term(rng, depth - 1, lists),))
+
+
+def rand_open_program(rng, lists):
+    """Rules whose heads often carry variables the body leaves open, nested
+    in lists or f(...), plus variable-free rules over atoms outside any
+    of the suite's universes."""
+    def atom(depth=2, p_var=0.4):
+        pred, arity = rng.choice((("p", 1), ("r", 2)))
+        return Atom(pred, tuple(rand_open_term(rng, depth, lists, p_var) for _ in range(arity)))
+
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.2:
+            outside = Atom("p", (_OUTSIDE[lists],))
+            rules.append(rng.choice((Rule(outside), Rule(atom(0), {outside}))))
+        else:
+            rules.append(Rule(atom(), frozenset(atom(1, 0.6) for _ in range(rng.randint(0, 2)))))
+    return Program(rules)
+
+
+def naive_fixpoint(g):
+    model = set()
+    while True:
+        step = {r.head for r in g if r.body <= model}
+        if step <= model:
+            return frozenset(model)
+        model |= step
+
+
+def _nested_head_only(rule):
+    open_vars = vars_of(rule.head).difference(*map(vars_of, rule.body))
+    return any(not isinstance(t, Var) and vars_of(t) & open_vars for t in rule.head.args)
+
+
+def test_least_model_matches_fixpoint_of_grounding():
+    rng = random.Random(1414)
+    seen = Counter()
+    for i in range(CASES):
+        lists = i % 2 == 0
+        p = rand_open_program(rng, lists)
+        if lists:
+            bound = GroundingBound(universe=list_universe(rng.choice(("a", "ab")), rng.randint(1, 2)))
+        else:
+            bound = GroundingBound(max_term_depth=2)
+        g = ground(p, bound)
+        model = least_model(p, bound)
+        assert model == naive_fixpoint(g), render_program(p)
+        universe = herbrand_universe(p, bound)
+        seen["nested_head_only"] += any(_nested_head_only(r) for r in p)
+        seen["outside"] += any(not all(t in universe for t in a.args) for a in model)
+        seen["derived"] += model != {r.head for r in g if r.is_fact}
+    assert all(seen[k] > CASES // 10 for k in ("nested_head_only", "outside", "derived")), seen
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from hornalg.semantics import (
     entails,
     equivalent,
     ground,
-    head_var_pools,
     herbrand_universe,
     least_model,
     list_universe,
     tp_step,
 )
-from hornalg.syntax import NIL, Program, Var, cons, const, render_term
+from hornalg.syntax import NIL, Program, const, render_term
+from test_properties import naive_fixpoint
 
 
 def pg(text):
@@ -129,6 +129,25 @@ def test_least_model_overflow():
         least_model(NAT, GroundingBound(max_term_depth=6, max_atoms=3))
 
 
+def test_least_model_stops_at_its_budget(monkeypatch):
+    # 41^3 head instances; the budget must stop their enumeration early
+    p = pg("p(a). r(X,Y,Z) :- p(a).")
+    consts = frozenset(f"c{i}" for i in range(40))
+    matched = 0
+    real_match = semantics._match_term
+
+    def counting_match(pat, tgt, s):
+        nonlocal matched
+        matched += 1
+        return real_match(pat, tgt, s)
+
+    monkeypatch.setattr(semantics, "_match_term", counting_match)
+    with pytest.raises(GroundingOverflowError):
+        least_model(p, GroundingBound(max_term_depth=0, max_atoms=1000, constants=consts))
+    # one match of Z per instance, plus one per value tried for X and Y
+    assert matched <= 2 * 1001
+
+
 def test_head_only_variables_range_over_universe():
     # U occurs in the head only; it takes every value keeping [U] in the universe
     p = pg("p(a). q([U]) :- p(a).")
@@ -139,18 +158,39 @@ def test_head_only_variables_range_over_universe():
     assert sum(1 for a in lm if a.pred == "q") == 2
 
 
-def test_head_var_pools_constrain_by_position():
+def test_head_only_variables_take_values_by_position():
     u = list_universe("ab", 2)
-    pools = head_var_pools(parse_atom("plus([U|X],Y)"), u)
-    assert set(pools[Var("U")]) == {const("a"), const("b")}
-    assert set(pools[Var("X")]) == {NIL, term("[a]"), term("[b]")}
-    assert pools[Var("Y")] is None  # a bare argument is unconstrained
+    lm = least_model(pg("p(a). plus([U|X],Y) :- p(a)."), GroundingBound(universe=u))
+    plus = [a for a in lm if a.pred == "plus"]
+    assert {a.args[0].args[0] for a in plus} == {const("a"), const("b")}
+    assert {a.args[0].args[1] for a in plus} == {NIL, term("[a]"), term("[b]")}
+    assert {a.args[1] for a in plus} == u  # a bare argument is unconstrained
+    assert len(plus) == 6 * len(u)
 
 
-def test_head_var_pools_intersect_positions():
+def test_head_only_variable_takes_one_value_across_positions():
     u = frozenset({term("f(a)"), term("g(b)"), const("a"), const("b")})
-    pools = head_var_pools(parse_atom("p(f(X),g(X))"), u)
-    assert pools[Var("X")] == []
+    assert least_model(pg("p(f(X),g(X))."), GroundingBound(universe=u)) == frozenset()
+    lm = least_model(pg("p(f(X),g(X))."), GroundingBound(universe=u | {term("g(a)")}))
+    assert lm == frozenset({parse_atom("p(f(a),g(a))")})
+
+
+NOT_SUBTERM_CLOSED = (pg("q([U|X]) :- r(X). r([])."),
+                      GroundingBound(universe=frozenset({NIL, term("[a]")})))
+
+
+def test_least_model_admits_instances_by_their_argument_terms():
+    # [a] is in the universe though its element a is not
+    assert least_model(*NOT_SUBTERM_CLOSED) == frozenset(
+        {parse_atom("r([])"), parse_atom("q([a])")}
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ground enumerates each variable over the universe, "
+                   "so U never takes the value a, which lies only inside [a]")
+def test_ground_agrees_with_least_model_off_subterm_closed_universes():
+    p, bound = NOT_SUBTERM_CLOSED
+    assert naive_fixpoint(ground(p, bound)) == least_model(p, bound)
 
 
 def test_list_addition_model():
