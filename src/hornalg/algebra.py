@@ -20,8 +20,9 @@ from .syntax import (
     Program,
     Rule,
     Var,
+    body_order,
+    is_ground,
     pred_of,
-    render_atom,
     vars_of,
 )
 from .unify import (
@@ -62,7 +63,7 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
     ground_by_sig: dict[tuple, list[int]] = {}
     var_indices: list[int] = []
     for idx, cand in enumerate(r_rules):
-        if vars_of(cand):
+        if not is_ground(cand):
             var_indices.append(idx)
         else:
             ground_by_head.setdefault(cand.head, []).append(idx)
@@ -71,7 +72,7 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
     var_set = frozenset(var_indices)
 
     def candidates(goal: Atom) -> list[int]:
-        if not vars_of(goal):
+        if is_ground(goal):
             ground = ground_by_head.get(goal, ())
         else:
             ground = ground_by_sig.get((goal.pred, len(goal.args)), ())
@@ -83,7 +84,7 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             if len(out) > cap:
                 raise CompositionOverflowError(cap)
             continue
-        goals = sorted(rho.body, key=render_atom)
+        goals = body_order(rho)
         goal_cands = [candidates(g) for g in goals]
 
         # Depth-first over assignments of rules to body atoms, threading a

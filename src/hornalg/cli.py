@@ -15,14 +15,15 @@ Subcommands:
 File arguments accept ordinary paths or `corpus:<name>` for bundled data.
 Output is deterministic; `--format json` mirrors the text structure.
 
-Exit codes: 0 success; 2 unreadable or malformed input; 3 exhausted
-budget, unproved goal, or empty solver result; 4 failed verification.
+Exit codes: 0 success; 1 bad arguments; 2 unreadable or malformed input;
+3 exhausted budget, unproved goal, or no solution; 4 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -357,17 +358,18 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else OK
+    if getattr(args, "depth", 0) < 0:
+        print(f"error: --depth must be at least 0, got {args.depth}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    except BrokenPipeError:
+        # The reader left (`hornalg corpus | head`): shutdown flushes nowhere.
+        sys.stdout = open(os.devnull, "w")
+        return OK
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXHAUSTED
-    except (FormEvalError, ProportionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -41,21 +41,21 @@ from typing import Optional
 
 from . import algebra, semantics
 from .errors import BudgetError, FormEvalError, ParseError
-from .parser import Token, _Parser, parse_program
+from .parser import _Parser, parse_program, tokenize
 from .syntax import (
     Compound,
     Program,
     Rule,
     Term,
     Var,
+    atom_vars,
+    body_order,
     program_vars_ordered,
-    render_atom,
     render_program,
     render_term,
-    term_vars,
     vars_of,
 )
-from .unify import apply
+from .unify import FreshNames, apply
 
 # ---------------------------------------------------------------------------
 # Expression nodes
@@ -203,33 +203,17 @@ def make_binding(program: Program, main_pred: Optional[str] = None,
 
 def body_program(p: Program) -> Program:
     """The body atoms of the proper rules, as facts."""
-    return Program(
-        Rule(b) for r in p if not r.is_fact for b in sorted(r.body, key=render_atom)
-    )
+    return Program(Rule(b) for r in p for b in body_order(r))
 
 
 def refresh_body_vars(p: Program) -> Program:
     """Rename every variable occurring in some proper-rule body to a fresh
     Z1, Z2, ... (program-wide, in first-occurrence order)."""
-    ordered: dict = {}
-    for r in p:
-        if r.is_fact:
-            continue
-        for a in sorted(r.body, key=render_atom):
-            for t in a.args:
-                for v in term_vars(t):
-                    ordered.setdefault(v)
+    ordered = dict.fromkeys(v for r in p for a in body_order(r) for v in atom_vars(a))
     if not ordered:
         return p
-    kept_names = {v.name for v in vars_of(p) if v not in ordered}
-    mapping = {}
-    i = 0
-    for v in ordered:
-        i += 1
-        while f"Z{i}" in kept_names:
-            i += 1
-        mapping[v] = Var(f"Z{i}")
-    return apply(mapping, p)
+    fresh = FreshNames((v.name for v in vars_of(p) if v not in ordered), prefix="Z")
+    return apply({v: fresh.fresh() for v in ordered}, p)
 
 
 def free_vars(expr) -> frozenset:
@@ -248,24 +232,19 @@ def free_vars(expr) -> frozenset:
     raise TypeError(f"not a form expression: {type(expr).__name__}")
 
 
-def _program_key(p: Program) -> tuple:
-    """A name-sensitive identity for a program.  Program equality is variant
-    equality, but concatenation captures variables by name, so memoization
-    must distinguish programs that differ only in variable names."""
-    return p.name_key()
-
-
 def _binding_key(b: Binding) -> tuple:
-    return (_program_key(b.program), b.main_pred,
+    return (b.program.name_key(), b.main_pred,
             tuple(v.name for v in b.var_tuple))
 
 
 def expr_key(expr) -> tuple:
-    """A hashable, name-sensitive identity for a form expression."""
+    """A hashable identity for a form expression.  Program equality is
+    variant equality, but concatenation captures variables by name, so
+    program literals are told apart by their variable names."""
     if isinstance(expr, VarRef):
         return ("var", expr.name)
     if isinstance(expr, Lit):
-        return ("lit", _program_key(expr.program))
+        return ("lit", expr.program.name_key())
     if isinstance(expr, (UnionOf, ComposeOf, ConcatOf)):
         return (type(expr).__name__, expr_key(expr.left), expr_key(expr.right))
     if isinstance(expr, PowerOf):
@@ -525,6 +504,7 @@ _LPF_TOKEN_RE = re.compile(
     r"""
       (?P<WS>\s+)
     | (?P<COMMENT>%[^\n]*)
+    | \{(?P<BLOCK>[^}]*)\}
     | (?P<ASSIGN>:=)
     | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
     | (?P<IDENT>[a-z][A-Za-z0-9_]*)
@@ -543,43 +523,6 @@ _LPF_TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-
-def _lpf_tokenize(text: str, source: str) -> list:
-    toks: list = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "{":
-            end = text.find("}", pos + 1)
-            if end < 0:
-                raise ParseError("unterminated { program literal", source=source, line=line, col=col)
-            raw = text[pos + 1 : end]
-            toks.append(Token("BLOCK", raw, line, col))
-            consumed = text[pos : end + 1]
-            newlines = consumed.count("\n")
-            if newlines:
-                line += newlines
-                col = len(consumed) - consumed.rfind("\n")
-            else:
-                col += len(consumed)
-            pos = end + 1
-            continue
-        m = _LPF_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", source=source, line=line, col=col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("WS", "COMMENT"):
-            toks.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    return toks
 
 
 class _LpfParser(_Parser):
@@ -734,7 +677,8 @@ class _LpfParser(_Parser):
 def parse_forms(text: str, source: str = "<string>", table: Optional[dict] = None) -> dict:
     """Parse form definitions, appending to (and returning) the table.
     Forms may only call forms defined earlier."""
-    return _LpfParser(_lpf_tokenize(text, source), source, dict(table) if table else {}).parse_file()
+    tokens = tokenize(text, source, _LPF_TOKEN_RE, {"{": "unterminated { program literal"})
+    return _LpfParser(tokens, source, dict(table) if table else {}).parse_file()
 
 
 # ---------------------------------------------------------------------------

@@ -51,18 +51,22 @@ class Token:
     col: int
 
 
-def tokenize(text: str, source: str = "<string>") -> list[Token]:
+def tokenize(text: str, source: str = "<string>", token_re: re.Pattern = _TOKEN_RE,
+             unmatched: dict | None = None) -> list[Token]:
+    """Split `text` by `token_re`, whose named groups are the token kinds.
+    `unmatched` maps a character no token starts with to its error message."""
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", source=source, line=line, col=col)
+            message = (unmatched or {}).get(text[pos], f"unexpected character {text[pos]!r}")
+            raise ParseError(message, source=source, line=line, col=col)
         kind = m.lastgroup
         lexeme = m.group()
         if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, lexeme, line, col))
+            tokens.append(Token(kind, m.group(kind), line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -124,6 +128,13 @@ class _Parser:
                 body.append(self.atom())
         return Rule(head, frozenset(body))
 
+    def query(self) -> tuple:
+        atoms = [self.atom()]
+        while self.at("COMMA"):
+            self.i += 1
+            atoms.append(self.atom())
+        return tuple(atoms)
+
     def atom(self) -> Atom:
         name = self.take("IDENT", "a predicate name").text
         args: tuple = ()
@@ -183,35 +194,25 @@ def parse_program(text: str, source: str = "<string>") -> Program:
     return _Parser(tokenize(text, source), source).program()
 
 
-def parse_rule(text: str, source: str = "<string>") -> Rule:
+def _parse_whole(text: str, source: str, what: str, parse):
+    """`parse` of a fresh parser over `text`, which may end in one '.'."""
     p = _Parser(tokenize(text, source), source)
-    rule = p.rule()
+    out = parse(p)
     if p.at("DOT"):
         p.i += 1
     if p.peek() is not None:
-        raise p.error("trailing input after rule")
-    return rule
+        raise p.error(f"trailing input after {what}")
+    return out
+
+
+def parse_rule(text: str, source: str = "<string>") -> Rule:
+    return _parse_whole(text, source, "rule", _Parser.rule)
 
 
 def parse_atom(text: str, source: str = "<string>") -> Atom:
-    p = _Parser(tokenize(text, source), source)
-    atom = p.atom()
-    if p.at("DOT"):
-        p.i += 1
-    if p.peek() is not None:
-        raise p.error("trailing input after atom")
-    return atom
+    return _parse_whole(text, source, "atom", _Parser.atom)
 
 
 def parse_query(text: str, source: str = "<string>") -> tuple:
     """A query is a comma-separated sequence of atoms, optional trailing dot."""
-    p = _Parser(tokenize(text, source), source)
-    atoms = [p.atom()]
-    while p.at("COMMA"):
-        p.i += 1
-        atoms.append(p.atom())
-    if p.at("DOT"):
-        p.i += 1
-    if p.peek() is not None:
-        raise p.error("trailing input after query")
-    return tuple(atoms)
+    return _parse_whole(text, source, "query", _Parser.query)

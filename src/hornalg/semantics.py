@@ -35,6 +35,7 @@ from .syntax import (
     Rule,
     Term,
     Var,
+    body_order,
     cons,
     is_ground,
     render_atom,
@@ -133,7 +134,7 @@ def closed_instances(rule: Rule, universe: frozenset, ordered_universe: list) ->
     """The rule's instances whose argument terms all lie in the universe,
     enumerated in `ordered_universe` order over the rule's variables; a
     variable-free rule is its own only instance."""
-    rvars = list(dict.fromkeys(rule_vars(rule)))
+    rvars = rule_vars(rule)
     if not rvars:
         yield rule
         return
@@ -204,14 +205,14 @@ class _Plan:
 
     def __init__(self, p: Program, universe: frozenset):
         self.universe = universe
-        self.ground_rules = [r for r in p if not vars_of(r)]
+        self.ground_rules = [r for r in p if is_ground(r)]
         self.rules = []
         self.atom_keys: dict = {}
         term_keys: dict = {}
         for rule in p:
-            if not vars_of(rule):
+            if is_ground(rule):
                 continue
-            body = sorted(rule.body, key=render_atom)
+            body = body_order(rule)
             bound: set = set()
             body_keys = []
             for b in body:

@@ -86,8 +86,7 @@ def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
     derivation as a list of steps, or None within the depth budget."""
     fresh = FreshNames(prefix="_S")
     fresh.reserve(v.name for v in vars_of(p))
-    for g in q.goals:
-        fresh.reserve(v.name for v in (vars_of(g)))
+    fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
     for limit in range(max_depth + 1):
         result = _dfs(p, q, limit, fresh, labels)
         if result is not None:

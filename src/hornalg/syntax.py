@@ -8,12 +8,16 @@ preserved, because the concatenation operation is sensitive to them.
 
 Predicate and function symbols are *unranked*: identity is by name only,
 and the same name may occur at several arities within one program.
+
+Variables, compounds and atoms compute their dataclass hash once, and a
+rule its variables and its body order, on first use.  The caches are slots
+but not fields, so `==`, `repr`, pickling and copying never see them.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
@@ -24,8 +28,45 @@ from typing import Iterable, Iterator, Union
 # Terms
 
 
+class _Cached:
+    __slots__ = ("_hash",)  # None until the first hash
+
+
+def _hash_once(cls):
+    """Keep each object's dataclass hash in its `_hash` slot.  The new
+    `__init__` stores through the slot descriptors, faster than the frozen
+    dataclass's `object.__setattr__`; unpickling and copying call it too,
+    so no hash comes from another process, where strings hash otherwise."""
+    by_fields, set_hash = cls.__hash__, _Cached._hash.__set__
+    set_symbol, *set_rest = [cls.__dict__[f.name].__set__ for f in fields(cls)]
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = by_fields(self)
+            set_hash(self, h)
+        return h
+
+    if set_rest:  # Compound and Atom: (symbol, args=())
+        (set_args,) = set_rest
+
+        def __init__(self, symbol: str, args: tuple = ()):
+            set_symbol(self, symbol)
+            set_args(self, args)
+            set_hash(self, None)
+    else:  # Var: (symbol)
+        def __init__(self, symbol: str):
+            set_symbol(self, symbol)
+            set_hash(self, None)
+
+    cls.__init__, cls.__hash__ = __init__, __hash__
+    cls.__setstate__ = lambda self, state: __init__(self, *state)
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Cached):
     """A first-order variable."""
 
     name: str
@@ -34,8 +75,9 @@ class Var:
         return f"Var({self.name})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Compound:
+class Compound(_Cached):
     """A function symbol applied to arguments; a constant when args is empty."""
 
     functor: str
@@ -69,8 +111,9 @@ def make_list(items: Iterable[Term], tail: Term = NIL) -> Term:
 # Atoms and rules
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(_Cached):
     """A predicate symbol applied to argument terms (possibly none)."""
 
     pred: str
@@ -84,8 +127,12 @@ class Atom:
         return f"Atom({render_atom(self)})"
 
 
+class _RuleCached:
+    __slots__ = ("_vars", "_order")  # unset until first use
+
+
 @dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(_RuleCached):
     """A Horn rule: one head atom and a (possibly empty) set of body atoms.
 
     A rule with an empty body is a fact.  Bodies are duplicate-free sets.
@@ -138,10 +185,24 @@ def atom_vars(a: Atom) -> Iterator[Var]:
         yield from term_vars(t)
 
 
-def rule_vars(r: Rule) -> Iterator[Var]:
-    yield from atom_vars(r.head)
-    for a in sorted(r.body, key=render_atom):
-        yield from atom_vars(a)
+def body_order(r: Rule) -> tuple:
+    """The rule's body atoms in `render_atom` order, sorted once per rule."""
+    try:
+        return r._order
+    except AttributeError:
+        object.__setattr__(r, "_order", tuple(sorted(r.body, key=render_atom)))
+        return r._order
+
+
+def rule_vars(r: Rule) -> tuple:
+    """The rule's variables, each once, in order of first occurrence: head,
+    then body atoms in `render_atom` order.  Computed once per rule."""
+    try:
+        return r._vars
+    except AttributeError:
+        atoms = [r.head, *body_order(r)]
+        object.__setattr__(r, "_vars", tuple(dict.fromkeys(v for a in atoms for v in atom_vars(a))))
+        return r._vars
 
 
 def vars_of(obj) -> frozenset:
@@ -153,15 +214,12 @@ def vars_of(obj) -> frozenset:
     if isinstance(obj, Rule):
         return frozenset(rule_vars(obj))
     if isinstance(obj, Program):
-        out = set()
-        for r in obj:
-            out.update(rule_vars(r))
-        return frozenset(out)
+        return frozenset(v for r in obj for v in rule_vars(r))
     raise TypeError(f"cannot collect variables from {type(obj).__name__}")
 
 
 def is_ground(obj) -> bool:
-    return not vars_of(obj)
+    return not (rule_vars(obj) if isinstance(obj, Rule) else vars_of(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +370,6 @@ def canonical_key(rule: Rule) -> str:
     return _canonicalize(rule)[1]
 
 
-def _rule_sort_key(rule: Rule) -> tuple:
-    return (rule.head.pred, rule.head.arity, 0 if rule.is_fact else 1, canonical_key(rule))
-
-
 # ---------------------------------------------------------------------------
 # Programs
 
@@ -327,22 +381,25 @@ class Program:
     representative of each variant class is kept with its original
     variable names (concatenation depends on them).  Iteration order is
     deterministic: sorted by head predicate, head arity, facts first,
-    then canonical rendering.
+    then canonical rendering.  A dict from canonical key to rule (as `|`
+    passes) is taken as already keyed.
     """
 
-    __slots__ = ("_rules", "_keyset", "_hash", "_namekey")
+    __slots__ = ("_rules", "_keyed", "_hash", "_namekey")
 
     def __init__(self, rules: Iterable[Rule] = ()):
-        seen: dict[str, Rule] = {}
-        for r in rules:
-            if not isinstance(r, Rule):
-                raise TypeError(f"Program expects Rule elements, got {type(r).__name__}")
-            k = canonical_key(r)
-            if k not in seen:
-                seen[k] = r
-        self._rules = tuple(sorted(seen.values(), key=_rule_sort_key))
-        self._keyset = frozenset(seen)
-        self._hash = hash(self._keyset)
+        if isinstance(rules, dict):
+            seen = rules
+        else:
+            seen = {}
+            for r in rules:
+                if not isinstance(r, Rule):
+                    raise TypeError(f"Program expects Rule elements, got {type(r).__name__}")
+                seen.setdefault(canonical_key(r), r)
+        self._keyed: dict[str, Rule] = dict(sorted(
+            seen.items(), key=lambda kr: (kr[1].head.pred, kr[1].head.arity, bool(kr[1].body), kr[0])))
+        self._rules = tuple(self._keyed.values())
+        self._hash = hash(frozenset(self._keyed))
         self._namekey: tuple | None = None
 
     def name_key(self) -> tuple:
@@ -368,29 +425,33 @@ class Program:
         return bool(self._rules)
 
     def __contains__(self, rule: Rule) -> bool:
-        return canonical_key(rule) in self._keyset
+        return canonical_key(rule) in self._keyed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Program):
             return NotImplemented
-        return self._keyset == other._keyset
+        return self._hash == other._hash and self._keyed.keys() == other._keyed.keys()
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt when loaded: a string's hash differs between processes.
+        return (Program, (self._rules,))
+
     def __or__(self, other: "Program") -> "Program":
         if not isinstance(other, Program):
             return NotImplemented
-        return Program(self._rules + other._rules)
+        return Program({**other._keyed, **self._keyed})
 
     def __repr__(self) -> str:
-        text = " ".join(canonical_key(r) for r in self._rules)
+        text = " ".join(self._keyed)
         if len(text) > 200:
             text = text[:197] + "..."
         return f"Program<{text}>"
 
     def issubset(self, other: "Program") -> bool:
-        return self._keyset <= other._keyset
+        return self._keyed.keys() <= other._keyed.keys()
 
     def strict_equals(self, other: "Program") -> bool:
         """Equality of the stored rules themselves, variable names included."""
@@ -399,17 +460,13 @@ class Program:
     # -- structural queries -------------------------------------------------
 
     def facts(self) -> "Program":
-        return Program(r for r in self._rules if r.is_fact)
+        return Program({k: r for k, r in self._keyed.items() if r.is_fact})
 
     def proper(self) -> "Program":
-        return Program(r for r in self._rules if not r.is_fact)
+        return Program({k: r for k, r in self._keyed.items() if not r.is_fact})
 
     def all_atoms(self) -> tuple:
-        out = []
-        for r in self._rules:
-            out.append(r.head)
-            out.extend(sorted(r.body, key=render_atom))
-        return tuple(out)
+        return tuple(a for r in self._rules for a in (r.head, *body_order(r)))
 
     def predicates(self) -> frozenset:
         """Predicate names (unranked) occurring anywhere in the program."""
@@ -422,16 +479,12 @@ class Program:
     def functors(self) -> frozenset:
         """Function symbol names (unranked) occurring anywhere in the program."""
         out = set()
-
-        def walk(t: Term):
+        stack = [t for a in self.all_atoms() for t in a.args]
+        while stack:
+            t = stack.pop()
             if isinstance(t, Compound):
                 out.add(t.functor)
-                for a in t.args:
-                    walk(a)
-
-        for a in self.all_atoms():
-            for t in a.args:
-                walk(t)
+                stack.extend(t.args)
         return frozenset(out)
 
     # -- elementary operations ----------------------------------------------
@@ -455,7 +508,7 @@ class Program:
             if r.is_fact:
                 out.append(r)
             else:
-                for a in sorted(r.body, key=render_atom):
+                for a in body_order(r):
                     out.append(Rule(a, frozenset([r.head])))
         return Program(out)
 
@@ -465,14 +518,9 @@ class Program:
 
 def render_program(p: Program) -> str:
     """Deterministic canonical rendering: one rule per line, no trailing newline."""
-    return "\n".join(canonical_key(r) for r in p.rules)
+    return "\n".join(p._keyed)
 
 
 def program_vars_ordered(p: Program) -> tuple:
     """Variables of the stored rules in first-occurrence order over canonical iteration."""
-    seen: dict = {}
-    for r in p:
-        for v in rule_vars(r):
-            if v not in seen:
-                seen[v] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(v for r in p for v in rule_vars(r)))

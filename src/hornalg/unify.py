@@ -205,5 +205,5 @@ class FreshNames:
 
 def fresh_variant(rule: Rule, fresh: FreshNames) -> Rule:
     """A copy of the rule with every variable replaced by a fresh one."""
-    mapping = {v: fresh.fresh() for v in dict.fromkeys(rule_vars(rule))}
+    mapping = {v: fresh.fresh() for v in rule_vars(rule)}
     return apply(mapping, rule)

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import sys
 
 from hornalg.cli import EXHAUSTED, INPUT_ERROR, NOT_VERIFIED, OK, USAGE_ERROR, main
 
@@ -164,6 +166,33 @@ def test_query_unprovable_is_exhausted():
 def test_query_depth_budget():
     code, _, _ = run("query", "corpus:nat", "nat(s(s(s(s(0)))))", "--depth", "3")
     assert code == EXHAUSTED
+
+
+def test_lm_rejects_a_negative_depth():
+    code, out, err = run("lm", "corpus:nat", "--depth", "-1")
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err == "error: --depth must be at least 0, got -1\n"
+
+
+def test_query_rejects_a_negative_depth():
+    code, out, err = run("query", "corpus:plus", "plus(0,0,0)", "--depth", "-3")
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err == "error: --depth must be at least 0, got -3\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_a_traceback(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["corpus"])
+    assert code == OK and err.getvalue() == ""
+    assert sys.stdout.name == os.devnull  # shutdown flushes nothing into the pipe
+    sys.stdout.close()
 
 
 def test_query_needs_goal_and_program():

@@ -103,6 +103,12 @@ def test_parse_error_reports_location():
     assert (info.value.line, info.value.col) == (1, 23)
 
 
+def test_unterminated_program_literal_reports_its_brace():
+    with pytest.raises(ParseError) as info:
+        table("form T(X) =\n  X | {p(a).} | {q(b)\n.")
+    assert str(info.value) == "<string>:2:17: unterminated { program literal"
+
+
 def test_program_references_are_not_syntax():
     with pytest.raises(ParseError):
         table("form T(X) = X | @p;")

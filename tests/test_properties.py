@@ -33,7 +33,8 @@ from hornalg.semantics import (
     tp_step,
 )
 from hornalg.sld import proves
-from hornalg.syntax import NIL, Atom, Compound, Program, Rule, Var, cons, render_program, vars_of
+from hornalg.syntax import (NIL, Atom, Compound, Program, Rule, Var, body_order, cons,
+                            render_atom, render_program, rule_vars, vars_of)
 
 CASES = 500
 
@@ -451,3 +452,58 @@ def test_ffgg_constraint_shape():
     assert any(sol.witness.line == "ffgg" for sol in sols)
     for sol in sols:
         assert check_proportion(problem, sol.witness, s=sol.s, evaluator=Evaluator()).ok
+
+
+# ---------------------------------------------------------------------------
+# the syntax caches agree with the structure they cache
+
+
+def _structural(x):
+    """Plain tuples (and frozensets of bodies) whose hashes are those the
+    syntax objects have by their fields."""
+    if isinstance(x, Var):
+        return (x.name,)
+    if isinstance(x, Compound):
+        return (x.functor, tuple(map(_structural, x.args)))
+    if isinstance(x, Atom):
+        return (x.pred, tuple(map(_structural, x.args)))
+    return (_structural(x.head), frozenset(map(_structural, x.body)))
+
+
+def _rebuilt(x):
+    if isinstance(x, Var):
+        return Var(x.name)
+    if isinstance(x, Compound):
+        return Compound(x.functor, tuple(map(_rebuilt, x.args)))
+    if isinstance(x, Atom):
+        return Atom(x.pred, tuple(map(_rebuilt, x.args)))
+    return Rule(_rebuilt(x.head), frozenset(map(_rebuilt, x.body)))
+
+
+def _subterms(t):
+    yield t
+    for a in getattr(t, "args", ()):
+        yield from _subterms(a)
+
+
+def _first_occurrence(rule):
+    out = []
+    for a in (rule.head, *sorted(rule.body, key=render_atom)):
+        for v in (v for t in a.args for v in _subterms(t) if isinstance(v, Var)):
+            if v not in out:
+                out.append(v)
+    return tuple(out)
+
+
+def test_syntax_caches_agree_with_structure():
+    rng = random.Random(2718)
+    for i in range(CASES):
+        for rule in rand_open_program(rng, lists=i % 2 == 0):
+            twin = _rebuilt(rule)
+            assert twin == rule and twin is not rule and repr(twin) == repr(rule)
+            assert hash(twin) == hash(rule) == hash(_structural(rule))
+            for a in (rule.head, *rule.body):
+                assert hash(a) == hash(_structural(a))
+                assert all(hash(t) == hash(_structural(t)) for u in a.args for t in _subterms(u))
+            assert rule_vars(rule) == _first_occurrence(rule) == rule_vars(twin)
+            assert body_order(rule) == tuple(sorted(rule.body, key=render_atom))

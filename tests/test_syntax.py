@@ -1,5 +1,13 @@
 """Terms, atoms, rules, list sugar, rendering, and program identity."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hornalg.parser import parse_atom, parse_program, parse_rule
@@ -10,6 +18,7 @@ from hornalg.syntax import (
     Program,
     Rule,
     Var,
+    body_order,
     canonical_key,
     canonical_rule,
     cons,
@@ -22,6 +31,7 @@ from hornalg.syntax import (
     render_program,
     render_rule,
     render_term,
+    rule_vars,
     vars_of,
 )
 
@@ -190,3 +200,80 @@ def test_rule_constructor_freezes_body():
 def test_vars_of_rejects_strings():
     with pytest.raises(TypeError):
         vars_of("p(X)")
+
+
+def test_program_union_keeps_the_left_representative():
+    u = pg("q(X) :- p(X). a.") | pg("q(Y) :- p(Y). b.")
+    assert len(u) == 3
+    assert u.strict_equals(pg("q(X) :- p(X). a. b."))
+    assert u.rules == pg("b. a. q(X) :- p(X).").rules
+
+
+def test_rule_vars_are_distinct_in_first_occurrence_order():
+    r = parse_rule("p(Y,f(X,Y)) :- r(Z,X), q(W,Z,Y).")
+    assert body_order(r) == (parse_atom("q(W,Z,Y)"), parse_atom("r(Z,X)"))
+    assert [v.name for v in rule_vars(r)] == ["Y", "X", "W", "Z"]
+    assert rule_vars(r) is rule_vars(r) and body_order(r) is body_order(r)
+    assert rule_vars(parse_rule("p(a) :- q(b).")) == ()
+
+
+def test_caches_show_in_neither_repr_nor_equality():
+    text = "p(f(X),[a|Y]) :- q(X), r(Y,g(Z))."
+    hashed, fresh = parse_rule(text), parse_rule(text)
+    before = repr(hashed)
+    hash(hashed), rule_vars(hashed), [hash(a) for a in hashed.body]
+    assert repr(hashed) == repr(fresh) == before
+    assert hashed == fresh and fresh == hashed
+    for cls in (Var, Compound, Atom, Rule):
+        assert all(not f.name.startswith("_") for f in dataclasses.fields(cls))
+
+
+def test_terms_and_rules_pickle_and_copy_without_their_caches():
+    text = "p(f(X),[a|Y]) :- q(X), r(Y,g(Z))."
+    r = parse_rule(text)
+    hash(r), rule_vars(r), hash(r.head.args[0]), hash(Var("X"))
+    p = pg(text + " s(a).")
+    for obj in (r, r.head, r.head.args[0], r.head.args[0].args[0], p):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+    assert pickle.loads(pickle.dumps(p)).strict_equals(p)
+    assert rule_vars(copy.deepcopy(r)) == rule_vars(r)
+    # a hash or a variable tuple is never part of the pickled state
+    assert pickle.dumps(r) == pickle.dumps(parse_rule(text))
+
+
+_PICKLE = """
+import pickle, sys
+from hornalg.parser import parse_program
+p = parse_program(sys.argv[1])
+(r,) = p.proper().rules
+objs = [p, r, r.head, r.head.args[0]]
+set(objs), [hash(a) for a in r.body]
+sys.stdout.write(pickle.dumps(objs).hex())
+"""
+
+_UNPICKLE = """
+import pickle, sys
+from hornalg.parser import parse_program
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+p = parse_program(sys.argv[1])
+(r,) = p.proper().rules
+built = [p, r, r.head, r.head.args[0]]
+for a, b in zip(loaded, built):
+    assert a == b and hash(a) == hash(b) and a in set(built) and b in {a}, (a, b)
+assert r.body == loaded[1].body and all(x in r.body for x in loaded[1].body)
+"""
+
+
+def test_pickled_terms_hash_afresh_under_another_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    text = "p(f(X),[a|Y]) :- q(X), r(Y,g(Z)). s(a)."
+
+    def run(script, seed, stdin=None):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, text], env=env, input=stdin,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    run(_UNPICKLE, 2, stdin=run(_PICKLE, 1))
