@@ -200,7 +200,7 @@ def _parse_budget(text: Optional[str]) -> Optional[SolveBudget]:
     if text is None:
         return None
     text = text.strip()
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return SolveBudget(max_form_depth=int(text))
     fields = {"depth": "max_form_depth", "vec": "max_vector_rules",
               "forms": "max_forms", "solutions": "max_solutions",
@@ -213,7 +213,7 @@ def _parse_budget(text: Optional[str]) -> Optional[SolveBudget]:
         if "=" not in part:
             raise ProportionError(f"bad budget entry {part!r}")
         key, value = (s.strip() for s in part.split("=", 1))
-        if key not in fields or not value.isdigit():
+        if key not in fields or not (value.isascii() and value.isdigit()):
             raise ProportionError(f"bad budget entry {part!r}")
         values[fields[key]] = int(value)
     return SolveBudget(**values)

@@ -17,10 +17,10 @@ but not fields, so `==`, `repr`, pickling and copying never see them.
 from __future__ import annotations
 
 import string
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 
@@ -219,6 +219,9 @@ def vars_of(obj) -> frozenset:
 
 
 def is_ground(obj) -> bool:
+    """No variable occurs in `obj`; a term or an atom stops at the first."""
+    if isinstance(obj, (Var, Compound, Atom)):
+        return not isinstance(obj, Var) and all(map(is_ground, obj.args))
     return not (rule_vars(obj) if isinstance(obj, Rule) else vars_of(obj))
 
 
@@ -258,106 +261,102 @@ def render_rule(r: Rule) -> str:
     """Render a rule with its variable names as-is; body in a fixed order."""
     if r.is_fact:
         return render_atom(r.head) + "."
-    body = ", ".join(sorted(render_atom(a) for a in r.body))
+    body = ", ".join(map(render_atom, body_order(r)))
     return render_atom(r.head) + " :- " + body + "."
 
 
 # ---------------------------------------------------------------------------
 # Canonical renaming
 #
-# canonical_rule maps every rule to a unique representative of its variant
-# class: body atoms are put in a deterministic order and variables renamed
-# A, B, C, ... in order of first occurrence.  Ties between body atoms whose
-# shape is identical are broken by trying the (few) possible orders and
-# keeping the lexicographically least rendering.
-
-_TIE_CAP = 5040  # give up on perfect tie-breaking past 7! candidate orders
-
-
-def _canon_name(i: int) -> str:
-    if i < 26:
-        return string.ascii_uppercase[i]
-    return f"V{i}"
+# canonical_rule maps every rule to the unique representative of its variant
+# class: variables named A, B, C, ... by first occurrence, head first; body
+# atoms sorted by shape (skeleton, local pattern), same-shape atoms in the
+# order that renders least.  Their renderings differ only in names and never
+# prefix one another, so only atoms that render least under the names given
+# so far can come next.  The search tries interchangeable atoms once and
+# memoises ties, so only ties cost more: symmetric same-shape atoms, and past
+# 26 variables unnamed ones, as `V26` sorts before `W`.
 
 
-def _term_text(t: Term, var_key) -> str:
-    if isinstance(t, Var):
-        return var_key(t)
-    if t.functor == _NIL_FUNCTOR and not t.args:
-        return "[]"
-    if not t.args:
-        return t.functor
-    return t.functor + "(" + ",".join(_term_text(a, var_key) for a in t.args) + ")"
-
-
-def _atom_skeleton(a: Atom) -> str:
-    return a.pred + "(" + ",".join(_term_text(t, lambda v: "_") for t in a.args) + ")"
-
-
-def _atom_local_pattern(a: Atom) -> str:
+def _shape(a: Atom) -> tuple:
+    """Skeleton and local pattern from one walk: `e(_,[])`, `e(#0,[])` for `e(X,nil)`."""
     seen: dict = {}
 
-    def key(v: Var) -> str:
-        if v not in seen:
-            seen[v] = f"#{len(seen)}"
-        return seen[v]
+    def walk(t: Term) -> tuple:
+        if isinstance(t, Var):
+            return "_", seen.setdefault(t, f"#{len(seen)}")
+        if not t.args:
+            text = "[]" if t.functor == _NIL_FUNCTOR else t.functor
+            return text, text
+        return tuple(t.functor + "(" + ",".join(part) + ")" for part in zip(*map(walk, t.args)))
 
-    return a.pred + "(" + ",".join(_term_text(t, key) for t in a.args) + ")"
-
-
-def _rename_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, Var):
-        if t not in mapping:
-            mapping[t] = Var(_canon_name(len(mapping)))
-        return mapping[t]
-    if not t.args:
-        return t
-    return Compound(t.functor, tuple(_rename_term(a, mapping) for a in t.args))
+    skeleton, pattern = zip(*map(walk, a.args)) if a.args else ((), ())
+    return a.pred + "(" + ",".join(skeleton) + ")", a.pred + "(" + ",".join(pattern) + ")"
 
 
-def _rename_atom(a: Atom, mapping: dict) -> Atom:
-    if not a.args:
-        return a
-    return Atom(a.pred, tuple(_rename_term(t, mapping) for t in a.args))
+def _rename(x, mapping: dict):
+    """`x` renamed by `mapping`, which names new variables A, ..., Z, V26, ..."""
+    if isinstance(x, Var):
+        if x not in mapping:
+            n = len(mapping)
+            mapping[x] = Var(string.ascii_uppercase[n] if n < 26 else f"V{n}")
+        return mapping[x]
+    if not x.args:
+        return x
+    args = tuple(_rename(t, mapping) for t in x.args)
+    return Atom(x.pred, args) if isinstance(x, Atom) else Compound(x.functor, args)
+
+
+def _leaders(left: list, later: list, mapping: dict) -> list:
+    """The atoms of `left` that render least under `mapping`; of those whose
+    unnamed variables no other atom of `left` or `later` has, only one."""
+    size, ranked = len(mapping), []
+    for a in left:  # name each atom's new variables only while it renders
+        ranked.append((render_atom(_rename(a, mapping)), a))
+        while len(mapping) > size:
+            mapping.popitem()
+    least = min(t for t, _ in ranked)
+    tied = [a for t, a in ranked if t == least]
+    if len(tied) == 1:
+        return tied
+    owners = Counter(v for a in chain(left, *later) for v in set(atom_vars(a)))
+    shared = {a: any(owners[v] > 1 for v in atom_vars(a) if v not in mapping) for a in tied}
+    return [a for a in tied if shared[a]] + [a for a in tied if not shared[a]][:1]
+
+
+def _least_order(groups: list, mapping: dict, memo: dict) -> list:
+    """The atoms of the shape `groups` renamed under `mapping` in the order that renders least."""
+    atoms = []
+    for gi, left in enumerate(groups):
+        left, later = list(left), groups[gi + 1:]
+        while left:
+            tied = _leaders(left, later, mapping) if len(left) > 1 else left[:1]
+            if len(tied) > 1:
+                live = {(v, mapping[v]) for a in chain(left, *later) for v in atom_vars(a) if v in mapping}
+                key = (frozenset(left), frozenset(live))  # the atoms left fix the names given
+                if key not in memo:
+                    options = []
+                    for a in tied:
+                        named = dict(mapping)
+                        rest = [[b for b in left if b is not a], *later]
+                        options.append([_rename(a, named), *_least_order(rest, named, memo)])
+                    memo[key] = min(options, key=lambda o: list(map(render_atom, o)))
+                return atoms + memo[key]
+            left.remove(tied[0])
+            atoms.append(_rename(tied[0], mapping))
+    return atoms
 
 
 @lru_cache(maxsize=65536)
 def _canonicalize(rule: Rule) -> tuple:
-    body = sorted(rule.body, key=lambda a: (_atom_skeleton(a), _atom_local_pattern(a)))
-    groups: list[list[Atom]] = []
-    last_key = None
-    for a in body:
-        k = (_atom_skeleton(a), _atom_local_pattern(a))
-        if k == last_key:
-            groups[-1].append(a)
-        else:
-            groups.append([a])
-            last_key = k
-    n_orders = 1
-    for g in groups:
-        n_orders *= factorial(len(g))
-    if n_orders > _TIE_CAP:
-        orders: Iterable[tuple] = [tuple(body)]
-    else:
-        orders = (
-            tuple(a for g in combo for a in g)
-            for combo in product(*(permutations(g) for g in groups))
-        )
-
-    best_text = None
-    best_rule = None
-    for order in orders:
-        mapping: dict = {}
-        head = _rename_atom(rule.head, mapping)
-        atoms = [_rename_atom(a, mapping) for a in order]
-        if atoms:
-            text = render_atom(head) + " :- " + ", ".join(render_atom(a) for a in atoms) + "."
-        else:
-            text = render_atom(head) + "."
-        if best_text is None or text < best_text:
-            best_text = text
-            best_rule = Rule(head, frozenset(atoms))
-    return best_rule, best_text
+    mapping: dict = {}
+    head = _rename(rule.head, mapping)
+    by_shape: dict = {}
+    for a in rule.body:
+        by_shape.setdefault(_shape(a), []).append(a)
+    atoms = _least_order([by_shape[k] for k in sorted(by_shape)], mapping, {})
+    text = render_atom(head) + (" :- " + ", ".join(map(render_atom, atoms)) if atoms else "") + "."
+    return Rule(head, frozenset(atoms)), text
 
 
 def canonical_rule(rule: Rule) -> Rule:

@@ -262,6 +262,13 @@ def test_prop_solve_budget_shorthand():
     assert code in (OK, EXHAUSTED)
 
 
+def test_prop_solve_rejects_non_ascii_digits():
+    for budget in ("depth=²", "²"):
+        code, _, err = run("prop-solve", "corpus:ex43_disjoint", "--budget", budget)
+        assert code == INPUT_ERROR
+        assert f"bad budget entry {budget!r}" in err
+
+
 def test_golden_all_pass():
     code, out, _ = run("golden")
     assert code == OK
