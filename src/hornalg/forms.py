@@ -5,6 +5,11 @@ literals, and the algebra's operations.
 Binding each variable to a program and evaluating yields a program, so a
 form denotes a program transformation.
 
+An operator's spelling and meaning live in one entry of `_BINARY` or
+`_UNARY`, which the parser, the printer, the evaluator and every walk read.
+Variables, literals, powers, renames, substitutions and form calls are the
+only kinds handled one by one.
+
 Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`:
 
     expr     :=  union
@@ -15,7 +20,8 @@ Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`:
     tail     :=  "^" INT                     power
               |  "[" IDENT "/" IDENT "]"     predicate rename (old/new)
               |  "[" VAR ":=" term "]"       variable substitution
-    primary  :=  "{" rules "}"               inline program literal
+    primary  :=  "{" rules "}"               inline program literal (printed
+                                             with its own variable names)
               |  VAR                         form parameter
               |  fn "(" expr ")"             fn ∈ facts proper rev gnd body refresh
               |  NAME "(" VAR ("," VAR)* ")" call of an earlier form
@@ -36,14 +42,13 @@ variables occurring only in heads (or only in facts) are left alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import algebra, semantics
 from .errors import BudgetError, FormEvalError, ParseError
 from .parser import _Parser, parse_program, tokenize
 from .syntax import (
-    Compound,
     Program,
     Rule,
     Term,
@@ -51,8 +56,8 @@ from .syntax import (
     atom_vars,
     body_order,
     program_vars_ordered,
-    render_program,
     render_term,
+    term_functors,
     vars_of,
 )
 from .unify import FreshNames, apply
@@ -216,20 +221,61 @@ def refresh_body_vars(p: Program) -> Program:
     return apply({v: fresh.fresh() for v in ordered}, p)
 
 
+# ---------------------------------------------------------------------------
+# The operators
+
+# Each entry: the operator's `.lpf` spelling and what it does to the values
+# of its operands.  `_BINARY` runs from the loosest binding to the tightest.
+# Callees in other modules are looked up at each call, so wrapping one on
+# its module (as `algebra.compose`) reaches form evaluation too.
+_BINARY = {
+    UnionOf: ("|", lambda a, b: a | b),
+    ComposeOf: ("o", lambda a, b: algebra.compose(a, b)),
+    ConcatOf: (".", lambda a, b: algebra.concatenate(a, b)),
+}
+_UNARY = {
+    FactsOf: ("facts", lambda p: p.facts()),
+    ProperOf: ("proper", lambda p: p.proper()),
+    ReverseOf: ("rev", lambda p: p.reverse()),
+    GroundOf: ("gnd", lambda p: semantics.ground(p)),
+    BodyOf: ("body", body_program),
+    FreshenVars: ("refresh", refresh_body_vars),
+}
+_LEAVES = (VarRef, Lit, FormCall)
+
+
+def operands(expr) -> tuple:
+    """The sub-expressions of a form node, left to right."""
+    kind = type(expr)
+    if kind in _BINARY:
+        return expr.left, expr.right
+    return () if kind in _LEAVES else (expr.expr,)
+
+
+def rebuild(expr, fn):
+    """`expr` with `fn` applied to each of its operands."""
+    kind = type(expr)
+    if kind in _BINARY:
+        return kind(fn(expr.left), fn(expr.right))
+    return expr if kind in _LEAVES else replace(expr, expr=fn(expr.expr))
+
+
+# ---------------------------------------------------------------------------
+# Walks
+
+
 def free_vars(expr) -> frozenset:
     """The parameter names a form expression depends on."""
-    if isinstance(expr, VarRef):
-        return frozenset([expr.name])
-    if isinstance(expr, Lit):
-        return frozenset()
-    if isinstance(expr, (UnionOf, ComposeOf, ConcatOf)):
+    kind = type(expr)
+    if kind in _BINARY:
         return free_vars(expr.left) | free_vars(expr.right)
-    if isinstance(expr, (PowerOf, FactsOf, ProperOf, ReverseOf, BodyOf, GroundOf,
-                         FreshenVars, RenamePred, SubstIn)):
-        return free_vars(expr.expr)
-    if isinstance(expr, FormCall):
+    if kind is VarRef:
+        return frozenset([expr.name])
+    if kind is Lit:
+        return frozenset()
+    if kind is FormCall:
         return frozenset(expr.args)
-    raise TypeError(f"not a form expression: {type(expr).__name__}")
+    return free_vars(expr.expr)
 
 
 def _binding_key(b: Binding) -> tuple:
@@ -241,24 +287,24 @@ def expr_key(expr) -> tuple:
     """A hashable identity for a form expression.  Program equality is
     variant equality, but concatenation captures variables by name, so
     program literals are told apart by their variable names."""
-    if isinstance(expr, VarRef):
+    kind = type(expr)
+    if kind is VarRef:
         return ("var", expr.name)
-    if isinstance(expr, Lit):
+    if kind is Lit:
         return ("lit", expr.program.name_key())
-    if isinstance(expr, (UnionOf, ComposeOf, ConcatOf)):
-        return (type(expr).__name__, expr_key(expr.left), expr_key(expr.right))
-    if isinstance(expr, PowerOf):
+    if kind in _BINARY:
+        return (kind.__name__, expr_key(expr.left), expr_key(expr.right))
+    if kind in _UNARY:
+        return (kind.__name__, expr_key(expr.expr))
+    if kind is PowerOf:
         return ("power", expr_key(expr.expr), expr.n)
-    if isinstance(expr, RenamePred):
+    if kind is RenamePred:
         return ("rename", expr_key(expr.expr), expr.old, expr.new)
-    if isinstance(expr, SubstIn):
+    if kind is SubstIn:
         return ("subst", expr_key(expr.expr), expr.var, render_term(expr.term))
-    if isinstance(expr, (FactsOf, ProperOf, ReverseOf, BodyOf, GroundOf,
-                         FreshenVars)):
-        return (type(expr).__name__, expr_key(expr.expr))
-    if isinstance(expr, FormCall):
+    if kind is FormCall:
         return ("call", expr.name, expr.args)
-    raise TypeError(f"not a form expression: {type(expr).__name__}")
+    raise TypeError(f"not a form expression: {kind.__name__}")
 
 
 def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
@@ -270,33 +316,19 @@ def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
     functors: set = set()
 
     def walk(e):
-        if isinstance(e, Lit):
+        kind = type(e)
+        if kind is Lit:
             lits.append(e.program)
-        elif isinstance(e, (UnionOf, ComposeOf, ConcatOf)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, (PowerOf, FactsOf, ProperOf, ReverseOf, BodyOf,
-                            GroundOf, FreshenVars)):
-            walk(e.expr)
-        elif isinstance(e, RenamePred):
+        elif kind is RenamePred:
             preds.add(e.new)
-            walk(e.expr)
-        elif isinstance(e, SubstIn):
-            stack = [e.term]
-            while stack:
-                cur = stack.pop()
-                if isinstance(cur, Compound):
-                    functors.add(cur.functor)
-                    stack.extend(cur.args)
-            walk(e.expr)
-        elif isinstance(e, FormCall):
+        elif kind is SubstIn:
+            functors.update(term_functors(e.term))
+        elif kind is FormCall:
             if table is None or e.name not in table:
                 raise FormEvalError(f"call of unknown form {e.name}")
             walk(table[e.name].body)
-        elif isinstance(e, VarRef):
-            pass
-        else:
-            raise TypeError(f"not a form expression: {type(e).__name__}")
+        for sub in operands(e):
+            walk(sub)
 
     walk(expr)
     return tuple(lits), frozenset(preds), frozenset(functors)
@@ -317,37 +349,26 @@ class Evaluator:
     def __init__(self, table: Optional[dict] = None):
         self.table = table or {}
         self._memo: dict = {}
-        # expr_key and free_vars are recursive; cache them per expression
-        # object.  Keeping the expression in the value pins it, so its id
-        # cannot be reused.
-        self._keys: dict = {}
-        self._fvars: dict = {}
+        # expr_key and free_vars walk the whole expression; keep both per
+        # expression object.  Keeping the expression in the value pins it,
+        # so its id cannot be reused.
+        self._exprs: dict = {}
         self._probes: dict = {}
 
-    def _expr_key(self, expr) -> tuple:
-        hit = self._keys.get(id(expr))
-        if hit is not None:
-            return hit[1]
-        key = expr_key(expr)
-        self._keys[id(expr)] = (expr, key)
-        return key
-
-    def _free_vars(self, expr) -> frozenset:
-        hit = self._fvars.get(id(expr))
-        if hit is not None:
-            return hit[1]
-        fv = free_vars(expr)
-        self._fvars[id(expr)] = (expr, fv)
-        return fv
+    def key_and_vars(self, expr) -> tuple:
+        """`(expr_key(expr), free_vars(expr))`, computed once per object."""
+        hit = self._exprs.get(id(expr))
+        if hit is None:
+            hit = self._exprs[id(expr)] = (expr, (expr_key(expr), free_vars(expr)))
+        return hit[1]
 
     def eval(self, expr, env: Optional[dict] = None, placeholders: Optional[dict] = None) -> Program:
         env = env or {}
         placeholders = placeholders or {}
+        ekey, fvars = self.key_and_vars(expr)
         key = (
-            self._expr_key(expr),
-            tuple(sorted(
-                (n, _binding_key(env[n])) for n in self._free_vars(expr) if n in env
-            )),
+            ekey,
+            tuple(sorted((n, _binding_key(env[n])) for n in fvars if n in env)),
             tuple(sorted(placeholders.items())),
         )
         hit = self._memo.get(key)
@@ -358,40 +379,22 @@ class Evaluator:
         return out
 
     def _eval(self, expr, env: dict, placeholders: dict) -> Program:
-        if isinstance(expr, VarRef):
+        kind = type(expr)
+        if kind in _BINARY:
+            return _BINARY[kind][1](self.eval(expr.left, env, placeholders),
+                                    self.eval(expr.right, env, placeholders))
+        if kind in _UNARY:
+            return _UNARY[kind][1](self.eval(expr.expr, env, placeholders))
+        if kind is VarRef:
             b = env.get(expr.name)
             if b is None:
                 raise FormEvalError(f"unbound form variable {expr.name}")
             return b.program
-        if isinstance(expr, Lit):
+        if kind is Lit:
             return expr.program
-        if isinstance(expr, UnionOf):
-            return self.eval(expr.left, env, placeholders) | self.eval(expr.right, env, placeholders)
-        if isinstance(expr, ComposeOf):
-            return algebra.compose(
-                self.eval(expr.left, env, placeholders),
-                self.eval(expr.right, env, placeholders),
-            )
-        if isinstance(expr, ConcatOf):
-            return algebra.concatenate(
-                self.eval(expr.left, env, placeholders),
-                self.eval(expr.right, env, placeholders),
-            )
-        if isinstance(expr, PowerOf):
+        if kind is PowerOf:
             return algebra.power(self.eval(expr.expr, env, placeholders), expr.n)
-        if isinstance(expr, FactsOf):
-            return self.eval(expr.expr, env, placeholders).facts()
-        if isinstance(expr, ProperOf):
-            return self.eval(expr.expr, env, placeholders).proper()
-        if isinstance(expr, ReverseOf):
-            return self.eval(expr.expr, env, placeholders).reverse()
-        if isinstance(expr, BodyOf):
-            return body_program(self.eval(expr.expr, env, placeholders))
-        if isinstance(expr, GroundOf):
-            return semantics.ground(self.eval(expr.expr, env, placeholders))
-        if isinstance(expr, FreshenVars):
-            return refresh_body_vars(self.eval(expr.expr, env, placeholders))
-        if isinstance(expr, RenamePred):
+        if kind is RenamePred:
             old = expr.old
             if old in placeholders:
                 b = env.get(placeholders[old])
@@ -401,9 +404,9 @@ class Evaluator:
                     )
                 old = b.main_pred
             return self.eval(expr.expr, env, placeholders).rename_predicate(old, expr.new)
-        if isinstance(expr, SubstIn):
+        if kind is SubstIn:
             return apply({Var(expr.var): expr.term}, self.eval(expr.expr, env, placeholders))
-        if isinstance(expr, FormCall):
+        if kind is FormCall:
             fd = self.table.get(expr.name)
             if fd is None:
                 raise FormEvalError(f"call of unknown form {expr.name}")
@@ -423,7 +426,7 @@ class Evaluator:
                 if spec.pred_placeholder
             }
             return self.eval(fd.body, inner_env, inner_ph)
-        raise TypeError(f"not a form expression: {type(expr).__name__}")
+        raise TypeError(f"not a form expression: {kind.__name__}")
 
 
 def eval_form(table: dict, name: str, bindings: dict,
@@ -467,11 +470,12 @@ def is_nonconstant(expr, probe: NonConstancyProbe = DEFAULT_PROBE,
     its variables range together over the probe programs.  True proves
     non-constancy; False is only probe-relative."""
     ev = evaluator or Evaluator(table or {})
-    memo_key = (ev._expr_key(expr), id(probe))
+    key, fvars = ev.key_and_vars(expr)
+    memo_key = (key, id(probe))
     hit = ev._probes.get(memo_key)
     if hit is not None:
         return hit[1]
-    names = sorted(ev._free_vars(expr))
+    names = sorted(fvars)
     result = False
     if names:
         seen = set()
@@ -491,20 +495,11 @@ def is_nonconstant(expr, probe: NonConstancyProbe = DEFAULT_PROBE,
 # ---------------------------------------------------------------------------
 # Parsing `.lpf` files
 
-_BUILTINS = {
-    "facts": FactsOf,
-    "proper": ProperOf,
-    "rev": ReverseOf,
-    "gnd": GroundOf,
-    "body": BodyOf,
-    "refresh": FreshenVars,
-}
-
 _LPF_TOKEN_RE = re.compile(
     r"""
       (?P<WS>\s+)
     | (?P<COMMENT>%[^\n]*)
-    | \{(?P<BLOCK>[^}]*)\}
+    | (?P<BLOCK>\{[^}]*\})
     | (?P<ASSIGN>:=)
     | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
     | (?P<IDENT>[a-z][A-Za-z0-9_]*)
@@ -583,25 +578,16 @@ class _LpfParser(_Parser):
 
     # -- expressions ----------------------------------------------------
 
-    def expr(self):
-        node = self.comp()
-        while self.at("BAR"):
+    def expr(self, level: int = 0):
+        """Binary operators from `_BINARY[level]` on, loosest first."""
+        if level == len(_BINARY):
+            return self.postfix()
+        kind, (symbol, _) = list(_BINARY.items())[level]
+        node = self.expr(level + 1)
+        # A BLOCK token's text keeps its braces, so `{o}` is no operator.
+        while (tok := self.peek()) is not None and tok.text == symbol:
             self.i += 1
-            node = UnionOf(node, self.comp())
-        return node
-
-    def comp(self):
-        node = self.concat()
-        while self.at("IDENT") and self.peek().text == "o":
-            self.i += 1
-            node = ComposeOf(node, self.concat())
-        return node
-
-    def concat(self):
-        node = self.postfix()
-        while self.at("DOT"):
-            self.i += 1
-            node = ConcatOf(node, self.postfix())
+            node = kind(node, self.expr(level + 1))
         return node
 
     def postfix(self):
@@ -633,7 +619,7 @@ class _LpfParser(_Parser):
             raise self.error("expected a form expression")
         if tok.kind == "BLOCK":
             self.i += 1
-            return Lit(parse_program(tok.text, source=f"{self.source}:{tok.line}"))
+            return Lit(parse_program(tok.text[1:-1], source=f"{self.source}:{tok.line}"))
         if tok.kind == "LPAREN":
             self.i += 1
             node = self.expr()
@@ -641,15 +627,15 @@ class _LpfParser(_Parser):
             return node
         if tok.kind == "IDENT":
             self.i += 1
-            ctor = _BUILTINS.get(tok.text)
-            if ctor is None:
+            kind = next((k for k, (name, _) in _UNARY.items() if name == tok.text), None)
+            if kind is None:
                 raise ParseError(
                     f"unknown function {tok.text!r}", source=self.source, line=tok.line, col=tok.col
                 )
             self.take("LPAREN", "'('")
             inner = self.expr()
             self.take("RPAREN", "')'")
-            return ctor(inner)
+            return kind(inner)
         if tok.kind == "VAR":
             self.i += 1
             if self.at("LPAREN"):
@@ -686,35 +672,24 @@ def parse_forms(text: str, source: str = "<string>", table: Optional[dict] = Non
 
 
 def form_to_text(expr) -> str:
-    if isinstance(expr, VarRef):
+    """`.lpf` text of a form.  A literal prints its `name_key`, the rules
+    with their own variable names, so forms that `expr_key` tells apart
+    print apart."""
+    kind = type(expr)
+    if kind in _BINARY:
+        return f"({form_to_text(expr.left)} {_BINARY[kind][0]} {form_to_text(expr.right)})"
+    if kind in _UNARY:
+        return f"{_UNARY[kind][0]}({form_to_text(expr.expr)})"
+    if kind is VarRef:
         return expr.name
-    if isinstance(expr, Lit):
-        inner = " ".join(render_program(expr.program).splitlines())
-        return "{" + inner + "}"
-    if isinstance(expr, UnionOf):
-        return f"({form_to_text(expr.left)} | {form_to_text(expr.right)})"
-    if isinstance(expr, ComposeOf):
-        return f"({form_to_text(expr.left)} o {form_to_text(expr.right)})"
-    if isinstance(expr, ConcatOf):
-        return f"({form_to_text(expr.left)} . {form_to_text(expr.right)})"
-    if isinstance(expr, PowerOf):
+    if kind is Lit:
+        return "{" + " ".join(expr.program.name_key()) + "}"
+    if kind is PowerOf:
         return f"{form_to_text(expr.expr)}^{expr.n}"
-    if isinstance(expr, FactsOf):
-        return f"facts({form_to_text(expr.expr)})"
-    if isinstance(expr, ProperOf):
-        return f"proper({form_to_text(expr.expr)})"
-    if isinstance(expr, ReverseOf):
-        return f"rev({form_to_text(expr.expr)})"
-    if isinstance(expr, BodyOf):
-        return f"body({form_to_text(expr.expr)})"
-    if isinstance(expr, GroundOf):
-        return f"gnd({form_to_text(expr.expr)})"
-    if isinstance(expr, FreshenVars):
-        return f"refresh({form_to_text(expr.expr)})"
-    if isinstance(expr, RenamePred):
+    if kind is RenamePred:
         return f"{form_to_text(expr.expr)}[{expr.old}/{expr.new}]"
-    if isinstance(expr, SubstIn):
+    if kind is SubstIn:
         return f"{form_to_text(expr.expr)}[{expr.var} := {render_term(expr.term)}]"
-    if isinstance(expr, FormCall):
+    if kind is FormCall:
         return f"{expr.name}({', '.join(expr.args)})"
-    raise TypeError(f"not a form expression: {type(expr).__name__}")
+    raise TypeError(f"not a form expression: {kind.__name__}")

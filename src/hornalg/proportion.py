@@ -28,11 +28,10 @@ from typing import Callable, Optional
 
 from .errors import BudgetError, FormEvalError, ProportionError
 from .forms import (
+    _BINARY,
     DEFAULT_PROBE,
     Binding,
     BodyOf,
-    ComposeOf,
-    ConcatOf,
     Evaluator,
     FactsOf,
     FormCall,
@@ -40,13 +39,13 @@ from .forms import (
     NonConstancyProbe,
     ProperOf,
     ReverseOf,
-    UnionOf,
     VarRef,
     form_to_text,
     free_vars,
     is_nonconstant,
     literal_requirements,
     make_binding,
+    rebuild,
 )
 from .syntax import Program, Rule, Var, render_atom, render_program
 
@@ -326,16 +325,7 @@ def _shift_expr(expr, offset: int):
         return VarRef(shift_name(expr.name))
     if isinstance(expr, FormCall):
         return FormCall(expr.name, tuple(shift_name(a) for a in expr.args))
-    if isinstance(expr, (UnionOf, ComposeOf, ConcatOf)):
-        return type(expr)(_shift_expr(expr.left, offset), _shift_expr(expr.right, offset))
-    if hasattr(expr, "expr"):
-        fields = {
-            name: getattr(expr, name)
-            for name in expr.__dataclass_fields__
-        }
-        fields["expr"] = _shift_expr(expr.expr, offset)
-        return type(expr)(**fields)
-    return expr
+    return rebuild(expr, lambda e: _shift_expr(e, offset))
 
 
 def derived_proportions(problem: ProportionProblem, witness: ProportionWitness,
@@ -391,7 +381,6 @@ def derived_proportions(problem: ProportionProblem, witness: ProportionWitness,
 # Solving
 
 _UNARY_OPS = (FactsOf, ProperOf, ReverseOf, BodyOf)
-_BINARY_OPS = (UnionOf, ComposeOf, ConcatOf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -430,7 +419,7 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
         level: list = []
         for op in _UNARY_OPS:
             level.extend(op(e) for e in levels[depth - 1])
-        for op in _BINARY_OPS:
+        for op in _BINARY:
             if depth == 1:
                 level.extend(op(l, r) for l in primaries for r in primaries)
             else:
@@ -466,10 +455,13 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     canonical order and capped at `budget.max_solutions`."""
     budget = budget or SolveBudget()
     ev = evaluator or Evaluator()
-    # Program equality is variant equality, so the pool can hold equal forms
-    # such as {q(X).} and {q(Y).}; keep the first, or one candidate would be
-    # found once per copy.
-    forms = list(dict.fromkeys(form_pool(problem, budget)))
+    # Keep the first form of each `expr_key`, or one candidate would be
+    # found once per copy.  The key tells {q(X).} from {q(Y).}, which are
+    # equal programs that concatenation tells apart.
+    unique: dict = {}
+    for fm in form_pool(problem, budget):
+        unique.setdefault(ev.key_and_vars(fm)[0], fm)
+    forms = list(unique.values())
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     P, Q, R = problem.p, problem.q, problem.r

@@ -185,6 +185,18 @@ def atom_vars(a: Atom) -> Iterator[Var]:
         yield from term_vars(t)
 
 
+def term_functors(*terms: Term) -> frozenset:
+    """Function symbol names (unranked) occurring in the terms."""
+    out = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound):
+            out.add(t.functor)
+            stack.extend(t.args)
+    return frozenset(out)
+
+
 def body_order(r: Rule) -> tuple:
     """The rule's body atoms in `render_atom` order, sorted once per rule."""
     try:
@@ -477,14 +489,7 @@ class Program:
 
     def functors(self) -> frozenset:
         """Function symbol names (unranked) occurring anywhere in the program."""
-        out = set()
-        stack = [t for a in self.all_atoms() for t in a.args]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Compound):
-                out.add(t.functor)
-                stack.extend(t.args)
-        return frozenset(out)
+        return term_functors(*(t for a in self.all_atoms() for t in a.args))
 
     # -- elementary operations ----------------------------------------------
 

@@ -251,6 +251,47 @@ def test_prop_solve_finds_answer():
     assert "s: {c :- d. d.}" in out
 
 
+# (s, line, f, g, pvec, rvec) of each solution, in output order
+_EX43_JOINT_DEPTH2 = [
+    (["b.", "c :- d."], "fgfg", "X1", "(X1 | {b.})", ["a :- b."], ["c :- d."]),
+    (["b.", "c :- d."], "fgfg", "X1", "({b.} | X1)", ["a :- b."], ["c :- d."]),
+    (["b.", "c :- d."], "fgfg", "X1", "(X1 | rev({b.}))", ["a :- b."], ["c :- d."]),
+    (["b.", "c :- d."], "fgfg", "(X1 . X1)", "(X1 | {b.})", ["a :- b."], ["c :- d."]),
+    (["c :- d."], "fgfg", "proper(X1)", "X1", ["a :- b.", "b."], ["c :- d."]),
+    (["c :- d."], "fggf", "proper(X1)", "X1", ["a :- b.", "b."], ["c :- d."]),
+    (["c :- d."], "fgfg", "(X1 . proper(X1))", "X1", ["a :- b.", "b."], ["c :- d."]),
+    (["c :- d."], "fgfg", "proper((X1 . X1))", "X1", ["a :- b.", "b."], ["c :- d."]),
+    (["c :- d.", "d."], "fgfg", "X1", "(X1 | body(X1))", ["a :- b."], ["c :- d."]),
+    (["c :- d.", "d."], "fgfg", "(X1 . X1)", "(X1 | body(X1))", ["a :- b."], ["c :- d."]),
+    (["c :- d.", "d."], "fgfg", "(X1 | X1)", "(X1 | body(X1))", ["a :- b."], ["c :- d."]),
+    (["c :- d.", "d."], "fgfg", "proper(X1)", "(X1 | body(X1))", ["a :- b."], ["c :- d."]),
+    (["c.", "c :- d."], "fgfg", "proper(X1)", "(X1 | (X1 o {d.}))", ["a :- b.", "b."], ["c :- d."]),
+    (["c.", "c :- d."], "fgfg", "(X1 . proper(X1))", "(X1 | (X1 o {d.}))", ["a :- b.", "b."],
+     ["c :- d."]),
+    (["c.", "c :- d."], "fgfg", "proper((X1 . X1))", "(X1 | (X1 o {d.}))", ["a :- b.", "b."],
+     ["c :- d."]),
+    (["c.", "c :- d."], "fgfg", "proper((X1 | X1))", "(X1 | (X1 o {d.}))", ["a :- b.", "b."],
+     ["c :- d."]),
+]
+
+
+def test_prop_solve_output_is_pinned():
+    code, out, _ = run("prop-solve", "corpus:ex43_joint", "--budget", "2")
+    assert code == OK
+    expected = []
+    for s, line, f, g, pvec, rvec in _EX43_JOINT_DEPTH2:
+        expected += ["s: {" + " ".join(s) + "}", f"  line: {line}", f"  f: {f}", f"  g: {g}",
+                     "  pvec: {" + " ".join(pvec) + "}", "  rvec: {" + " ".join(rvec) + "}"]
+    assert out.splitlines() == expected
+
+    code, out, _ = run("prop-solve", "corpus:ex43_joint", "--budget", "2", "--format", "json")
+    assert code == OK
+    assert json.loads(out) == {"solutions": [
+        {"s": s, "line": line, "f": f, "g": g, "pvec": [pvec], "rvec": [rvec]}
+        for s, line, f, g, pvec, rvec in _EX43_JOINT_DEPTH2
+    ]}
+
+
 def test_prop_solve_exhausted_budget():
     code, out, err = run("prop-solve", "corpus:ex43_disjoint", "--budget", "depth=0,vec=0")
     assert code == EXHAUSTED

@@ -18,13 +18,17 @@ from hornalg.forms import (
     VarRef,
     body_program,
     eval_form,
+    expr_key,
     form_to_text,
+    free_vars,
     is_nonconstant,
+    literal_requirements,
     make_binding,
     parse_forms,
     refresh_body_vars,
 )
 from hornalg.parser import parse_program
+from hornalg.proportion import _shift_expr
 from hornalg.syntax import Var, render_program
 
 
@@ -95,6 +99,13 @@ def test_form_to_text_round_trips():
     assert form_to_text(t2["T"].body) == text
 
 
+def test_literals_print_their_own_variable_names():
+    # equal programs, but concatenation tells them apart, so must the text
+    x, y = Lit(pg("q(X) :- p(X,Z).")), Lit(pg("q(Y) :- p(Y,Z)."))
+    assert x == y
+    assert form_to_text(ConcatOf(x, y)) == "({q(X) :- p(X,Z).} . {q(Y) :- p(Y,Z).})"
+
+
 def test_parse_error_reports_location():
     with pytest.raises(ParseError):
         table("form T(X) = X |;")
@@ -107,6 +118,12 @@ def test_unterminated_program_literal_reports_its_brace():
     with pytest.raises(ParseError) as info:
         table("form T(X) =\n  X | {p(a).} | {q(b)\n.")
     assert str(info.value) == "<string>:2:17: unterminated { program literal"
+
+
+def test_program_literals_are_never_operators():
+    # operators are matched by token text; `{o}` is a literal, not `o`
+    with pytest.raises(ParseError):
+        table("form T(X) = X {o} X;")
 
 
 def test_program_references_are_not_syntax():
@@ -277,3 +294,60 @@ def test_erasing_form_is_detected():
     # proper rules composed against an alien fact yield nothing, for every probe
     t = table("form T(X) = proper(X) o {z.};")
     assert not is_nonconstant(t["T"].body, table=t)
+
+
+# ---------------------------------------------------------------------------
+# every node kind, through each walk
+
+
+_KIND_BINDING = make_binding(pg("p(a). q(V) :- p(V)."), main_pred="q")
+
+# (header, body, value on _KIND_BINDING, literals, rename targets, functors);
+# every body may call `A` of _KIND_DEFS.
+_KINDS = {
+    "var": ("X1", "X1", "p(a). q(V) :- p(V).", (), (), ()),
+    "literal": ("X1", "{c.}", "c.", ("c.",), (), ()),
+    "union": ("X1", "X1 | {c.}", "p(a). q(V) :- p(V). c.", ("c.",), (), ()),
+    "compose": ("X1", "X1 o X1", "p(a). q(a).", (), (), ()),
+    "concat": ("X1", "X1 . {q(b) :- p(c).}", "q(V,b) :- p(V,c).",
+               ("q(b) :- p(c).",), (), ()),
+    "power": ("X1", "X1^2", "p(a). q(a).", (), (), ()),
+    "facts": ("X1", "facts(X1)", "p(a).", (), (), ()),
+    "proper": ("X1", "proper(X1)", "q(V) :- p(V).", (), (), ()),
+    "rev": ("X1", "rev(X1)", "p(a). p(V) :- q(V).", (), (), ()),
+    "gnd": ("X1", "gnd(X1)", "p(a). q(a) :- p(a).", (), (), ()),
+    "body": ("X1", "body(X1)", "p(V).", (), (), ()),
+    "refresh": ("X1", "refresh(X1)", "p(a). q(Z1) :- p(Z1).", (), (), ()),
+    "rename": ("X1", "X1[p/r]", "r(a). q(V) :- r(V).", (), ("r",), ()),
+    "placeholder rename": ("X1[m]", "X1[m/s]", "p(a). s(V) :- p(V).", (), ("s",), ()),
+    "subst": ("X1", "X1[V := f(b)]", "p(a). q(f(b)) :- p(f(b)).", (), (), ("f", "b")),
+    "call": ("X1", "A(X1)", "p(a). q(V) :- p(V). c.", ("c.",), (), ()),
+}
+
+_KIND_DEFS = "form A(Y) = Y | {c.};\n"
+
+
+def _kind_form(header, body):
+    return table(_KIND_DEFS + f"form T({header}) = {body};")
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_node_kind_through_every_walk(kind):
+    header, body, value, lits, preds, functors = _KINDS[kind]
+    t = _kind_form(header, body)
+    expr = t["T"].body
+
+    again = _kind_form(header, form_to_text(expr))["T"].body
+    assert expr_key(again) == expr_key(expr)
+
+    out = eval_form(t, "T", {"X1": _KIND_BINDING})
+    assert out.strict_equals(pg(value)), render_program(out)
+
+    assert free_vars(expr) == ({"X1"} if kind != "literal" else set())
+    got_lits, got_preds, got_functors = literal_requirements(expr, t)
+    assert [p.name_key() for p in got_lits] == [pg(text).name_key() for text in lits]
+    assert got_preds == set(preds)
+    assert got_functors == set(functors)
+
+    shifted = _kind_form(header.replace("X1", "X2"), body.replace("X1", "X2"))["T"].body
+    assert expr_key(_shift_expr(expr, 1)) == expr_key(shifted)

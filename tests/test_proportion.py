@@ -4,7 +4,7 @@ import pytest
 
 from hornalg import corpus
 from hornalg.errors import ProportionError
-from hornalg.forms import Evaluator, FormCall, VarRef, make_binding, parse_forms
+from hornalg.forms import Evaluator, FormCall, VarRef, expr_key, make_binding, parse_forms
 from hornalg.parser import parse_program
 from hornalg.proportion import (
     CheckReport,
@@ -258,8 +258,25 @@ def test_solver_output_verifies_when_programs_are_variants(p, q, r):
     for sol in solutions:
         w = sol.witness
         assert check_proportion(problem, w, s=sol.s, evaluator=Evaluator()).ok
-        keys.add((w.line, w.f, w.g, w.pvec[0].program, w.rvec[0].program))
+        # the pool keeps {q(X).} and {q(Y).} apart, so witnesses are told
+        # apart by name, not up to variants
+        keys.add((w.line, expr_key(w.f), expr_key(w.g),
+                  w.pvec[0].program.name_key(), w.rvec[0].program.name_key()))
     assert len(keys) == len(solutions)
+
+
+@pytest.mark.parametrize("p, q, r, count", [
+    ("q(X).", "q(X,X).", "q(Y). q(Y,Y).", 12),
+    ("q(X). q(X,Z).", "q(X). q(X,X).", "q(Y).", 4),
+])
+def test_solver_keeps_pool_forms_equal_only_up_to_names(p, q, r, count):
+    # The brute-force oracle over the raw pool (tests/test_properties.py,
+    # `_oracle_solutions`) verifies this many distinct S on each problem;
+    # merging {q(X).} with {q(Y).} lost some of them.
+    sig = DomainSig("Q", frozenset({"q"}), frozenset())
+    problem = ProportionProblem(pg(p), pg(q), pg(r), sig, sig)
+    budget = SolveBudget(max_form_depth=2, max_solutions=100_000, witnesses_per_s=100_000)
+    assert len({sol.s for sol in solve_proportion(problem, budget)}) == count
 
 
 def test_form_pool_respects_domain_intersection():

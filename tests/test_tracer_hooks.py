@@ -8,14 +8,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+_PRELUDE = (
+    "import sys\n"
+    f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
+    "import tracing\n"
+    "tracer = tracing.Tracer()\n"
+    "tracing.install(tracer)\n"
+)
 
-def test_tracer_installs_on_every_hooked_module():
-    script = (
-        "import sys\n"
-        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
-        "import tracing\n"
-        "tracing.install(tracing.Tracer())\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+
+def _run(script):
+    proc = subprocess.run([sys.executable, "-c", _PRELUDE + script], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_installs_on_every_hooked_module():
+    _run("")
+
+
+def test_form_evaluation_reaches_the_traced_callees():
+    # A form operator bound to `algebra.compose` or `unify.apply` when its
+    # module is imported would bypass the wrappers and count 0.
+    _run(
+        "from hornalg.forms import Evaluator, make_binding, parse_forms\n"
+        "from hornalg.parser import parse_program\n"
+        "t = parse_forms('form C(X) = X o X; form S(X) = X[Y := a];')\n"
+        "x = {'X': make_binding(parse_program('p(a). q(Y) :- p(Y).'))}\n"
+        "tracer.active = True\n"
+        "Evaluator(t).eval(t['C'].body, x)\n"
+        "assert tracer.calls['algebra.compose'] == 1, tracer.calls\n"
+        "before = tracer.calls['unify.apply']\n"
+        "Evaluator(t).eval(t['S'].body, x)\n"
+        "assert tracer.calls['unify.apply'] == before + 1, tracer.calls\n"
+    )
