@@ -21,14 +21,16 @@ searches bounded form and vector spaces for all verified candidates S.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
-from itertools import combinations
+from heapq import nsmallest
+from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
 from .errors import BudgetError, FormEvalError, ProportionError
 from .forms import (
     _BINARY,
+    _UNARY,
     DEFAULT_PROBE,
     Binding,
     BodyOf,
@@ -40,11 +42,13 @@ from .forms import (
     ProperOf,
     ReverseOf,
     VarRef,
+    expr_key,
     form_to_text,
     free_vars,
     is_nonconstant,
     literal_requirements,
     make_binding,
+    operands,
     rebuild,
 )
 from .syntax import Program, Rule, Var, render_atom, render_program
@@ -394,6 +398,12 @@ class SolveBudget:
     witnesses_per_s: int = 4
     lines: tuple = _LINES
 
+    def __post_init__(self):
+        negative = [f.name for f in fields(self)
+                    if f.name != "lines" and getattr(self, f.name) < 0]
+        if negative:
+            raise ProportionError(f"negative solve budget: {', '.join(negative)}")
+
 
 @dataclass(frozen=True, slots=True)
 class ProportionSolution:
@@ -405,7 +415,7 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
     """Candidate forms over one variable X1: atoms of the problem that both
     domains allow (as single-fact literals), closed under the unary
     operations and — with a primary left operand — the binary ones, up to
-    the depth budget."""
+    the depth budget.  Generation stops at `budget.max_forms` forms."""
     inter = problem.source.intersection(problem.target)
     atoms = {}
     for prog in (problem.p, problem.q, problem.r):
@@ -414,24 +424,64 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
             if in_domain(lit, inter):
                 atoms.setdefault(render_atom(a), Lit(lit))
     primaries: list = [VarRef("X1")] + [atoms[k] for k in sorted(atoms)]
-    levels = [primaries]
-    for depth in range(1, budget.max_form_depth + 1):
-        level: list = []
-        for op in _UNARY_OPS:
-            level.extend(op(e) for e in levels[depth - 1])
-        for op in _BINARY:
-            if depth == 1:
-                level.extend(op(l, r) for l in primaries for r in primaries)
-            else:
-                level.extend(op(l, r) for l in primaries for r in levels[depth - 1])
-        levels.append(level)
-    pool: list = []
-    for level in levels:
-        for e in level:
-            if len(pool) >= budget.max_forms:
-                return pool
-            pool.append(e)
+    pool = primaries[: budget.max_forms]
+    level = primaries
+    for _ in range(budget.max_form_depth):
+        if len(pool) >= budget.max_forms:
+            break
+        prev = level
+        level = list(islice(chain(
+            (op(e) for op in _UNARY_OPS for e in prev),
+            (op(l, r) for op in _BINARY for l in primaries for r in prev),
+        ), budget.max_forms - len(pool)))
+        pool.extend(level)
     return pool
+
+
+def pool_values(pool: list, ev: Evaluator) -> tuple:
+    """The forms of `pool`, the first of each `expr_key`, and a function
+    giving each one's value on a vector program by position (None where it
+    fails to evaluate).
+
+    A form of a `_BINARY` or `_UNARY` kind whose operands are earlier pool
+    forms gets that table entry's operation on their values, the step
+    `Evaluator._eval` takes.  Any other form goes through `ev.eval`.  Forms
+    with no variable are evaluated once."""
+    forms: list = []
+    keys: dict = {}
+    at: dict = {}  # id of each pool form -> position of its kept copy
+    for fm in pool:
+        i = at[id(fm)] = keys.setdefault(expr_key(fm), len(forms))
+        if i == len(forms):
+            forms.append(fm)
+    steps: list = []  # per position: (operation, operand positions) or None
+    fixed: list = []  # per position: the value needs no vector
+    for i, fm in enumerate(forms):
+        entry = _BINARY.get(type(fm)) or _UNARY.get(type(fm))
+        args = tuple(at.get(id(sub), i) for sub in operands(fm))
+        if entry is None or any(a >= i for a in args):  # i: not an earlier form
+            steps.append(None)
+            fixed.append(not free_vars(fm))
+        else:
+            steps.append((entry[1], args))
+            fixed.append(all(fixed[a] for a in args))
+
+    def run(positions, env: dict, vals: list) -> list:
+        for i in positions:
+            step = steps[i]
+            try:
+                if step is None:
+                    vals[i] = ev.eval(forms[i], env, {})
+                else:
+                    xs = [vals[a] for a in step[1]]
+                    vals[i] = None if any(x is None for x in xs) else step[0](*xs)
+            except (FormEvalError, BudgetError):
+                vals[i] = None
+        return vals
+
+    base = run([i for i in range(len(forms)) if fixed[i]], {}, [None] * len(forms))
+    varying = [i for i in range(len(forms)) if not fixed[i]]
+    return forms, lambda prog: run(varying, {"X1": make_binding(prog)}, list(base))
 
 
 def vector_pool(rules: tuple, budget: SolveBudget) -> list:
@@ -458,10 +508,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # Keep the first form of each `expr_key`, or one candidate would be
     # found once per copy.  The key tells {q(X).} from {q(Y).}, which are
     # equal programs that concatenation tells apart.
-    unique: dict = {}
-    for fm in form_pool(problem, budget):
-        unique.setdefault(ev.key_and_vars(fm)[0], fm)
-    forms = list(unique.values())
+    forms, values_on = pool_values(form_pool(problem, budget), ev)
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     P, Q, R = problem.p, problem.q, problem.r
@@ -490,24 +537,18 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     def value_map(prog: Program):
         key = prog.name_key()
         if key not in value_maps:
-            env = {"X1": make_binding(prog)}
-            values: list = []
+            values = values_on(prog)
             by_value: dict = {}
-            for i, fm in enumerate(forms):
-                try:
-                    v = ev.eval(fm, env, {})
-                except (FormEvalError, BudgetError):
-                    v = None
-                else:
+            for i, v in enumerate(values):
+                if v is not None:
                     by_value.setdefault(v, []).append(i)
-                values.append(v)
             value_maps[key] = (values, by_value)
         return value_maps[key]
 
     # The line identities hold by construction: a candidate is generated only
-    # when the value-map lookups match.  Each map holds what the same
-    # Evaluator gives on that very vector, and lookups use the same Program
-    # equality, so `check_proportion` would evaluate and compare the same.
+    # when the value-map lookups match.  Each map holds what the operations
+    # `check_proportion`'s Evaluator applies give on that very vector, and
+    # lookups use the same Program equality, so the check would agree.
     verified: list = []  # (line, f, g, source vector, target vector, S) by position
     for line in budget.lines:
         if line == "ffgg":
@@ -540,42 +581,44 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
                 verified.extend((line, f, g, si, ti, tval[f if line == "fggf" else g])
                                 for f in fs for g in gs)
 
+    # Candidates stay position tuples until the cap: only the solutions
+    # returned are built as witnesses.  Per (line, F, G), a vector pair is
+    # dropped when another verified pair lies pointwise inside it.
     groups: dict = {}
     for cand in verified:
         groups.setdefault(cand[:3], []).append(cand)
-    kept: list = []
+    by_s: dict = {}  # S -> its kept candidates, in the order found
     for group in groups.values():
-        for line, f, g, si, ti, s in group:
-            sv, tv = svecs[si], tvecs[ti]
-            if not any((osi, oti) != (si, ti) and svecs[osi].issubset(sv)
-                       and tvecs[oti].issubset(tv) for *_, osi, oti, _ in group):
-                witness = ProportionWitness(forms[f], forms[g], (make_binding(sv),),
-                                            (make_binding(tv),), line)
-                kept.append(ProportionSolution(s, witness))
+        for cand in group:
+            si, ti = cand[3], cand[4]
+            if not any((osi, oti) != (si, ti) and svecs[osi].issubset(svecs[si])
+                       and tvecs[oti].issubset(tvecs[ti]) for *_, osi, oti, _ in group):
+                by_s.setdefault(cand[5], []).append(cand)
 
-    def witness_key(sol: ProportionSolution):
-        w = sol.witness
-        f_text, g_text = form_to_text(w.f), form_to_text(w.g)
-        return (
-            len(f_text) + len(g_text),
-            w.line,
-            f_text,
-            g_text,
-            render_program(w.pvec[0].program),
-            render_program(w.rvec[0].program),
-        )
+    @cache
+    def text(i: int) -> str:
+        return form_to_text(forms[i])
+
+    svec_text = [render_program(v) for v in svecs]
+    tvec_text = [render_program(v) for v in tvecs]
+
+    def witness_key(cand):
+        line, f, g, si, ti, _ = cand
+        return (len(text(f)) + len(text(g)), line, text(f), text(g),
+                svec_text[si], tvec_text[ti])
 
     # Group by the fourth program so one heavily-witnessed candidate cannot
     # crowd every other candidate out of the solution cap; within a group,
-    # prefer syntactically small witnesses.
-    by_s: dict = {}
-    for sol in kept:
-        by_s.setdefault(render_program(sol.s), []).append(sol)
+    # prefer syntactically small witnesses.  Equal programs render equal,
+    # so the groups are ordered by their text.
     out: list = []
-    for s_text in sorted(by_s):
-        group = sorted(by_s[s_text], key=witness_key)
-        out.extend(group[: budget.witnesses_per_s])
-    return out[: budget.max_solutions]
+    for group in sorted(by_s.values(), key=lambda group: render_program(group[0][5])):
+        if len(out) >= budget.max_solutions:
+            break
+        out.extend(nsmallest(budget.witnesses_per_s, group, key=witness_key))
+    return [ProportionSolution(s, ProportionWitness(
+                forms[f], forms[g], (make_binding(svecs[si]),), (make_binding(tvecs[ti]),), line))
+            for line, f, g, si, ti, s in out[: budget.max_solutions]]
 
 
 # ---------------------------------------------------------------------------

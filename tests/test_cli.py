@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 from hornalg.cli import EXHAUSTED, INPUT_ERROR, NOT_VERIFIED, OK, USAGE_ERROR, main
 
@@ -301,6 +303,23 @@ def test_prop_solve_exhausted_budget():
 def test_prop_solve_budget_shorthand():
     code, _, _ = run("prop-solve", "corpus:ex43_disjoint", "--budget", "1")
     assert code in (OK, EXHAUSTED)
+
+
+def test_prop_solve_form_budget_bounds_the_work():
+    # The pool stops growing at `forms`, and ex43_joint's passes 2000 forms
+    # at depth 3, so a huge depth prints what depth 3 prints.  A child
+    # process lets a runaway fail at the timeout instead of hanging the suite.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (f"import sys; sys.path.insert(0, {src!r}); "
+              "from hornalg.cli import main; sys.exit(main())")
+
+    def solve(budget):
+        proc = subprocess.run([sys.executable, "-c", script, "prop-solve", "corpus:ex43_joint",
+                               "--budget", budget], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == OK, proc.stderr
+        return proc.stdout
+
+    assert solve("depth=1000000,forms=2000") == solve("depth=3,forms=2000")
 
 
 def test_prop_solve_rejects_non_ascii_digits():

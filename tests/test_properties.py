@@ -21,6 +21,7 @@ from hornalg.proportion import (
     SolveBudget,
     check_proportion,
     form_pool,
+    pool_values,
     solve_proportion,
     vector_pool,
 )
@@ -435,6 +436,37 @@ def test_solver_matches_oracle_on_overlapping_domains():
         assert _solver_set(problem, budget) == oracle_set, render_program(problem.p)
     for code in ("f_nonconstant", "g_nonconstant", "pvec_in_domain", "ffgg_intersection"):
         assert rejections[code] > 0, code
+
+
+# ---------------------------------------------------------------------------
+# 8. the solver's values by pool position are what the evaluator gives
+
+
+def _assert_pool_values_match_evaluator(problem, table, budget):
+    forms, values_on = pool_values(form_pool(problem, budget), Evaluator(table))
+    vectors = (vector_pool((problem.p | problem.q).rules, budget)
+               + vector_pool(problem.r.rules, budget))
+    for prog in vectors:
+        ev = Evaluator(table)
+        env = {"X1": make_binding(prog)}
+        for fm, got in zip(forms, values_on(prog), strict=True):
+            try:
+                want = ev.eval(fm, env, {})
+            except (FormEvalError, BudgetError):
+                assert got is None, form_to_text(fm)
+            else:
+                # equal down to variable names, which concatenation sees
+                assert got is not None and got.name_key() == want.name_key(), form_to_text(fm)
+
+
+def test_pool_values_match_the_evaluator():
+    budget = SolveBudget(max_form_depth=2)
+    for name in corpus.names("proportions"):
+        spec = corpus.problem_spec(name)
+        _assert_pool_values_match_evaluator(spec.problem, spec.table, budget)
+    rng = random.Random(2323)
+    for _ in range(20):
+        _assert_pool_values_match_evaluator(_rand_problem(rng), {}, budget)
 
 
 # ---------------------------------------------------------------------------

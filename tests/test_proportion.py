@@ -3,8 +3,20 @@ from __future__ import annotations
 import pytest
 
 from hornalg import corpus
-from hornalg.errors import ProportionError
-from hornalg.forms import Evaluator, FormCall, VarRef, expr_key, make_binding, parse_forms
+from hornalg.errors import FormEvalError, ProportionError
+from hornalg.forms import (
+    ComposeOf,
+    Evaluator,
+    FactsOf,
+    FormCall,
+    Lit,
+    UnionOf,
+    VarRef,
+    expr_key,
+    form_to_text,
+    make_binding,
+    parse_forms,
+)
 from hornalg.parser import parse_program
 from hornalg.proportion import (
     CheckReport,
@@ -20,6 +32,7 @@ from hornalg.proportion import (
     make_witness,
     parse_binding_spec,
     parse_proportion_file,
+    pool_values,
     solve_proportion,
     vector_pool,
 )
@@ -279,6 +292,58 @@ def test_solver_keeps_pool_forms_equal_only_up_to_names(p, q, r, count):
     assert len({sol.s for sol in solve_proportion(problem, budget)}) == count
 
 
+def _rows(solutions):
+    return [(sol.s.name_key(), sol.witness.line, form_to_text(sol.witness.f),
+             form_to_text(sol.witness.g), [b.program.name_key() for b in sol.witness.pvec],
+             [b.program.name_key() for b in sol.witness.rvec]) for sol in solutions]
+
+
+@pytest.mark.parametrize("name", corpus.names("proportions"))
+def test_solution_cap_keeps_a_prefix(name):
+    # Witnesses are built only for the solutions returned; capping must not
+    # change which ones come first.
+    spec = corpus.problem_spec(name)
+
+    def solve(**caps):
+        budget = SolveBudget(max_form_depth=2, **caps)
+        return _rows(solve_proportion(spec.problem, budget, Evaluator(spec.table)))
+
+    full = solve()
+    for k in (1, 3, 10):
+        assert solve(max_solutions=k) == full[:k]
+
+
+def test_pool_values_fall_back_to_the_evaluator():
+    table = parse_forms("form F(X) = X o X;")
+    x1, lit = VarRef("X1"), Lit(pg("p(a)."))
+    outside = Lit(pg("q(b)."))  # an operand that is no pool form
+    pool = [x1, lit, FormCall("F", ("X1",)), FactsOf(FormCall("F", ("X1",))),
+            UnionOf(x1, outside), FormCall("G", ("X1",)), ComposeOf(lit, FormCall("G", ("X1",))),
+            FactsOf(lit), UnionOf(x1, lit)]
+    forms, values_on = pool_values(pool, Evaluator(table))
+    assert forms == pool  # no two share an expr_key
+    prog = pg("p(a). p(X) :- p(X).")
+    values = values_on(prog)
+    ev = Evaluator(table)
+    for fm, got in zip(forms, values, strict=True):
+        try:
+            want = ev.eval(fm, {"X1": make_binding(prog)}, {})
+        except FormEvalError:
+            assert got is None  # G is no form of the table
+        else:
+            assert got == want and got.name_key() == want.name_key()
+    assert values[5] is None and values[6] is None
+
+
+def test_pool_values_keep_the_first_form_of_each_expr_key():
+    x1, a, b, c = VarRef("X1"), Lit(pg("q(X).")), Lit(pg("q(X).")), Lit(pg("q(Y)."))
+    u = UnionOf(x1, b)
+    forms, values_on = pool_values([x1, a, b, c, u], Evaluator())
+    # b repeats a's key; {q(Y).} equals {q(X).} as a program, not by key
+    assert [id(fm) for fm in forms] == [id(x1), id(a), id(c), id(u)]
+    assert values_on(pg("r."))[3] == pg("r. q(X).")
+
+
 def test_form_pool_respects_domain_intersection():
     spec = disjoint_spec()
     pool = form_pool(spec.problem, SolveBudget(max_form_depth=1))
@@ -289,6 +354,21 @@ def test_form_pool_respects_domain_intersection():
     for expr in pool:
         if isinstance(expr, Lit):
             assert expr.program.predicates() <= {"c", "d"} or not expr.program
+
+
+def test_form_pool_stops_at_max_forms():
+    problem = joint_spec().problem
+    full = form_pool(problem, SolveBudget(max_form_depth=2, max_forms=10**9))
+    assert len(full) > 1000
+    for k in (0, 3, 100, 1000):
+        assert form_pool(problem, SolveBudget(max_form_depth=2, max_forms=k)) == full[:k]
+    # a depth no pool could reach costs what the forms budget allows
+    assert form_pool(problem, SolveBudget(max_form_depth=10**20, max_forms=1000)) == full[:1000]
+
+
+def test_solve_budget_rejects_negative_bounds():
+    with pytest.raises(ProportionError, match="max_solutions, witnesses_per_s"):
+        SolveBudget(max_solutions=-1, witnesses_per_s=-4)
 
 
 def test_vector_pool_sizes():
