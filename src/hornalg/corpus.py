@@ -146,22 +146,18 @@ def corpus_entries() -> tuple:
 
 @dataclass(frozen=True)
 class GoldenCase:
-    """One checked CLI invocation: running `command` must produce the
-    program stored in `expected`.
+    """One checked CLI invocation: running `command` must print the
+    canonical rendering of the program stored in `expected`.
 
-    `comparison` is "exact" (the printed text must equal the expected
-    program's canonical rendering) or "variants" (both sides parse to
-    equal programs; our rendering is canonical, so the two coincide —
-    the field documents intent).  When `pinned_actual` is set the case is
-    a documented mismatch: it passes while the output still differs from
-    `expected` and still equals the pinned value.
+    When `pinned_actual` is set the case is a documented mismatch: it
+    passes while the output still differs from `expected` and still equals
+    the pinned value.
     """
 
     name: str
     note: str
     command: tuple
     expected: str
-    comparison: str = "variants"
     pinned_actual: Optional[str] = None
 
     @property
@@ -196,35 +192,30 @@ def golden_cases() -> tuple:
             "composing the step rule of the naturals with itself skips two",
             ("compose", "corpus:nat_proper", "corpus:nat_proper"),
             "golden/nat_double_step.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "compose_plus_empty",
             "composing with the empty program keeps exactly the facts",
             ("compose", "corpus:plus", "corpus:empty"),
             "golden/plus_facts.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "reverse_q1",
             "reversing the bridge flips each rule around its body atom",
             ("reverse", "corpus:q1"),
             "programs/q1rev.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "bridge_q1_pluslist",
             "the bridge turns list addition into addition on numbers",
             ("compose", "corpus:q1", "corpus:pluslist"),
             "programs/plus.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "bridge_q1_reversed",
             "the reversed bridge turns addition back into list addition",
             ("compose", "corpus:q1rev", "corpus:plus"),
             "programs/pluslist.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "bridge_q1_structured",
@@ -232,7 +223,6 @@ def golden_cases() -> tuple:
             "the composition keeps an extra base case",
             ("compose", "corpus:q1", "corpus:pluslist_prime"),
             "programs/plus.lp",
-            comparison="exact",
             pinned_actual="golden/q1_pluslist_prime_actual.lp",
         ),
         GoldenCase(
@@ -241,7 +231,6 @@ def golden_cases() -> tuple:
             "bodies expect number constructors that no list head provides",
             ("compose", "corpus:q2", "corpus:plus"),
             "programs/pluslist_prime.lp",
-            comparison="exact",
             pinned_actual="programs/empty.lp",
         ),
         GoldenCase(
@@ -250,7 +239,6 @@ def golden_cases() -> tuple:
             "list addition",
             ("compose", "corpus:q1_alt", "corpus:pluslist_prime"),
             "programs/plus.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "bridge_q2_alt",
@@ -258,14 +246,12 @@ def golden_cases() -> tuple:
             "three-rule list addition",
             ("compose", "corpus:q2_alt", "corpus:plus"),
             "programs/pluslist_prime.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "member_chain",
             "membership factors through list addition",
             ("compose", "corpus:member_q", "corpus:pluslist", "corpus:member_s"),
             "programs/member.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "concat_length",
@@ -273,14 +259,12 @@ def golden_cases() -> tuple:
             "the length relation",
             ("concat", "corpus:list_as_length", "corpus:nat_as_length"),
             "programs/length.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "concat_ground_sum",
             "concatenating three one-fact programs builds a three-argument fact",
             ("concat", "corpus:ground_p0", "corpus:ground_ps0", "corpus:ground_ps0"),
             "golden/one_arg3.lp",
-            comparison="exact",
         ),
         GoldenCase(
             "form_plus_nat",
@@ -375,10 +359,7 @@ def run_golden_case(case: GoldenCase) -> GoldenResult:
                             case.pinned_actual is not None)
 
     def same(target_name: str) -> bool:
-        target = program(target_name)
-        if case.comparison == "exact":
-            return got_text == render_program(target)
-        return parse_program(got_text) == target
+        return got_text == render_program(program(target_name))
 
     if case.pinned_actual is None:
         ok = same(case.expected)

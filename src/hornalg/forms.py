@@ -447,39 +447,30 @@ def eval_form(table: dict, name: str, bindings: dict,
 # Non-constancy
 
 
-@dataclass(frozen=True, slots=True)
-class NonConstancyProbe:
-    """Structurally distinct programs used to witness that a form actually
-    depends on its arguments."""
-
-    programs: tuple
-
-
-DEFAULT_PROBE = NonConstancyProbe((
+# Structurally distinct programs on which a form must vary.
+PROBE_PROGRAMS = (
     parse_program("p(c)."),
     parse_program("p(c). p(f(X)) :- p(X)."),
     parse_program("p."),
     parse_program("p(c). p(d)."),
-))
+)
 
 
-def is_nonconstant(expr, probe: NonConstancyProbe = DEFAULT_PROBE,
-                   evaluator: Optional[Evaluator] = None,
+def is_nonconstant(expr, evaluator: Optional[Evaluator] = None,
                    table: Optional[dict] = None) -> bool:
     """True when the expression yields at least two distinct programs as all
-    its variables range together over the probe programs.  True proves
+    its variables range together over `PROBE_PROGRAMS`.  True proves
     non-constancy; False is only probe-relative."""
     ev = evaluator or Evaluator(table or {})
     key, fvars = ev.key_and_vars(expr)
-    memo_key = (key, id(probe))
-    hit = ev._probes.get(memo_key)
+    hit = ev._probes.get(key)
     if hit is not None:
-        return hit[1]
+        return hit
     names = sorted(fvars)
     result = False
     if names:
         seen = set()
-        for prog in probe.programs:
+        for prog in PROBE_PROGRAMS:
             b = make_binding(prog)
             try:
                 seen.add(ev.eval(expr, {n: b for n in names}, {}))
@@ -488,7 +479,7 @@ def is_nonconstant(expr, probe: NonConstancyProbe = DEFAULT_PROBE,
             if len(seen) >= 2:
                 result = True
                 break
-    ev._probes[memo_key] = (probe, result)
+    ev._probes[key] = result
     return result
 
 

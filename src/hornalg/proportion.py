@@ -3,12 +3,10 @@
 A proportion problem asks whether four programs stand in the relation
 "P is to Q as R is to S", with P, Q drawn from a source domain and R, S
 from a target domain.  A witness explains the relation by two program
-forms F and G, applied to vectors of auxiliary programs, in one of three
-line patterns:
-
-    fgfg:  P = F(Pvec)   Q = G(Pvec)   R = F(Rvec)   S = G(Rvec)
-    fggf:  P = F(Pvec)   Q = G(Pvec)   R = G(Rvec)   S = F(Rvec)
-    ffgg:  P = F(Pvec)   Q = F(Rvec)   R = G(Pvec)   S = G(Rvec)
+forms F and G, applied to vectors of auxiliary programs, along one of
+three line patterns, `fgfg`, `fggf` and `ffgg`.  A pattern's letters name
+the form that yields P, Q, R and S in turn; `_LINE_EQUATIONS` states the
+vector each one reads, and is the only statement of what a line means.
 
 `check_proportion` verifies a witness item by item (fixed material inside
 the forms must lie in both domains, the forms must not be constant, the
@@ -24,21 +22,19 @@ import re
 from dataclasses import dataclass, fields
 from functools import cache
 from heapq import nsmallest
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from typing import Callable, Optional
 
 from .errors import BudgetError, FormEvalError, ProportionError
 from .forms import (
     _BINARY,
     _UNARY,
-    DEFAULT_PROBE,
     Binding,
     BodyOf,
     Evaluator,
     FactsOf,
     FormCall,
     Lit,
-    NonConstancyProbe,
     ProperOf,
     ReverseOf,
     VarRef,
@@ -97,14 +93,14 @@ def alien_symbols(p: Program, sig: DomainSig) -> list:
 # ---------------------------------------------------------------------------
 # Problems and witnesses
 
-_LINES = ("fgfg", "fggf", "ffgg")
-
 # Each line maps to equations (program, form, vector): program = form(vector).
+# The checker, the solver and the rearrangements all read this table.
 _LINE_EQUATIONS = {
     "fgfg": (("p", "f", "p"), ("q", "g", "p"), ("r", "f", "r"), ("s", "g", "r")),
     "fggf": (("p", "f", "p"), ("q", "g", "p"), ("r", "g", "r"), ("s", "f", "r")),
     "ffgg": (("p", "f", "p"), ("q", "f", "r"), ("r", "g", "p"), ("s", "g", "r")),
 }
+_LINES = tuple(_LINE_EQUATIONS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,10 +128,6 @@ class ProportionProblem:
                 )
 
 
-def _var_names(arity: int) -> frozenset:
-    return frozenset(f"X{i + 1}" for i in range(arity))
-
-
 @dataclass(frozen=True, slots=True)
 class ProportionWitness:
     """Two forms, two binding vectors, and the line pattern relating them.
@@ -146,7 +138,6 @@ class ProportionWitness:
     pvec: tuple  # of Binding
     rvec: tuple  # of Binding
     line: str
-    probe: NonConstancyProbe = DEFAULT_PROBE
 
     def __post_init__(self):
         object.__setattr__(self, "line", self.line.lower())
@@ -156,8 +147,7 @@ class ProportionWitness:
             raise ProportionError(
                 f"vector arity mismatch: {len(self.pvec)} source vs {len(self.rvec)} target"
             )
-        allowed = _var_names(len(self.pvec))
-        stray = (free_vars(self.f) | free_vars(self.g)) - allowed
+        stray = (free_vars(self.f) | free_vars(self.g)) - {f"X{i + 1}" for i in range(self.arity)}
         if stray:
             raise ProportionError(
                 "witness forms mention variables beyond the vector arity: "
@@ -169,12 +159,11 @@ class ProportionWitness:
         return len(self.pvec)
 
 
-def make_witness(f, g, pvec, rvec, line: str,
-                 probe: NonConstancyProbe = DEFAULT_PROBE) -> ProportionWitness:
+def make_witness(f, g, pvec, rvec, line: str) -> ProportionWitness:
     """Build a witness, wrapping raw programs in default bindings."""
     def coerce(vec):
         return tuple(b if isinstance(b, Binding) else make_binding(b) for b in vec)
-    return ProportionWitness(f, g, coerce(pvec), coerce(rvec), line, probe)
+    return ProportionWitness(f, g, coerce(pvec), coerce(rvec), line)
 
 
 def _vec_env(vec: tuple) -> dict:
@@ -239,6 +228,20 @@ def domain_offences(named, sig: DomainSig) -> list:
             if (bad := alien_symbols(prog, sig))]
 
 
+def _line_domains(line: str, source: DomainSig, target: DomainSig) -> tuple:
+    """`(source vector domain, target vector domain, shared)` on the line.
+    A vector lies in the domain of every program the line makes from it.
+    Every line makes P from the source vector and S from the target one;
+    where one vector also makes a program of the other side (ffgg), both
+    vectors lie in the intersection, and so must all four programs:
+    `shared` is then the intersection, otherwise None."""
+    if all(len({prog in "pq" for prog, _, v in _LINE_EQUATIONS[line] if v == vec}) == 1
+           for vec in "pr"):
+        return source, target, None
+    inter = source.intersection(target)
+    return inter, inter, inter
+
+
 def _item(code: str, offences: list, ok_detail: str) -> CheckItem:
     return CheckItem(code, not offences, "; ".join(offences) if offences else ok_detail)
 
@@ -288,22 +291,22 @@ def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
                    "all fixed material lies in both domains")]
 
     for code, form in (("f_nonconstant", witness.f), ("g_nonconstant", witness.g)):
-        ok = is_nonconstant(form, witness.probe, ev)
+        ok = is_nonconstant(form, ev)
         items.append(CheckItem(
             code,
             ok,
             f"{form_to_text(form)} {'varies' if ok else 'is constant'} on the probe programs",
         ))
 
-    psig, rsig = (inter, inter) if witness.line == "ffgg" else (source, target)
+    psig, rsig, shared = _line_domains(witness.line, source, target)
     for code, vec, sig in (("pvec_in_domain", witness.pvec, psig),
                            ("rvec_in_domain", witness.rvec, rsig)):
         entries = ((f"entry {i + 1}", b.program) for i, b in enumerate(vec))
         items.append(_item(code, domain_offences(entries, sig), f"all entries lie in {sig.name}"))
-    if witness.line == "ffgg":
+    if shared is not None:
         four = (("P", problem.p), ("Q", problem.q), ("R", problem.r), ("S", s_prog))
-        items.append(_item("ffgg_intersection", domain_offences(four, inter),
-                           f"all four programs lie in {inter.name}"))
+        items.append(_item("ffgg_intersection", domain_offences(four, shared),
+                           f"all four programs lie in {shared.name}"))
     items.append(_item("s_in_target", domain_offences((("S", s_prog),), target),
                        f"S lies in {target.name}"))
 
@@ -332,52 +335,57 @@ def _shift_expr(expr, offset: int):
     return rebuild(expr, lambda e: _shift_expr(e, offset))
 
 
+# The three standard rearrangements of P : Q :: R : S, each with the
+# original programs that become its P, Q, R and S.
+_REARRANGEMENTS = (("q:p::s:r", "qpsr"), ("r:s::p:q", "rspq"), ("p:r::q:s", "prqs"))
+
+
+def _relabelled_witness(witness: ProportionWitness, order: str) -> Optional[ProportionWitness]:
+    """A witness for the original programs taken in `order`: the line, form
+    order and vector order whose equations are the original ones with the
+    programs relabelled, or None when there is none.  Labels are compared,
+    never the forms or vectors, which may coincide."""
+    relabel = dict(zip(order, "pqrs"))
+    want = {(relabel[prog], form, vec) for prog, form, vec in _LINE_EQUATIONS[witness.line]}
+    parts = {"f": witness.f, "g": witness.g, "p": witness.pvec, "r": witness.rvec}
+    for line, (f, g), (pv, rv) in product(_LINES, ("fg", "gf"), ("pr", "rp")):
+        to = {"f": f, "g": g, "p": pv, "r": rv}
+        if want == {(prog, to[form], to[vec]) for prog, form, vec in _LINE_EQUATIONS[line]}:
+            return ProportionWitness(parts[f], parts[g], parts[pv], parts[rv], line)
+    return None
+
+
 def derived_proportions(problem: ProportionProblem, witness: ProportionWitness,
                         s: Optional[Program] = None) -> list:
     """The three standard rearrangements of a proportion, each as
     (name, problem, witness).  A witness that verifies the original
-    verifies each derived one."""
+    verifies each derived one.  Each side of a rearranged proportion ranges
+    over the domain of its programs, or over the united domain where they
+    come from both sides."""
     s_prog = s if s is not None else problem.s
     if s_prog is None:
         raise ProportionError("derived proportions need the fourth program")
-    P, Q, R = problem.p, problem.q, problem.r
-    S = s_prog
-    f, g = witness.f, witness.g
-    pv, rv = witness.pvec, witness.rvec
-    line = witness.line
+    progs = {"p": problem.p, "q": problem.q, "r": problem.r, "s": s_prog}
     src, tgt = problem.source, problem.target
-    probe = witness.probe
+
+    def domain(labels: str) -> DomainSig:
+        if set(labels) <= set("pq"):
+            return src
+        return tgt if set(labels) <= set("rs") else src.union(tgt)
+
     out = []
-
-    # Q : P :: S : R
-    if line == "fgfg":
-        w1 = ProportionWitness(g, f, pv, rv, "fgfg", probe)
-    elif line == "fggf":
-        w1 = ProportionWitness(g, f, pv, rv, "fggf", probe)
-    else:
-        w1 = ProportionWitness(f, g, rv, pv, "ffgg", probe)
-    out.append(("q:p::s:r", ProportionProblem(Q, P, S, src, tgt, R), w1))
-
-    # R : S :: P : Q  (domains change sides)
-    if line == "fgfg":
-        w2 = ProportionWitness(f, g, rv, pv, "fgfg", probe)
-    elif line == "fggf":
-        w2 = ProportionWitness(g, f, rv, pv, "fggf", probe)
-    else:
-        w2 = ProportionWitness(g, f, pv, rv, "ffgg", probe)
-    out.append(("r:s::p:q", ProportionProblem(R, S, P, tgt, src, Q), w2))
-
-    # P : R :: Q : S  (both sides range over the united domain)
-    u = src.union(tgt)
-    if line == "fgfg":
-        w3 = ProportionWitness(f, g, pv, rv, "ffgg", probe)
-    elif line == "ffgg":
-        w3 = ProportionWitness(f, g, pv, rv, "fgfg", probe)
-    else:
-        n = witness.arity
-        w3 = ProportionWitness(f, _shift_expr(g, n), pv + rv, rv + pv, "fggf", probe)
-    out.append(("p:r::q:s", ProportionProblem(P, R, Q, u, u, S), w3))
-
+    for name, order in _REARRANGEMENTS:
+        w = _relabelled_witness(witness, order)
+        if w is None:
+            # P : R :: Q : S on fggf: F links P to S and G links Q to R, so
+            # each new vector holds both old ones, in either order, and G
+            # reads the second half.
+            pv, rv = witness.pvec, witness.rvec
+            w = ProportionWitness(witness.f, _shift_expr(witness.g, len(pv)), pv + rv, rv + pv,
+                                  "fggf")
+        p, q, r, s_new = (progs[label] for label in order)
+        rearranged = ProportionProblem(p, q, r, domain(order[:2]), domain(order[2:]), s_new)
+        out.append((name, rearranged, w))
     return out
 
 
@@ -396,11 +404,9 @@ class SolveBudget:
     max_forms: int = 20000
     max_solutions: int = 64
     witnesses_per_s: int = 4
-    lines: tuple = _LINES
 
     def __post_init__(self):
-        negative = [f.name for f in fields(self)
-                    if f.name != "lines" and getattr(self, f.name) < 0]
+        negative = [f.name for f in fields(self) if getattr(self, f.name) < 0]
         if negative:
             raise ProportionError(f"negative solve budget: {', '.join(negative)}")
 
@@ -512,6 +518,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     P, Q, R = problem.p, problem.q, problem.r
+    known = {"p": P, "q": Q, "r": R}
     source, target = problem.source, problem.target
     inter = source.intersection(target)
 
@@ -521,11 +528,18 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     @cache
     def form_ok(i: int) -> bool:
         return (not fixed_material_offences((forms[i],), inter, ev.table)
-                and is_nonconstant(forms[i], DEFAULT_PROBE, ev))
+                and is_nonconstant(forms[i], ev))
 
     @cache
     def lies_in(prog: Program, sig: DomainSig) -> bool:
         return not domain_offences((("", prog),), sig)
+
+    def fitting(positions, tval: list, value: Optional[Program], ssig: DomainSig) -> list:
+        """The positions whose value on the target vector is `value`, or,
+        for None, a candidate S: any value lying in `ssig`."""
+        if value is None:
+            return [i for i in positions if tval[i] is not None and lies_in(tval[i], ssig)]
+        return [i for i in positions if tval[i] == value]
 
     # The value map of a vector program: each form's value by pool position
     # (None when it fails to evaluate) and the positions giving each value.
@@ -550,14 +564,16 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # `check_proportion`'s Evaluator applies give on that very vector, and
     # lookups use the same Program equality, so the check would agree.
     verified: list = []  # (line, f, g, source vector, target vector, S) by position
-    for line in budget.lines:
-        if line == "ffgg":
-            if not all(lies_in(x, inter) for x in (P, Q, R)):
-                continue
-            # S in the intersection is also in the target (`s_in_target`)
-            psig = rsig = ssig = inter
-        else:
-            psig, rsig, ssig = source, target, target
+    for line in _LINES:
+        psig, rsig, shared = _line_domains(line, source, target)
+        if shared is not None and not all(lies_in(x, shared) for x in (P, Q, R)):
+            continue
+        # What each form must give on the source and on the target vector;
+        # None stands for S, which lies in the target vector's domain, as
+        # S in the intersection is also in the target (`s_in_target`).
+        gives = {form + vec: known.get(prog) for prog, form, vec in _LINE_EQUATIONS[line]}
+        f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
+        f_gives_s = f_target is None
         for si, sv in enumerate(svecs):
             if not lies_in(sv, psig):
                 continue
@@ -566,19 +582,12 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
                 if not lies_in(tv, rsig):
                     continue
                 tval, _ = value_map(tv)
-                if line == "fggf":  # F yields S, G is pinned on the target side
-                    fs = [i for i in sby.get(P, ())
-                          if tval[i] is not None and lies_in(tval[i], ssig)]
-                    gs = [i for i in sby.get(Q, ()) if tval[i] == R]
-                else:  # F is pinned on the target side, G yields S
-                    pinned, g_value = (R, Q) if line == "fgfg" else (Q, R)
-                    fs = [i for i in sby.get(P, ()) if tval[i] == pinned]
-                    gs = [i for i in sby.get(g_value, ())
-                          if tval[i] is not None and lies_in(tval[i], ssig)]
+                fs = fitting(sby.get(f_source, ()), tval, f_target, rsig)
+                gs = fitting(sby.get(g_source, ()), tval, g_target, rsig)
                 # The form checks run last: they evaluate the forms on the probe.
                 fs = [i for i in fs if form_ok(i)] if gs else ()
                 gs = [i for i in gs if form_ok(i)] if fs else ()
-                verified.extend((line, f, g, si, ti, tval[f if line == "fggf" else g])
+                verified.extend((line, f, g, si, ti, tval[f] if f_gives_s else tval[g])
                                 for f in fs for g in gs)
 
     # Candidates stay position tuples until the cap: only the solutions

@@ -7,10 +7,12 @@ the program's own symbols up to a term depth; an explicit universe (or
 extra constants) can be supplied instead, which is how callers ask
 questions about data symbols that do not occur in the program text.
 
-A rule instance is admitted when every argument term of every atom in it
-belongs to the bounded universe; variable-free rules are kept verbatim
-(each is its own instance).  Answers are therefore bound-relative, and
-`equivalent` means equivalence at the bound, nothing stronger.
+One admission rule holds throughout: a rule instance is admitted when
+every argument term of every atom in it belongs to the bounded universe
+(a variable may take a value that occurs only inside universe terms);
+variable-free rules are kept verbatim (each is its own instance).  Answers
+are therefore bound-relative, and `equivalent` means equivalence at the
+bound, nothing stronger.
 
 `tp_step` and `least_model` evaluate bottom-up by matching, not through
 `ground`.  A plan fixed once per (program, universe) says how each rule's
@@ -110,8 +112,7 @@ def list_universe(constants: Iterable[str], max_len: int) -> frozenset:
     """The given constants plus every flat list over them up to max_len
     elements — a ready-made `GroundingBound.universe` for list programs.
     The bare constants are included because list elements are arguments
-    of their own in some atoms (member(X, L)), and because `ground`
-    enumerates each variable, list elements too, over the universe."""
+    of their own in some atoms (member(X, L))."""
     consts = [Compound(c) for c in sorted(set(constants))]
     out: list[Term] = list(consts)
     level: list[Term] = [NIL]
@@ -130,15 +131,28 @@ def _rule_closed(r: Rule, universe: frozenset) -> bool:
     return _atom_closed(r.head, universe) and all(_atom_closed(a, universe) for a in r.body)
 
 
-def closed_instances(rule: Rule, universe: frozenset, ordered_universe: list) -> Iterator[Rule]:
+def ordered_subterms(universe: frozenset) -> list:
+    """The terms of the universe and all their subterms, in rendering
+    order: every value a variable takes in some universe-closed instance."""
+    seen: set = set()
+    stack = list(universe)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Compound) and t not in seen:
+            seen.add(t)
+            stack.extend(t.args)
+    return sorted(seen, key=render_term)
+
+
+def closed_instances(rule: Rule, universe: frozenset, subterms: list) -> Iterator[Rule]:
     """The rule's instances whose argument terms all lie in the universe,
-    enumerated in `ordered_universe` order over the rule's variables; a
-    variable-free rule is its own only instance."""
+    enumerated in `subterms` order (see `ordered_subterms`) over the rule's
+    variables; a variable-free rule is its own only instance."""
     rvars = rule_vars(rule)
     if not rvars:
         yield rule
         return
-    for combo in product(ordered_universe, repeat=len(rvars)):
+    for combo in product(subterms, repeat=len(rvars)):
         inst = apply(dict(zip(rvars, combo)), rule)
         if _rule_closed(inst, universe):
             yield inst
@@ -146,14 +160,14 @@ def closed_instances(rule: Rule, universe: frozenset, ordered_universe: list) ->
 
 def ground(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> Program:
     """All instances of p's rules with argument terms inside the bounded
-    universe.  Variable-free rules are their own instances and pass
-    through unchanged."""
+    universe, the instances `least_model` admits.  Variable-free rules are
+    their own instances and pass through unchanged."""
     universe = herbrand_universe(p, bound)
-    ordered_universe = sorted(universe, key=render_term)
+    subterms = ordered_subterms(universe)
     out: list[Rule] = []
     for rule in p:
         # Stop at the first instance past the budget, not after them all.
-        out.extend(islice(closed_instances(rule, universe, ordered_universe),
+        out.extend(islice(closed_instances(rule, universe, subterms),
                           bound.max_atoms - len(out) + 1))
         if len(out) > bound.max_atoms:
             raise GroundingOverflowError(bound.max_atoms)

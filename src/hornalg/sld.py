@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .semantics import GroundingBound, closed_instances, herbrand_universe
+from .semantics import GroundingBound, closed_instances, herbrand_universe, ordered_subterms
 from .syntax import (
     Atom,
     Program,
@@ -168,7 +168,7 @@ def find_rule_counterinstance(p: Program, rule: Rule,
     """A bounded ground instance whose body atoms are all provable while its
     head is not, or None when every checked instance passes."""
     universe = herbrand_universe(p | Program([rule]), bound)
-    for inst in closed_instances(rule, universe, sorted(universe, key=render_term)):
+    for inst in closed_instances(rule, universe, ordered_subterms(universe)):
         if all(proves(p, b, max_depth) for b in sorted(inst.body, key=render_atom)):
             if not proves(p, inst.head, max_depth):
                 return inst

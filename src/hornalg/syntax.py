@@ -516,9 +516,6 @@ class Program:
                     out.append(Rule(a, frozenset([r.head])))
         return Program(out)
 
-    def render(self) -> str:
-        return render_program(self)
-
 
 def render_program(p: Program) -> str:
     """Deterministic canonical rendering: one rule per line, no trailing newline."""

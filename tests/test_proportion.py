@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from hornalg import corpus
@@ -37,6 +40,7 @@ from hornalg.proportion import (
     vector_pool,
 )
 from hornalg.syntax import render_program
+from test_properties import _rand_problem
 
 
 def pg(text):
@@ -180,7 +184,7 @@ def test_explicit_s_overrides_problem_s():
 def test_wrong_line_fails_identities():
     spec = joint_spec()
     w = spec.witness
-    flipped = ProportionWitness(w.f, w.g, w.pvec, w.rvec, "fggf", w.probe)
+    flipped = ProportionWitness(w.f, w.g, w.pvec, w.rvec, "fggf")
     report = check_proportion(spec.problem, flipped, evaluator=ev_for(spec))
     assert not report.ok
 
@@ -203,6 +207,74 @@ def test_derived_proportions_between_counting_and_lists():
     for name, problem, witness in derived_proportions(spec.problem, spec.witness):
         report = check_proportion(problem, witness, evaluator=ev_for(spec))
         assert report.ok, f"{name}: {report.format_lines()}"
+
+
+def test_rearrangements_of_solver_witnesses_verify_on_every_line():
+    # every bundled problem is fgfg, so derive from solver witnesses instead
+    rng = random.Random(2024)
+    budget = SolveBudget(max_form_depth=1, max_vector_rules=2)
+    lines: Counter = Counter()
+    for k in range(60):
+        # target predicates disjoint from the source ones, then shared
+        problem = _rand_problem(rng, ("c", "d") if k % 2 else ("a", "b"))
+        for sol in solve_proportion(problem, budget):
+            lines[sol.witness.line] += 1
+            for name, derived, witness in derived_proportions(problem, sol.witness, sol.s):
+                report = check_proportion(derived, witness, evaluator=Evaluator())
+                assert report.ok, f"{sol.witness.line} {name}: {report.format_lines()}"
+    assert set(lines) == {"fgfg", "fggf", "ffgg"}
+
+
+A = DomainSig("A", frozenset({"a"}), frozenset())
+C = DomainSig("C", frozenset({"c"}), frozenset())
+AC = DomainSig("AC", frozenset({"a", "c"}), frozenset())
+X1 = VarRef("X1")
+V = "a. b :- a."
+
+
+@pytest.mark.parametrize("f, g, pvec, rvec, line, programs, source, target", [
+    # F and G are one form
+    (X1, X1, "a.", "c.", "fgfg", ("a.", "a.", "c.", "c."), A, C),
+    (X1, X1, "a.", "c.", "fggf", ("a.", "a.", "c.", "c."), A, C),
+    (X1, X1, "a.", "c.", "ffgg", ("a.", "c.", "a.", "c."), AC, AC),
+    # the two vectors are equal
+    (X1, FactsOf(X1), V, V, "fgfg", (V, "a.", V, "a."), AB, AB),
+    (X1, FactsOf(X1), V, V, "fggf", (V, "a.", "a.", V), AB, AB),
+    (X1, FactsOf(X1), V, V, "ffgg", (V, V, "a.", "a."), AB, AB),
+])
+def test_rearrangements_verify_when_forms_or_vectors_coincide(
+        f, g, pvec, rvec, line, programs, source, target):
+    p, q, r, s = map(pg, programs)
+    problem = ProportionProblem(p, q, r, source, target, s)
+    witness = make_witness(f, g, [pg(pvec)], [pg(rvec)], line)
+    assert check_proportion(problem, witness).ok
+    for name, derived, w in derived_proportions(problem, witness):
+        report = check_proportion(derived, w)
+        assert report.ok, f"{name}: {report.format_lines()}"
+
+
+# Each rearrangement of a witness on `line`: its line, then the original
+# forms and vectors in the order the rearranged witness takes them; None
+# for the two-entry witness of P : R :: Q : S on fggf.
+@pytest.mark.parametrize("line, expected", [
+    ("fgfg", [("fgfg", "gf", "pr"), ("fgfg", "fg", "rp"), ("ffgg", "fg", "pr")]),
+    ("fggf", [("fggf", "gf", "pr"), ("fggf", "gf", "rp"), None]),
+    ("ffgg", [("ffgg", "fg", "rp"), ("ffgg", "gf", "pr"), ("fgfg", "fg", "pr")]),
+])
+def test_derived_witnesses_follow_the_rearranged_equations(line, expected):
+    f, g = X1, FactsOf(X1)
+    pvec, rvec = (make_binding(pg("a.")),), (make_binding(pg("b.")),)
+    problem = ProportionProblem(pg("a."), pg("a."), pg("a."), AB, AB, pg("a."))
+    forms, vecs = {"f": f, "g": g}, {"p": pvec, "r": rvec}
+    derived = derived_proportions(problem, ProportionWitness(f, g, pvec, rvec, line))
+    for (name, _, w), want in zip(derived, expected):
+        if want is None:
+            assert (w.line, w.f, form_to_text(w.g)) == ("fggf", f, "facts(X2)")
+            assert (w.pvec, w.rvec) == (pvec + rvec, rvec + pvec)
+            continue
+        new_line, (wf, wg), (wp, wr) = want
+        assert (w.line, w.f, w.g, w.pvec, w.rvec) == (
+            new_line, forms[wf], forms[wg], vecs[wp], vecs[wr]), name
 
 
 def test_derived_proportions_need_s():

@@ -125,6 +125,15 @@ class RuleConsequenceTest(unittest.TestCase):
         bad = parse_rule("nat(s(X)) :- nat(f(X)).")
         self.assertTrue(proves_rule(NAT, bad, GroundingBound(max_term_depth=0)))
 
+    def test_instances_are_admitted_by_their_argument_terms(self):
+        # a lies only inside [a], yet U takes it: q([a]) :- r([]) is checked
+        p = parse_program("r([]).")
+        rule = parse_rule("q([U|X]) :- r(X).")
+        bound = GroundingBound(universe=frozenset({parse_atom("w([])").args[0],
+                                                   parse_atom("w([a])").args[0]}))
+        witness = find_rule_counterinstance(p, rule, bound)
+        self.assertEqual(render_rule(witness), "q([a]) :- r([]).")
+
 
 def test_render_term_of_answers_uses_list_sugar():
     member = corpus.program("member")
