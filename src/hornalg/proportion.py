@@ -29,6 +29,7 @@ from .errors import BudgetError, FormEvalError, ProportionError
 from .forms import (
     _BINARY,
     _UNARY,
+    PROBE_PROGRAMS,
     Binding,
     BodyOf,
     Evaluator,
@@ -444,15 +445,22 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
     return pool
 
 
+_PENDING = object()  # a position not evaluated yet
+
+
 def pool_values(pool: list, ev: Evaluator) -> tuple:
-    """The forms of `pool`, the first of each `expr_key`, and a function
-    giving each one's value on a vector program by position (None where it
-    fails to evaluate).
+    """The forms of `pool`, the first of each `expr_key`, and `values_on`:
+    `values_on(prog)` is a function from a position to that form's value
+    on the vector program (None where it fails to evaluate).  A position,
+    and the positions it depends on, are evaluated the first time they are
+    read.
 
     A form of a `_BINARY` or `_UNARY` kind whose operands are earlier pool
     forms gets that table entry's operation on their values, the step
-    `Evaluator._eval` takes.  Any other form goes through `ev.eval`.  Forms
-    with no variable are evaluated once."""
+    `Evaluator._eval` takes.  Each operation is applied once for each
+    distinct operand values over all vectors, told apart by `name_key`, as
+    concatenation sees variable names.  Any other form goes through
+    `ev.eval`.  Forms with no variable are evaluated once."""
     forms: list = []
     keys: dict = {}
     at: dict = {}  # id of each pool form -> position of its kept copy
@@ -471,23 +479,58 @@ def pool_values(pool: list, ev: Evaluator) -> tuple:
         else:
             steps.append((entry[1], args))
             fixed.append(all(fixed[a] for a in args))
+    applied: dict = {}  # (operation, operand name_keys) -> value
 
-    def run(positions, env: dict, vals: list) -> list:
-        for i in positions:
-            step = steps[i]
+    def compute(i: int, env: dict, value) -> Optional[Program]:
+        step = steps[i]
+        if step is None:
             try:
-                if step is None:
-                    vals[i] = ev.eval(forms[i], env, {})
-                else:
-                    xs = [vals[a] for a in step[1]]
-                    vals[i] = None if any(x is None for x in xs) else step[0](*xs)
+                return ev.eval(forms[i], env, {})
             except (FormEvalError, BudgetError):
-                vals[i] = None
-        return vals
+                return None
+        op, args = step
+        xs = []
+        for a in args:
+            if (x := value(a)) is None:
+                return None
+            xs.append(x)
+        key = (op, *[x.name_key() for x in xs])
+        out = applied.get(key, _PENDING)
+        if out is _PENDING:
+            try:
+                out = op(*xs)
+            except (FormEvalError, BudgetError):
+                out = None
+            applied[key] = out
+        return out
 
-    base = run([i for i in range(len(forms)) if fixed[i]], {}, [None] * len(forms))
-    varying = [i for i in range(len(forms)) if not fixed[i]]
-    return forms, lambda prog: run(varying, {"X1": make_binding(prog)}, list(base))
+    def vector(env: dict):
+        vals = [_PENDING] * len(forms)
+
+        def value(i: int) -> Optional[Program]:
+            v = vals[i]
+            if v is _PENDING:  # forms with no variable are read off the empty vector
+                v = vals[i] = fixed_value(i) if fixed[i] and env else compute(i, env, value)
+            return v
+        return value
+
+    fixed_value = vector({})
+    return forms, lambda prog: vector({"X1": make_binding(prog)})
+
+
+def nonconstant_at(values_on) -> Callable[[int], bool]:
+    """`is_nonconstant` of the pool form at a position: whether its values
+    on `PROBE_PROGRAMS`, each one more vector of `values_on`, hold two
+    distinct programs.  A probe is evaluated at a position only while the
+    values before it hold fewer than two."""
+    probes = [values_on(prog) for prog in PROBE_PROGRAMS]
+
+    def nonconstant(i: int) -> bool:
+        values = (v for value in probes if (v := value(i)) is not None)
+        first = next(values, None)
+        return any(v != first for v in values)
+
+    return nonconstant
 
 
 def vector_pool(rules: tuple, budget: SolveBudget) -> list:
@@ -515,6 +558,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # found once per copy.  The key tells {q(X).} from {q(Y).}, which are
     # equal programs that concatenation tells apart.
     forms, values_on = pool_values(form_pool(problem, budget), ev)
+    nonconstant = nonconstant_at(values_on)
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     P, Q, R = problem.p, problem.q, problem.r
@@ -527,42 +571,48 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # pool form, the domain checks once per (program, domain).
     @cache
     def form_ok(i: int) -> bool:
-        return (not fixed_material_offences((forms[i],), inter, ev.table)
-                and is_nonconstant(forms[i], ev))
+        return not fixed_material_offences((forms[i],), inter, ev.table) and nonconstant(i)
 
     @cache
     def lies_in(prog: Program, sig: DomainSig) -> bool:
         return not domain_offences((("", prog),), sig)
 
-    def fitting(positions, tval: list, value: Optional[Program], ssig: DomainSig) -> list:
-        """The positions whose value on the target vector is `value`, or,
+    def fitting(positions, value, want: Optional[Program], ssig: DomainSig) -> list:
+        """The positions whose value on the target vector is `want`, or,
         for None, a candidate S: any value lying in `ssig`."""
-        if value is None:
-            return [i for i in positions if tval[i] is not None and lies_in(tval[i], ssig)]
-        return [i for i in positions if tval[i] == value]
+        if want is None:
+            return [i for i in positions if (v := value(i)) is not None and lies_in(v, ssig)]
+        return [i for i in positions if value(i) == want]
 
-    # The value map of a vector program: each form's value by pool position
-    # (None when it fails to evaluate) and the positions giving each value.
-    # It is cached by name, as the Evaluator's memo is: concatenation sees
-    # variable names, so equal programs such as {q(X).} and {q(Y).} can give
-    # a form different values.
-    value_maps: dict = {}
+    # Each vector program's values by pool position, cached by name, as the
+    # Evaluator's memo is: concatenation sees variable names, so equal
+    # programs such as {q(X).} and {q(Y).} can give a form different values.
+    # A target vector is read only where a source lookup points; a source
+    # vector is read everywhere, to find the positions giving each value.
+    vectors: dict = {}
+    lookups: dict = {}
 
-    def value_map(prog: Program):
+    def vector(prog: Program):
         key = prog.name_key()
-        if key not in value_maps:
-            values = values_on(prog)
-            by_value: dict = {}
-            for i, v in enumerate(values):
-                if v is not None:
+        if key not in vectors:
+            vectors[key] = values_on(prog)
+        return vectors[key]
+
+    def lookup(prog: Program) -> dict:
+        key = prog.name_key()
+        if key not in lookups:
+            value = vector(prog)
+            by_value = lookups[key] = {}
+            for i in range(len(forms)):
+                if (v := value(i)) is not None:
                     by_value.setdefault(v, []).append(i)
-            value_maps[key] = (values, by_value)
-        return value_maps[key]
+        return lookups[key]
 
     # The line identities hold by construction: a candidate is generated only
-    # when the value-map lookups match.  Each map holds what the operations
+    # when the lookups match.  Each vector holds what the operations
     # `check_proportion`'s Evaluator applies give on that very vector, and
-    # lookups use the same Program equality, so the check would agree.
+    # lookups use the same Program equality, so the check would agree.  So
+    # does non-constancy, read off the probe programs' vectors.
     verified: list = []  # (line, f, g, source vector, target vector, S) by position
     for line in _LINES:
         psig, rsig, shared = _line_domains(line, source, target)
@@ -577,17 +627,17 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         for si, sv in enumerate(svecs):
             if not lies_in(sv, psig):
                 continue
-            _, sby = value_map(sv)
+            sby = lookup(sv)
             for ti, tv in enumerate(tvecs):
                 if not lies_in(tv, rsig):
                     continue
-                tval, _ = value_map(tv)
+                tval = vector(tv)
                 fs = fitting(sby.get(f_source, ()), tval, f_target, rsig)
                 gs = fitting(sby.get(g_source, ()), tval, g_target, rsig)
-                # The form checks run last: they evaluate the forms on the probe.
+                # The form checks run last: they evaluate the forms on the probes.
                 fs = [i for i in fs if form_ok(i)] if gs else ()
                 gs = [i for i in gs if form_ok(i)] if fs else ()
-                verified.extend((line, f, g, si, ti, tval[f] if f_gives_s else tval[g])
+                verified.extend((line, f, g, si, ti, tval(f) if f_gives_s else tval(g))
                                 for f in fs for g in gs)
 
     # Candidates stay position tuples until the cap: only the solutions

@@ -91,21 +91,38 @@ def herbrand_universe(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> froz
     for c in bound.constants:
         arities.setdefault(c, set()).add(0)
 
-    level: list[Term] = [Compound(f) for f, ns in sorted(arities.items()) if 0 in ns]
-    universe = dict.fromkeys(level)
+    # Level by level, in the order found.  A tuple of arguments that holds a
+    # term the level before found (from `start` on) gives a term one deeper
+    # than any found yet; every other tuple was used a level earlier.
+    terms: list[Term] = [Compound(f) for f, ns in sorted(arities.items()) if 0 in ns]
+    start = 0
     for _ in range(bound.max_term_depth):
-        prev = list(universe)
+        end = len(terms)
         for f, ns in sorted(arities.items()):
-            for n in sorted(ns):
-                if n == 0:
-                    continue
-                for args in product(prev, repeat=n):
-                    universe.setdefault(Compound(f, args))
-                    if len(universe) > bound.max_atoms:
+            for n in sorted(ns - {0}):
+                for args in _tuples_reaching(terms, start, end, n):
+                    terms.append(Compound(f, args))
+                    if len(terms) > bound.max_atoms:
                         raise GroundingOverflowError(bound.max_atoms)
-        if len(universe) == len(prev):
+        if len(terms) == end:
             break
-    return frozenset(universe)
+        start = end
+    # Built from a dict, as it always was: a set built from the list can
+    # iterate in another order, and `_Plan` and `least_model` follow it.
+    return frozenset(dict.fromkeys(terms))
+
+
+def _tuples_reaching(terms: list, start: int, end: int, n: int) -> Iterator[tuple]:
+    """The n-tuples over `terms[:end]` with an element in `terms[start:end]`,
+    in the order `itertools.product` gives them: those whose first element
+    lies before `start` come first."""
+    new = terms[start:end]
+    if n == 1:
+        return product(new)
+    prev = terms[:end]
+    first_old = ((t, *rest) for t in prev[:start]
+                 for rest in _tuples_reaching(prev, start, end, n - 1))
+    return chain(first_old, product(new, *[prev] * (n - 1)))
 
 
 def list_universe(constants: Iterable[str], max_len: int) -> frozenset:

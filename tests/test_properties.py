@@ -12,7 +12,7 @@ from hornalg.errors import (
     FormEvalError,
     ProportionError,
 )
-from hornalg.forms import Evaluator, form_to_text, make_binding
+from hornalg.forms import Evaluator, form_to_text, is_nonconstant, make_binding
 from hornalg.parser import parse_program
 from hornalg.proportion import (
     DomainSig,
@@ -21,6 +21,7 @@ from hornalg.proportion import (
     SolveBudget,
     check_proportion,
     form_pool,
+    nonconstant_at,
     pool_values,
     solve_proportion,
     vector_pool,
@@ -444,12 +445,18 @@ def test_solver_matches_oracle_on_overlapping_domains():
 
 def _assert_pool_values_match_evaluator(problem, table, budget):
     forms, values_on = pool_values(form_pool(problem, budget), Evaluator(table))
-    vectors = (vector_pool((problem.p | problem.q).rules, budget)
-               + vector_pool(problem.r.rules, budget))
-    for prog in vectors:
+    svecs = vector_pool((problem.p | problem.q).rules, budget)
+    tvecs = vector_pool(problem.r.rules, budget)
+    # The solver reads a source vector in pool order and a target vector
+    # wherever a lookup points; reading backwards evaluates each position
+    # before the positions it depends on.
+    positions = range(len(forms))
+    for prog, order in [(sv, positions) for sv in svecs] + [(tv, positions[::-1]) for tv in tvecs]:
         ev = Evaluator(table)
         env = {"X1": make_binding(prog)}
-        for fm, got in zip(forms, values_on(prog), strict=True):
+        value = values_on(prog)
+        for i in order:
+            fm, got = forms[i], value(i)
             try:
                 want = ev.eval(fm, env, {})
             except (FormEvalError, BudgetError):
@@ -459,14 +466,34 @@ def _assert_pool_values_match_evaluator(problem, table, budget):
                 assert got is not None and got.name_key() == want.name_key(), form_to_text(fm)
 
 
-def test_pool_values_match_the_evaluator():
-    budget = SolveBudget(max_form_depth=2)
+def _assert_nonconstancy_matches_checker(problem, table, budget):
+    forms, values_on = pool_values(form_pool(problem, budget), Evaluator(table))
+    nonconstant = nonconstant_at(values_on)
+    ev = Evaluator(table)  # the checker's, sharing nothing with the pool's
+    for i in reversed(range(len(forms))):  # each position before its operands
+        assert nonconstant(i) == is_nonconstant(forms[i], ev), form_to_text(forms[i])
+
+
+def _pool_problems():
+    """Every bundled problem with its table, then 20 seeded random ones."""
     for name in corpus.names("proportions"):
         spec = corpus.problem_spec(name)
-        _assert_pool_values_match_evaluator(spec.problem, spec.table, budget)
+        yield spec.problem, spec.table
     rng = random.Random(2323)
     for _ in range(20):
-        _assert_pool_values_match_evaluator(_rand_problem(rng), {}, budget)
+        yield _rand_problem(rng), {}
+
+
+def test_pool_values_match_the_evaluator():
+    budget = SolveBudget(max_form_depth=2)
+    for problem, table in _pool_problems():
+        _assert_pool_values_match_evaluator(problem, table, budget)
+
+
+def test_positional_nonconstancy_matches_the_checker():
+    budget = SolveBudget(max_form_depth=2)
+    for problem, table in _pool_problems():
+        _assert_nonconstancy_matches_checker(problem, table, budget)
 
 
 # ---------------------------------------------------------------------------

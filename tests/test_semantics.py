@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+from itertools import product
+
 import pytest
 
 from hornalg import corpus, semantics
@@ -15,7 +18,7 @@ from hornalg.semantics import (
     list_universe,
     tp_step,
 )
-from hornalg.syntax import NIL, Program, const, render_term
+from hornalg.syntax import NIL, Compound, Program, const, render_term
 from test_properties import naive_fixpoint
 
 
@@ -50,6 +53,60 @@ def test_universe_overflow():
     wide = pg("p(f(X,Y),g(X)). p(a,b). p(c,d).")
     with pytest.raises(GroundingOverflowError):
         herbrand_universe(wide, GroundingBound(max_term_depth=4, max_atoms=50))
+
+
+def _universe_by_full_products(p, bound):
+    """The reference construction: each level is built from every argument
+    tuple over all the terms found so far."""
+    arities = {}
+
+    def collect(t):
+        if isinstance(t, Compound):
+            arities.setdefault(t.functor, set()).add(len(t.args))
+            for a in t.args:
+                collect(a)
+
+    for atom in p.all_atoms():
+        for t in atom.args:
+            collect(t)
+    universe = dict.fromkeys(Compound(f) for f, ns in sorted(arities.items()) if 0 in ns)
+    for _ in range(bound.max_term_depth):
+        prev = list(universe)
+        for f, ns in sorted(arities.items()):
+            for n in sorted(ns - {0}):
+                for args in product(prev, repeat=n):
+                    universe.setdefault(Compound(f, args))
+                    if len(universe) > bound.max_atoms:
+                        raise GroundingOverflowError(bound.max_atoms)
+        if len(universe) == len(prev):
+            break
+    return frozenset(universe)
+
+
+def test_universe_levels_agree_with_full_products():
+    # Same terms in the same order, and an overflow exactly where the full
+    # products overflow.
+    for name in corpus.names("programs"):
+        p = corpus.program(name)
+        for depth in range(7):
+            bound = GroundingBound(max_term_depth=depth, max_atoms=5000)
+            try:
+                want = _universe_by_full_products(p, bound)
+            except GroundingOverflowError:
+                with pytest.raises(GroundingOverflowError):
+                    herbrand_universe(p, bound)
+                continue
+            got = herbrand_universe(p, bound)
+            assert list(got) == list(want), (name, depth)
+
+
+def test_universe_work_grows_with_its_size():
+    # Building every tuple over the whole universe at each level is
+    # quadratic in the depth: seconds, not milliseconds, for these terms.
+    start = time.perf_counter()
+    u = herbrand_universe(NAT, GroundingBound(max_term_depth=2000))
+    assert len(u) == 2001
+    assert time.perf_counter() - start < 1.0
 
 
 def test_list_universe_contents():
