@@ -196,7 +196,7 @@ def cmd_prop_check(args) -> int:
 
 def _parse_budget(text: Optional[str]) -> Optional[SolveBudget]:
     """Budget spec: a bare integer (form depth) or comma-separated
-    key=value pairs over depth, vec, forms, solutions."""
+    key=value pairs over depth, vec, forms, solutions, per-s."""
     if text is None:
         return None
     text = text.strip()
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--budget", metavar="SPEC",
                    help="bare depth or key=value pairs over "
-                        "depth, vec, forms, solutions")
+                        "depth, vec, forms, solutions, per-s")
 
     p = add("golden", cmd_golden, "run the bundled golden cases")
     p.add_argument("--only", help="run only cases whose name contains this")

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .errors import ParseError
-from .forms import Evaluator, FormCall, make_binding, parse_forms
+from . import forms
+from .errors import FormEvalError, ParseError
+from .forms import Binding, Evaluator, make_binding, parse_forms
 from .parser import parse_program
 from .proportion import ProblemSpec, parse_proportion_file
 from .syntax import Program, render_program
@@ -101,17 +102,15 @@ def evaluator() -> Evaluator:
 
 
 def eval_form(form_name: str, *bindings) -> Program:
-    """Apply a bundled form; raw programs are wrapped in default bindings."""
+    """Apply a bundled form to its arguments in order; raw programs are
+    wrapped in default bindings."""
     table = forms_table()
-    fd = table[form_name]
-    coerced = [b if hasattr(b, "program") else make_binding(b) for b in bindings]
-    if len(coerced) != len(fd.params):
-        raise ValueError(
-            f"form {form_name} takes {len(fd.params)} arguments, got {len(coerced)}"
-        )
-    params = tuple(f"X{i + 1}" for i in range(len(coerced)))
-    call = FormCall(form_name, params)
-    return evaluator().eval(call, dict(zip(params, coerced)), {})
+    params = table[form_name].params if form_name in table else ()
+    if params and len(bindings) != len(params):
+        raise FormEvalError(f"form {form_name} takes {len(params)} arguments, got {len(bindings)}")
+    named = {spec.name: b if isinstance(b, Binding) else make_binding(b)
+             for spec, b in zip(params, bindings)}
+    return forms.eval_form(table, form_name, named, evaluator())
 
 
 # ---------------------------------------------------------------------------

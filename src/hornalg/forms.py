@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from . import algebra, semantics
 from .errors import BudgetError, FormEvalError, ParseError
@@ -278,33 +278,33 @@ def free_vars(expr) -> frozenset:
     return free_vars(expr.expr)
 
 
-def _binding_key(b: Binding) -> tuple:
-    return (b.program.name_key(), b.main_pred,
-            tuple(v.name for v in b.var_tuple))
+def _fields(expr) -> tuple:
+    """What tells a node apart from another of its kind with the same
+    operands.  Program equality is variant equality, but concatenation
+    captures variables by name, so program literals are told apart by
+    their variable names."""
+    kind = type(expr)
+    if kind in _BINARY or kind in _UNARY:
+        return ()
+    if kind is VarRef:
+        return (expr.name,)
+    if kind is Lit:
+        return (expr.program.name_key(),)
+    if kind is PowerOf:
+        return (expr.n,)
+    if kind is RenamePred:
+        return (expr.old, expr.new)
+    if kind is SubstIn:
+        return (expr.var, render_term(expr.term))
+    if kind is FormCall:
+        return (expr.name, expr.args)
+    raise TypeError(f"not a form expression: {kind.__name__}")
 
 
 def expr_key(expr) -> tuple:
-    """A hashable identity for a form expression.  Program equality is
-    variant equality, but concatenation captures variables by name, so
-    program literals are told apart by their variable names."""
-    kind = type(expr)
-    if kind is VarRef:
-        return ("var", expr.name)
-    if kind is Lit:
-        return ("lit", expr.program.name_key())
-    if kind in _BINARY:
-        return (kind.__name__, expr_key(expr.left), expr_key(expr.right))
-    if kind in _UNARY:
-        return (kind.__name__, expr_key(expr.expr))
-    if kind is PowerOf:
-        return ("power", expr_key(expr.expr), expr.n)
-    if kind is RenamePred:
-        return ("rename", expr_key(expr.expr), expr.old, expr.new)
-    if kind is SubstIn:
-        return ("subst", expr_key(expr.expr), expr.var, render_term(expr.term))
-    if kind is FormCall:
-        return ("call", expr.name, expr.args)
-    raise TypeError(f"not a form expression: {kind.__name__}")
+    """A hashable identity for a form expression: its kind, its own fields
+    and its operands' keys."""
+    return (type(expr).__name__, *_fields(expr), *map(expr_key, operands(expr)))
 
 
 def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
@@ -338,53 +338,144 @@ def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
 # Evaluation
 
 
-class Evaluator:
-    """Evaluates form expressions against bindings, memoizing results.
+_FAILURES = (FormEvalError, BudgetError)  # a form that raises these has no value
+_UNREAD = object()  # a position whose value is not computed yet
 
-    One evaluator may be shared across many evaluations; the memo key is
-    the expression plus the bindings its free variables see (other
-    bindings in the environment cannot influence the result).
+
+class Evaluator:
+    """Evaluates form expressions against bindings, by position.
+
+    Each distinct expression (by `expr_key`, and for a placeholder rename
+    by the parameter it reads) gets a position the first time it is met,
+    after its operands.  Values are kept per environment (the bindings,
+    told apart by `name_key` and main predicate) by position, and computed
+    the first time they are read.  A `_BINARY` or `_UNARY` node applies its
+    operation to its operands' values once per distinct operand `name_key`s
+    over all environments: concatenation sees variable names, so `{q(X).}`
+    and `{q(Y).}` never share a result.  A value that needs no binding (no
+    variable, no placeholder) is read off the empty environment.  Any other
+    node goes through `_eval`.  Where a node fails, what it raised is kept,
+    and `eval` raises it again.
     """
 
     def __init__(self, table: Optional[dict] = None):
         self.table = table or {}
-        self._memo: dict = {}
-        # expr_key and free_vars walk the whole expression; keep both per
-        # expression object.  Keeping the expression in the value pins it,
-        # so its id cannot be reused.
-        self._exprs: dict = {}
-        self._probes: dict = {}
+        # Node key -> position.  A node's key holds its operands' positions,
+        # so keys are equal exactly where `expr_key`s are; a rename whose
+        # old name is a placeholder adds the parameter it reads.
+        self._at: dict = {}
+        # The position of each expression object met, by id and placeholders;
+        # `_met` keeps the objects, so their ids cannot be reused.
+        self._ids: dict = {}
+        self._met: list = []
+        # Per position: (node, operand positions, operation or None, the
+        # parameter a placeholder rename reads, whether the value needs no
+        # binding).
+        self._plan: list = []
+        self._envs: dict = {}  # environment key -> (values, failures) by position
+        self._applied: dict = {}  # (operation, operand name_keys) -> (value, failure)
 
-    def key_and_vars(self, expr) -> tuple:
-        """`(expr_key(expr), free_vars(expr))`, computed once per object."""
-        hit = self._exprs.get(id(expr))
-        if hit is None:
-            hit = self._exprs[id(expr)] = (expr, (expr_key(expr), free_vars(expr)))
-        return hit[1]
+    def position(self, expr, placeholders: Optional[dict] = None) -> int:
+        """The position of `expr` inside a form whose placeholders stand for
+        the parameters `placeholders` maps them to."""
+        at = (id(expr), *sorted(placeholders.items())) if placeholders else id(expr)
+        i = self._ids.get(at)
+        if i is not None:
+            return i
+        kind = type(expr)
+        args = tuple([self.position(sub, placeholders) for sub in operands(expr)])
+        param = placeholders.get(expr.old) if placeholders and kind is RenamePred else None
+        key = (kind, *_fields(expr), *args, param)
+        i = self._at.get(key)
+        if i is None:
+            entry = _BINARY.get(kind) or _UNARY.get(kind)
+            if kind is VarRef:
+                fixed = False
+            elif kind is FormCall:
+                fixed = not expr.args  # the callee sees only its arguments
+            else:
+                fixed = param is None and all(self._plan[a][4] for a in args)
+            i = self._at[key] = len(self._plan)
+            self._plan.append((expr, args, entry and entry[1], param, fixed))
+        self._ids[at] = i
+        self._met.append(expr)
+        return i
+
+    def values(self, env: dict) -> Callable[[int], Optional[Program]]:
+        """A function from a position to its form's value in `env`, None
+        where it fails to evaluate."""
+        return self._env(env)[0]
 
     def eval(self, expr, env: Optional[dict] = None, placeholders: Optional[dict] = None) -> Program:
-        env = env or {}
-        placeholders = placeholders or {}
-        ekey, fvars = self.key_and_vars(expr)
-        key = (
-            ekey,
-            tuple(sorted((n, _binding_key(env[n])) for n in fvars if n in env)),
-            tuple(sorted(placeholders.items())),
-        )
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(expr, env, placeholders)
-        self._memo[key] = out
+        i = self.position(expr, placeholders)
+        value, failures = self._env(env or {})
+        out = value(i)
+        if out is None:
+            raise failures[i].with_traceback(None)
         return out
 
-    def _eval(self, expr, env: dict, placeholders: dict) -> Program:
+    def _env(self, env: dict) -> tuple:
+        """`(value, failures)` of `env`: the value at a position, computed on
+        first read, and what was raised where it is None."""
+        key = tuple(sorted([(n, b.program.name_key(), b.main_pred) for n, b in env.items()]))
+        hit = self._envs.get(key)
+        if hit is None:
+            hit = self._envs[key] = self._new_env(env)
+        return hit
+
+    def _new_env(self, env: dict) -> tuple:
+        plan, applied = self._plan, self._applied
+        vals: list = []  # by position; positions met later extend it
+        failures: dict = {}
+        empty, empty_failures = self._env({}) if env else (None, None)
+
+        def value(i: int) -> Optional[Program]:
+            try:
+                out = vals[i]
+            except IndexError:
+                vals.extend([_UNREAD] * (len(plan) - len(vals)))
+                out = _UNREAD
+            if out is not _UNREAD:
+                return out
+            node, args, op, param, fixed = plan[i]
+            out = failure = None
+            if fixed and empty is not None:
+                if (out := empty(i)) is None:
+                    failure = empty_failures[i]
+            else:
+                xs = []
+                for a in args:
+                    if (x := value(a)) is None:
+                        failure = failures[a]
+                        break
+                    xs.append(x)
+                else:
+                    if op is not None:
+                        key = (op, *[x.name_key() for x in xs])
+                        done = applied.get(key)
+                        if done is None:
+                            try:
+                                done = (op(*xs), None)
+                            except _FAILURES as e:
+                                done = (None, e)
+                            applied[key] = done
+                        out, failure = done
+                    else:
+                        try:
+                            out = self._eval(node, xs, env, param)
+                        except _FAILURES as e:
+                            failure = e
+            vals[i] = out
+            if out is None:
+                failures[i] = failure
+            return out
+
+        return value, failures
+
+    def _eval(self, expr, xs: list, env: dict, param: Optional[str]) -> Program:
+        """The value of a node that is no operator, given its operands'
+        values and, for a placeholder rename, the parameter it reads."""
         kind = type(expr)
-        if kind in _BINARY:
-            return _BINARY[kind][1](self.eval(expr.left, env, placeholders),
-                                    self.eval(expr.right, env, placeholders))
-        if kind in _UNARY:
-            return _UNARY[kind][1](self.eval(expr.expr, env, placeholders))
         if kind is VarRef:
             b = env.get(expr.name)
             if b is None:
@@ -393,19 +484,19 @@ class Evaluator:
         if kind is Lit:
             return expr.program
         if kind is PowerOf:
-            return algebra.power(self.eval(expr.expr, env, placeholders), expr.n)
+            return algebra.power(xs[0], expr.n)
         if kind is RenamePred:
             old = expr.old
-            if old in placeholders:
-                b = env.get(placeholders[old])
+            if param is not None:
+                b = env.get(param)
                 if b is None or b.main_pred is None:
                     raise FormEvalError(
                         f"placeholder {old} has no main predicate to resolve against"
                     )
                 old = b.main_pred
-            return self.eval(expr.expr, env, placeholders).rename_predicate(old, expr.new)
+            return xs[0].rename_predicate(old, expr.new)
         if kind is SubstIn:
-            return apply({Var(expr.var): expr.term}, self.eval(expr.expr, env, placeholders))
+            return apply({Var(expr.var): expr.term}, xs[0])
         if kind is FormCall:
             fd = self.table.get(expr.name)
             if fd is None:
@@ -454,33 +545,26 @@ PROBE_PROGRAMS = (
     parse_program("p."),
     parse_program("p(c). p(d)."),
 )
+_PROBE_BINDINGS = tuple(make_binding(prog) for prog in PROBE_PROGRAMS)
 
 
 def is_nonconstant(expr, evaluator: Optional[Evaluator] = None,
                    table: Optional[dict] = None) -> bool:
     """True when the expression yields at least two distinct programs as all
     its variables range together over `PROBE_PROGRAMS`.  True proves
-    non-constancy; False is only probe-relative."""
+    non-constancy; False is only probe-relative.  A probe is evaluated only
+    while the values before it hold fewer than two programs."""
     ev = evaluator or Evaluator(table or {})
-    key, fvars = ev.key_and_vars(expr)
-    hit = ev._probes.get(key)
-    if hit is not None:
-        return hit
-    names = sorted(fvars)
-    result = False
-    if names:
-        seen = set()
-        for prog in PROBE_PROGRAMS:
-            b = make_binding(prog)
-            try:
-                seen.add(ev.eval(expr, {n: b for n in names}, {}))
-            except (FormEvalError, BudgetError):
-                continue
-            if len(seen) >= 2:
-                result = True
-                break
-    ev._probes[key] = result
-    return result
+    i = ev.position(expr)
+    names = free_vars(expr)
+    first = None
+    for b in _PROBE_BINDINGS if names else ():
+        v = ev.values({n: b for n in names})(i)
+        if first is None:
+            first = v
+        elif v is not None and v != first:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from typing import Callable, Optional
 from .errors import BudgetError, FormEvalError, ProportionError
 from .forms import (
     _BINARY,
-    _UNARY,
-    PROBE_PROGRAMS,
     Binding,
     BodyOf,
     Evaluator,
@@ -39,13 +37,11 @@ from .forms import (
     ProperOf,
     ReverseOf,
     VarRef,
-    expr_key,
     form_to_text,
     free_vars,
     is_nonconstant,
     literal_requirements,
     make_binding,
-    operands,
     rebuild,
 )
 from .syntax import Program, Rule, Var, render_atom, render_program
@@ -445,94 +441,6 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
     return pool
 
 
-_PENDING = object()  # a position not evaluated yet
-
-
-def pool_values(pool: list, ev: Evaluator) -> tuple:
-    """The forms of `pool`, the first of each `expr_key`, and `values_on`:
-    `values_on(prog)` is a function from a position to that form's value
-    on the vector program (None where it fails to evaluate).  A position,
-    and the positions it depends on, are evaluated the first time they are
-    read.
-
-    A form of a `_BINARY` or `_UNARY` kind whose operands are earlier pool
-    forms gets that table entry's operation on their values, the step
-    `Evaluator._eval` takes.  Each operation is applied once for each
-    distinct operand values over all vectors, told apart by `name_key`, as
-    concatenation sees variable names.  Any other form goes through
-    `ev.eval`.  Forms with no variable are evaluated once."""
-    forms: list = []
-    keys: dict = {}
-    at: dict = {}  # id of each pool form -> position of its kept copy
-    for fm in pool:
-        i = at[id(fm)] = keys.setdefault(expr_key(fm), len(forms))
-        if i == len(forms):
-            forms.append(fm)
-    steps: list = []  # per position: (operation, operand positions) or None
-    fixed: list = []  # per position: the value needs no vector
-    for i, fm in enumerate(forms):
-        entry = _BINARY.get(type(fm)) or _UNARY.get(type(fm))
-        args = tuple(at.get(id(sub), i) for sub in operands(fm))
-        if entry is None or any(a >= i for a in args):  # i: not an earlier form
-            steps.append(None)
-            fixed.append(not free_vars(fm))
-        else:
-            steps.append((entry[1], args))
-            fixed.append(all(fixed[a] for a in args))
-    applied: dict = {}  # (operation, operand name_keys) -> value
-
-    def compute(i: int, env: dict, value) -> Optional[Program]:
-        step = steps[i]
-        if step is None:
-            try:
-                return ev.eval(forms[i], env, {})
-            except (FormEvalError, BudgetError):
-                return None
-        op, args = step
-        xs = []
-        for a in args:
-            if (x := value(a)) is None:
-                return None
-            xs.append(x)
-        key = (op, *[x.name_key() for x in xs])
-        out = applied.get(key, _PENDING)
-        if out is _PENDING:
-            try:
-                out = op(*xs)
-            except (FormEvalError, BudgetError):
-                out = None
-            applied[key] = out
-        return out
-
-    def vector(env: dict):
-        vals = [_PENDING] * len(forms)
-
-        def value(i: int) -> Optional[Program]:
-            v = vals[i]
-            if v is _PENDING:  # forms with no variable are read off the empty vector
-                v = vals[i] = fixed_value(i) if fixed[i] and env else compute(i, env, value)
-            return v
-        return value
-
-    fixed_value = vector({})
-    return forms, lambda prog: vector({"X1": make_binding(prog)})
-
-
-def nonconstant_at(values_on) -> Callable[[int], bool]:
-    """`is_nonconstant` of the pool form at a position: whether its values
-    on `PROBE_PROGRAMS`, each one more vector of `values_on`, hold two
-    distinct programs.  A probe is evaluated at a position only while the
-    values before it hold fewer than two."""
-    probes = [values_on(prog) for prog in PROBE_PROGRAMS]
-
-    def nonconstant(i: int) -> bool:
-        values = (v for value in probes if (v := value(i)) is not None)
-        first = next(values, None)
-        return any(v != first for v in values)
-
-    return nonconstant
-
-
 def vector_pool(rules: tuple, budget: SolveBudget) -> list:
     """Programs formed from subsets of the given rules, smallest first."""
     out: list = []
@@ -554,11 +462,12 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     canonical order and capped at `budget.max_solutions`."""
     budget = budget or SolveBudget()
     ev = evaluator or Evaluator()
-    # Keep the first form of each `expr_key`, or one candidate would be
-    # found once per copy.  The key tells {q(X).} from {q(Y).}, which are
+    # The first form of each evaluator position, or one candidate would be
+    # found once per copy.  Positions tell {q(X).} from {q(Y).}, which are
     # equal programs that concatenation tells apart.
-    forms, values_on = pool_values(form_pool(problem, budget), ev)
-    nonconstant = nonconstant_at(values_on)
+    forms: dict = {}
+    for fm in form_pool(problem, budget):
+        forms.setdefault(ev.position(fm), fm)
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     P, Q, R = problem.p, problem.q, problem.r
@@ -571,7 +480,8 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # pool form, the domain checks once per (program, domain).
     @cache
     def form_ok(i: int) -> bool:
-        return not fixed_material_offences((forms[i],), inter, ev.table) and nonconstant(i)
+        return (not fixed_material_offences((forms[i],), inter, ev.table)
+                and is_nonconstant(forms[i], ev))
 
     @cache
     def lies_in(prog: Program, sig: DomainSig) -> bool:
@@ -584,35 +494,24 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
             return [i for i in positions if (v := value(i)) is not None and lies_in(v, ssig)]
         return [i for i in positions if value(i) == want]
 
-    # Each vector program's values by pool position, cached by name, as the
-    # Evaluator's memo is: concatenation sees variable names, so equal
-    # programs such as {q(X).} and {q(Y).} can give a form different values.
-    # A target vector is read only where a source lookup points; a source
-    # vector is read everywhere, to find the positions giving each value.
-    vectors: dict = {}
-    lookups: dict = {}
+    # Each vector's values by position, from the evaluator.  A target
+    # vector is read only where a source lookup points; a source vector is
+    # read everywhere, to find the positions giving each value.
+    tvals = [ev.values(_vec_env((make_binding(tv),))) for tv in tvecs]
 
-    def vector(prog: Program):
-        key = prog.name_key()
-        if key not in vectors:
-            vectors[key] = values_on(prog)
-        return vectors[key]
-
-    def lookup(prog: Program) -> dict:
-        key = prog.name_key()
-        if key not in lookups:
-            value = vector(prog)
-            by_value = lookups[key] = {}
-            for i in range(len(forms)):
-                if (v := value(i)) is not None:
-                    by_value.setdefault(v, []).append(i)
-        return lookups[key]
+    @cache
+    def lookup(si: int) -> dict:
+        value = ev.values(_vec_env((make_binding(svecs[si]),)))
+        by_value: dict = {}
+        for i in forms:
+            if (v := value(i)) is not None:
+                by_value.setdefault(v, []).append(i)
+        return by_value
 
     # The line identities hold by construction: a candidate is generated only
-    # when the lookups match.  Each vector holds what the operations
-    # `check_proportion`'s Evaluator applies give on that very vector, and
-    # lookups use the same Program equality, so the check would agree.  So
-    # does non-constancy, read off the probe programs' vectors.
+    # when the lookups match, and the lookups read the values that
+    # `check_proportion`'s `Evaluator.eval` gives, with the same Program
+    # equality, so the check would agree.
     verified: list = []  # (line, f, g, source vector, target vector, S) by position
     for line in _LINES:
         psig, rsig, shared = _line_domains(line, source, target)
@@ -627,11 +526,11 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         for si, sv in enumerate(svecs):
             if not lies_in(sv, psig):
                 continue
-            sby = lookup(sv)
+            sby = lookup(si)
             for ti, tv in enumerate(tvecs):
                 if not lies_in(tv, rsig):
                     continue
-                tval = vector(tv)
+                tval = tvals[ti]
                 fs = fitting(sby.get(f_source, ()), tval, f_target, rsig)
                 gs = fitting(sby.get(g_source, ()), tval, g_target, rsig)
                 # The form checks run last: they evaluate the forms on the probes.

@@ -294,6 +294,16 @@ def test_prop_solve_output_is_pinned():
     ]}
 
 
+def test_prop_solve_budget_caps_witnesses_per_s():
+    code, out, _ = run("prop-solve", "corpus:ex43_joint", "--budget", "1")
+    assert code == OK
+    assert sum(line.startswith("s: ") for line in out.splitlines()) == 8
+    code, out, _ = run("prop-solve", "corpus:ex43_joint", "--budget", "depth=1,per-s=1")
+    assert code == OK
+    assert [line for line in out.splitlines() if line.startswith("s: ")] == [
+        "s: {b. c :- d.}", "s: {c :- d.}"]
+
+
 def test_prop_solve_exhausted_budget():
     code, out, err = run("prop-solve", "corpus:ex43_disjoint", "--budget", "depth=0,vec=0")
     assert code == EXHAUSTED

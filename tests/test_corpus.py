@@ -3,7 +3,7 @@
 import pytest
 
 from hornalg import corpus
-from hornalg.errors import ParseError
+from hornalg.errors import FormEvalError, ParseError
 from hornalg.syntax import Program
 
 
@@ -59,6 +59,14 @@ def test_eval_form_helper_coerces_programs():
     out = corpus.eval_form("Plus", corpus.program("nat"))
     assert isinstance(out, Program)
     assert out == corpus.program("plus")
+
+
+def test_eval_form_helper_rejects_a_wrong_argument_count():
+    nat = corpus.program("nat")
+    with pytest.raises(FormEvalError, match="takes 1 arguments, got 2"):
+        corpus.eval_form("Plus", nat, nat)
+    with pytest.raises(FormEvalError, match="unknown form"):
+        corpus.eval_form("NoSuchForm", nat)
 
 
 def test_golden_case_inputs_name_their_sources():

@@ -239,6 +239,32 @@ def test_memo_reuses_results_for_identical_bindings():
     assert first is second
 
 
+def test_memo_tells_apart_the_bindings_placeholders_read():
+    # The renamed literal has no variable, but its placeholder reads the
+    # main predicate of X: each call of F must see its own binding.
+    t = table("form F(X[q]) = {nat(a).}[q/r];\nform G(X, Y) = F(X) | F(Y);")
+    nat, lst = make_binding(pg("nat(0).")), make_binding(pg("list(nil)."))
+    shared = Evaluator(t)
+    for x, y in ((nat, lst), (lst, nat)):
+        for ev in (Evaluator(t), shared):
+            out = eval_form(t, "G", {"X": x, "Y": y}, ev)
+            assert out.strict_equals(pg("nat(a). r(a).")), render_program(out)
+
+
+def test_memo_tells_placeholder_renames_from_plain_ones():
+    # Inside F, `q` stands for the main predicate of X's binding; outside
+    # any form it is the predicate q.  Bindings of one program with two main
+    # predicates are two environments.
+    t = table("form F(X[q]) = X[q/r];")
+    prog = pg("p(a). q(b).")
+    by_p, by_q = make_binding(prog, main_pred="p"), make_binding(prog, main_pred="q")
+    ev = Evaluator(t)
+    assert eval_form(t, "F", {"X": by_p}, ev).strict_equals(pg("r(a). q(b)."))
+    assert eval_form(t, "F", {"X": by_q}, ev).strict_equals(pg("p(a). r(b)."))
+    plain = ev.eval(RenamePred(VarRef("X"), "q", "r"), {"X": by_p})
+    assert plain.strict_equals(pg("p(a). r(b)."))
+
+
 # ---------------------------------------------------------------------------
 # the bundled tables
 

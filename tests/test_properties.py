@@ -21,8 +21,6 @@ from hornalg.proportion import (
     SolveBudget,
     check_proportion,
     form_pool,
-    nonconstant_at,
-    pool_values,
     solve_proportion,
     vector_pool,
 )
@@ -440,25 +438,29 @@ def test_solver_matches_oracle_on_overlapping_domains():
 
 
 # ---------------------------------------------------------------------------
-# 8. the solver's values by pool position are what the evaluator gives
+# 8. the solver's values by position are what a fresh evaluator gives
 
 
 def _assert_pool_values_match_evaluator(problem, table, budget):
-    forms, values_on = pool_values(form_pool(problem, budget), Evaluator(table))
+    ev = Evaluator(table)
+    forms = {}
+    for fm in form_pool(problem, budget):
+        forms.setdefault(ev.position(fm), fm)
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     # The solver reads a source vector in pool order and a target vector
     # wherever a lookup points; reading backwards evaluates each position
-    # before the positions it depends on.
-    positions = range(len(forms))
+    # before the positions it depends on.  One evaluator serves every vector,
+    # sharing its operation memo; a fresh one per vector shares nothing.
+    positions = list(forms)
     for prog, order in [(sv, positions) for sv in svecs] + [(tv, positions[::-1]) for tv in tvecs]:
-        ev = Evaluator(table)
+        fresh = Evaluator(table)
         env = {"X1": make_binding(prog)}
-        value = values_on(prog)
+        value = ev.values(env)
         for i in order:
             fm, got = forms[i], value(i)
             try:
-                want = ev.eval(fm, env, {})
+                want = fresh.eval(fm, env)
             except (FormEvalError, BudgetError):
                 assert got is None, form_to_text(fm)
             else:
@@ -466,12 +468,12 @@ def _assert_pool_values_match_evaluator(problem, table, budget):
                 assert got is not None and got.name_key() == want.name_key(), form_to_text(fm)
 
 
-def _assert_nonconstancy_matches_checker(problem, table, budget):
-    forms, values_on = pool_values(form_pool(problem, budget), Evaluator(table))
-    nonconstant = nonconstant_at(values_on)
-    ev = Evaluator(table)  # the checker's, sharing nothing with the pool's
-    for i in reversed(range(len(forms))):  # each position before its operands
-        assert nonconstant(i) == is_nonconstant(forms[i], ev), form_to_text(forms[i])
+def _assert_nonconstancy_ignores_sharing(problem, table, budget):
+    shared = Evaluator(table)
+    solve_proportion(problem, budget, shared)
+    for fm in form_pool(problem, budget):
+        assert is_nonconstant(fm, shared) == is_nonconstant(fm, Evaluator(table)), \
+            form_to_text(fm)
 
 
 def _pool_problems():
@@ -490,10 +492,10 @@ def test_pool_values_match_the_evaluator():
         _assert_pool_values_match_evaluator(problem, table, budget)
 
 
-def test_positional_nonconstancy_matches_the_checker():
+def test_nonconstancy_is_the_same_on_an_evaluator_shared_with_a_solve():
     budget = SolveBudget(max_form_depth=2)
     for problem, table in _pool_problems():
-        _assert_nonconstancy_matches_checker(problem, table, budget)
+        _assert_nonconstancy_ignores_sharing(problem, table, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from hornalg.proportion import (
     make_witness,
     parse_binding_spec,
     parse_proportion_file,
-    pool_values,
     solve_proportion,
     vector_pool,
 )
@@ -387,46 +386,51 @@ def test_solution_cap_keeps_a_prefix(name):
         assert solve(max_solutions=k) == full[:k]
 
 
-def test_pool_values_fall_back_to_the_evaluator():
+def test_pool_positions_evaluate_any_node():
+    # Operators apply their table entry to their operands' values; calls,
+    # unknown calls and operands that are no pool form evaluate too.
     table = parse_forms("form F(X) = X o X;")
     x1, lit = VarRef("X1"), Lit(pg("p(a)."))
     outside = Lit(pg("q(b)."))  # an operand that is no pool form
     pool = [x1, lit, FormCall("F", ("X1",)), FactsOf(FormCall("F", ("X1",))),
             UnionOf(x1, outside), FormCall("G", ("X1",)), ComposeOf(lit, FormCall("G", ("X1",))),
             FactsOf(lit), UnionOf(x1, lit)]
-    forms, values_on = pool_values(pool, Evaluator(table))
-    assert forms == pool  # no two share an expr_key
-    prog = pg("p(a). p(X) :- p(X).")
-    value = values_on(prog)
-    values = [value(i) for i in range(len(forms))]
     ev = Evaluator(table)
-    for fm, got in zip(forms, values, strict=True):
-        try:
-            want = ev.eval(fm, {"X1": make_binding(prog)}, {})
-        except FormEvalError:
-            assert got is None  # G is no form of the table
-        else:
-            assert got == want and got.name_key() == want.name_key()
-    assert values[5] is None and values[6] is None
+    positions = [ev.position(fm) for fm in pool]
+    assert len(set(positions)) == len(pool)  # no two share an expr_key
+    prog = pg("p(a). p(X) :- p(X).")
+    env = {"X1": make_binding(prog)}
+    value = ev.values(env)
+    got = [value(i) for i in positions]
+    twice = algebra.compose(prog, prog)
+    want = [prog, pg("p(a)."), twice, twice.facts(), prog | pg("q(b)."), None, None,
+            pg("p(a)."), prog]
+    for fm, g, w in zip(pool, got, want, strict=True):
+        assert g == w and (w is None or g.name_key() == w.name_key()), form_to_text(fm)
+    # `eval` raises what the position's value failed with
+    for fm in (pool[5], pool[6]):
+        with pytest.raises(FormEvalError, match="unknown form G"):
+            ev.eval(fm, env)
 
 
 def test_pool_values_keep_the_first_form_of_each_expr_key():
     x1, a, b, c = VarRef("X1"), Lit(pg("q(X).")), Lit(pg("q(X).")), Lit(pg("q(Y)."))
     u = UnionOf(x1, b)
-    forms, values_on = pool_values([x1, a, b, c, u], Evaluator())
+    ev = Evaluator()
     # b repeats a's key; {q(Y).} equals {q(X).} as a program, not by key
-    assert [id(fm) for fm in forms] == [id(x1), id(a), id(c), id(u)]
-    assert values_on(pg("r."))(3) == pg("r. q(X).")
+    assert [ev.position(fm) for fm in (x1, a, b, c, u)] == [0, 1, 1, 2, 3]
+    assert ev.values({"X1": make_binding(pg("r."))})(3) == pg("r. q(X).")
 
 
 def test_operation_memo_tells_operands_apart_by_name():
     # {q(X).} and {q(Y).} are equal programs, but concatenation sees the
     # names, so the memo must not hand one's result to the other.
-    x1, lit = VarRef("X1"), Lit(pg("q(X)."))
-    forms, values_on = pool_values([x1, lit, ConcatOf(x1, lit)], Evaluator())
-    on_x, on_y = values_on(pg("q(X).")), values_on(pg("q(Y)."))
-    assert on_x(2).name_key() == ("q(X,X).",)
-    assert on_y(2).name_key() == ("q(Y,X).",)
+    ev = Evaluator()
+    i = ev.position(ConcatOf(VarRef("X1"), Lit(pg("q(X)."))))
+    on_x = ev.values({"X1": make_binding(pg("q(X)."))})
+    on_y = ev.values({"X1": make_binding(pg("q(Y)."))})
+    assert on_x(i).name_key() == ("q(X,X).",)
+    assert on_y(i).name_key() == ("q(Y,X).",)
 
 
 def test_solver_composes_each_operand_pair_once(monkeypatch):
