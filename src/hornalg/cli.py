@@ -282,7 +282,7 @@ def cmd_corpus(args) -> int:
                if args.kind is None or e.kind == args.kind]
     lines = [f"{e.kind:<10} {e.name:<24} corpus:{e.path}" for e in entries]
     payload = {"entries": [
-        {"name": e.name, "kind": e.kind, "path": e.path, "note": e.note}
+        {"name": e.name, "kind": e.kind, "path": e.path}
         for e in entries
     ]}
     _emit(args, lines, payload)

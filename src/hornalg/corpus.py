@@ -122,7 +122,6 @@ class CorpusEntry:
     name: str
     kind: str  # program | form | proportion | golden
     path: str  # data-relative
-    note: str = ""
 
 
 _KINDS = (("programs", "program"), ("forms", "form"),
@@ -158,29 +157,6 @@ class GoldenCase:
     command: tuple
     expected: str
     pinned_actual: Optional[str] = None
-
-    @property
-    def inputs(self) -> tuple:
-        found = []
-        for arg in self.command:
-            at = arg.find("corpus:")
-            if at < 0:
-                continue
-            rest = arg[at + len("corpus:"):]
-            for stop in "([ ":
-                cut = rest.find(stop)
-                if cut >= 0:
-                    rest = rest[:cut]
-            found.append(rest)
-        kinds = {"lpf": "form", "prop": "proportion"}
-        return tuple(
-            CorpusEntry(
-                stem.rsplit(".", 1)[0],
-                kinds.get(stem.rsplit(".", 1)[-1], "program"),
-                stem,
-            )
-            for stem in found
-        )
 
 
 def golden_cases() -> tuple:
@@ -334,7 +310,6 @@ class GoldenResult:
     name: str
     ok: bool
     seconds: float
-    note: str
     detail: str
     documented_mismatch: bool = False
 
@@ -353,7 +328,7 @@ def run_golden_case(case: GoldenCase) -> GoldenResult:
     seconds = time.perf_counter() - started
     got_text = buffer.getvalue().strip()
     if code != 0:
-        return GoldenResult(case.name, False, seconds, case.note,
+        return GoldenResult(case.name, False, seconds,
                             f"command exited {code}: {got_text}",
                             case.pinned_actual is not None)
 
@@ -366,7 +341,7 @@ def run_golden_case(case: GoldenCase) -> GoldenResult:
             f"expected {_one_line(render_program(program(case.expected)))}, "
             f"got {_one_line(got_text)}"
         )
-        return GoldenResult(case.name, ok, seconds, case.note, detail)
+        return GoldenResult(case.name, ok, seconds, detail)
 
     still_differs = not same(case.expected)
     stable = same(case.pinned_actual)
@@ -377,8 +352,7 @@ def run_golden_case(case: GoldenCase) -> GoldenResult:
         detail = "documented mismatch vanished: output now equals the stated value"
     else:
         detail = f"pinned value drifted: got {_one_line(got_text)}"
-    return GoldenResult(case.name, ok, seconds, case.note, detail,
-                        documented_mismatch=True)
+    return GoldenResult(case.name, ok, seconds, detail, documented_mismatch=True)
 
 
 def run_golden_suite(only: Optional[str] = None) -> list:

@@ -5,10 +5,11 @@ literals, and the algebra's operations.
 Binding each variable to a program and evaluating yields a program, so a
 form denotes a program transformation.
 
-An operator's spelling and meaning live in one entry of `_BINARY` or
-`_UNARY`, which the parser, the printer, the evaluator and every walk read.
-Variables, literals, powers, renames, substitutions and form calls are the
-only kinds handled one by one.
+Each operator is one entry of `_BINARY` or `_UNARY`, which maps its `.lpf`
+spelling to its operation.  A `Binary` or `Unary` node names its operator
+by that spelling, and the parser, the printer, the evaluator and every walk
+read the tables.  Variables, literals, powers, renames, substitutions and
+form calls are the only kinds handled one by one.
 
 Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`:
 
@@ -30,9 +31,10 @@ Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`:
 A parameter may declare a main-predicate placeholder and a variable-tuple
 placeholder: `form Plus(X[q](Xs)) = ...`.  Within that form's body, the
 identifier `q` in a rename stands for the main predicate of whatever
-program gets bound to X.  The caller's binding may substitute the bound
-program's variables via a call-site tuple first (which permits identifying
-two variables by repeating a name).
+program gets bound to X.  The tuple is checked and has no effect: the
+caller's binding may substitute the bound program's variables via a
+call-site tuple either way (which permits identifying two variables by
+repeating a name).
 
 `refresh(E)` renames every variable that occurs in a proper-rule body of
 E's value to fresh Z1, Z2, ... consistently across the whole program;
@@ -77,57 +79,22 @@ class Lit:
 
 
 @dataclass(frozen=True, slots=True)
-class UnionOf:
+class Binary:
+    op: str  # a key of `_BINARY`
     left: object
     right: object
 
 
 @dataclass(frozen=True, slots=True)
-class ComposeOf:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class ConcatOf:
-    left: object
-    right: object
+class Unary:
+    op: str  # a key of `_UNARY`
+    expr: object
 
 
 @dataclass(frozen=True, slots=True)
 class PowerOf:
     expr: object
     n: int
-
-
-@dataclass(frozen=True, slots=True)
-class FactsOf:
-    expr: object
-
-
-@dataclass(frozen=True, slots=True)
-class ProperOf:
-    expr: object
-
-
-@dataclass(frozen=True, slots=True)
-class ReverseOf:
-    expr: object
-
-
-@dataclass(frozen=True, slots=True)
-class BodyOf:
-    expr: object
-
-
-@dataclass(frozen=True, slots=True)
-class GroundOf:
-    expr: object
-
-
-@dataclass(frozen=True, slots=True)
-class FreshenVars:
-    expr: object
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +121,6 @@ class FormCall:
 class ParamSpec:
     name: str
     pred_placeholder: Optional[str] = None
-    tuple_placeholder: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,12 +141,10 @@ class Binding:
 
     program: Program
     main_pred: Optional[str] = None
-    var_tuple: tuple = ()
-    source: str = ""
 
 
 def make_binding(program: Program, main_pred: Optional[str] = None,
-                 var_tuple: tuple = (), source: str = "") -> Binding:
+                 var_tuple: tuple = ()) -> Binding:
     """Bind a program, applying the call-site variable tuple first.
 
     The tuple positions correspond to the program's variables in first-
@@ -199,7 +163,7 @@ def make_binding(program: Program, main_pred: Optional[str] = None,
         heads = {r.head.pred for r in program}
         if len(heads) == 1:
             main_pred = next(iter(heads))
-    return Binding(program, main_pred, tuple(var_tuple), source)
+    return Binding(program, main_pred)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +188,22 @@ def refresh_body_vars(p: Program) -> Program:
 # ---------------------------------------------------------------------------
 # The operators
 
-# Each entry: the operator's `.lpf` spelling and what it does to the values
+# Each entry maps an operator's `.lpf` spelling to what it does to the values
 # of its operands.  `_BINARY` runs from the loosest binding to the tightest.
 # Callees in other modules are looked up at each call, so wrapping one on
 # its module (as `algebra.compose`) reaches form evaluation too.
 _BINARY = {
-    UnionOf: ("|", lambda a, b: a | b),
-    ComposeOf: ("o", lambda a, b: algebra.compose(a, b)),
-    ConcatOf: (".", lambda a, b: algebra.concatenate(a, b)),
+    "|": lambda a, b: a | b,
+    "o": lambda a, b: algebra.compose(a, b),
+    ".": lambda a, b: algebra.concatenate(a, b),
 }
 _UNARY = {
-    FactsOf: ("facts", lambda p: p.facts()),
-    ProperOf: ("proper", lambda p: p.proper()),
-    ReverseOf: ("rev", lambda p: p.reverse()),
-    GroundOf: ("gnd", lambda p: semantics.ground(p)),
-    BodyOf: ("body", body_program),
-    FreshenVars: ("refresh", refresh_body_vars),
+    "facts": lambda p: p.facts(),
+    "proper": lambda p: p.proper(),
+    "rev": lambda p: p.reverse(),
+    "gnd": lambda p: semantics.ground(p),
+    "body": body_program,
+    "refresh": refresh_body_vars,
 }
 _LEAVES = (VarRef, Lit, FormCall)
 
@@ -247,7 +211,7 @@ _LEAVES = (VarRef, Lit, FormCall)
 def operands(expr) -> tuple:
     """The sub-expressions of a form node, left to right."""
     kind = type(expr)
-    if kind in _BINARY:
+    if kind is Binary:
         return expr.left, expr.right
     return () if kind in _LEAVES else (expr.expr,)
 
@@ -255,8 +219,8 @@ def operands(expr) -> tuple:
 def rebuild(expr, fn):
     """`expr` with `fn` applied to each of its operands."""
     kind = type(expr)
-    if kind in _BINARY:
-        return kind(fn(expr.left), fn(expr.right))
+    if kind is Binary:
+        return Binary(expr.op, fn(expr.left), fn(expr.right))
     return expr if kind in _LEAVES else replace(expr, expr=fn(expr.expr))
 
 
@@ -267,7 +231,7 @@ def rebuild(expr, fn):
 def free_vars(expr) -> frozenset:
     """The parameter names a form expression depends on."""
     kind = type(expr)
-    if kind in _BINARY:
+    if kind is Binary:
         return free_vars(expr.left) | free_vars(expr.right)
     if kind is VarRef:
         return frozenset([expr.name])
@@ -284,8 +248,8 @@ def _fields(expr) -> tuple:
     captures variables by name, so program literals are told apart by
     their variable names."""
     kind = type(expr)
-    if kind in _BINARY or kind in _UNARY:
-        return ()
+    if kind is Binary or kind is Unary:
+        return (expr.op,)
     if kind is VarRef:
         return (expr.name,)
     if kind is Lit:
@@ -349,13 +313,12 @@ class Evaluator:
     by the parameter it reads) gets a position the first time it is met,
     after its operands.  Values are kept per environment (the bindings,
     told apart by `name_key` and main predicate) by position, and computed
-    the first time they are read.  A `_BINARY` or `_UNARY` node applies its
-    operation to its operands' values once per distinct operand `name_key`s
-    over all environments: concatenation sees variable names, so `{q(X).}`
-    and `{q(Y).}` never share a result.  A value that needs no binding (no
-    variable, no placeholder) is read off the empty environment.  Any other
-    node goes through `_eval`.  Where a node fails, what it raised is kept,
-    and `eval` raises it again.
+    the first time they are read.  A `Binary` or `Unary` node applies its
+    table entry's operation to its operands' values once per distinct
+    operand `name_key`s over all environments: concatenation sees variable
+    names, so `{q(X).}` and `{q(Y).}` never share a result.  Any other node
+    goes through `_eval`.  Where a node fails, what it raised is kept, and
+    `eval` raises it again.
     """
 
     def __init__(self, table: Optional[dict] = None):
@@ -369,8 +332,7 @@ class Evaluator:
         self._ids: dict = {}
         self._met: list = []
         # Per position: (node, operand positions, operation or None, the
-        # parameter a placeholder rename reads, whether the value needs no
-        # binding).
+        # parameter a placeholder rename reads).
         self._plan: list = []
         self._envs: dict = {}  # environment key -> (values, failures) by position
         self._applied: dict = {}  # (operation, operand name_keys) -> (value, failure)
@@ -388,15 +350,9 @@ class Evaluator:
         key = (kind, *_fields(expr), *args, param)
         i = self._at.get(key)
         if i is None:
-            entry = _BINARY.get(kind) or _UNARY.get(kind)
-            if kind is VarRef:
-                fixed = False
-            elif kind is FormCall:
-                fixed = not expr.args  # the callee sees only its arguments
-            else:
-                fixed = param is None and all(self._plan[a][4] for a in args)
+            op = _BINARY[expr.op] if kind is Binary else _UNARY[expr.op] if kind is Unary else None
             i = self._at[key] = len(self._plan)
-            self._plan.append((expr, args, entry and entry[1], param, fixed))
+            self._plan.append((expr, args, op, param))
         self._ids[at] = i
         self._met.append(expr)
         return i
@@ -427,7 +383,6 @@ class Evaluator:
         plan, applied = self._plan, self._applied
         vals: list = []  # by position; positions met later extend it
         failures: dict = {}
-        empty, empty_failures = self._env({}) if env else (None, None)
 
         def value(i: int) -> Optional[Program]:
             try:
@@ -437,34 +392,30 @@ class Evaluator:
                 out = _UNREAD
             if out is not _UNREAD:
                 return out
-            node, args, op, param, fixed = plan[i]
+            node, args, op, param = plan[i]
             out = failure = None
-            if fixed and empty is not None:
-                if (out := empty(i)) is None:
-                    failure = empty_failures[i]
+            xs = []
+            for a in args:
+                if (x := value(a)) is None:
+                    failure = failures[a]
+                    break
+                xs.append(x)
             else:
-                xs = []
-                for a in args:
-                    if (x := value(a)) is None:
-                        failure = failures[a]
-                        break
-                    xs.append(x)
-                else:
-                    if op is not None:
-                        key = (op, *[x.name_key() for x in xs])
-                        done = applied.get(key)
-                        if done is None:
-                            try:
-                                done = (op(*xs), None)
-                            except _FAILURES as e:
-                                done = (None, e)
-                            applied[key] = done
-                        out, failure = done
-                    else:
+                if op is not None:
+                    key = (op, *[x.name_key() for x in xs])
+                    done = applied.get(key)
+                    if done is None:
                         try:
-                            out = self._eval(node, xs, env, param)
+                            done = (op(*xs), None)
                         except _FAILURES as e:
-                            failure = e
+                            done = (None, e)
+                        applied[key] = done
+                    out, failure = done
+                else:
+                    try:
+                        out = self._eval(node, xs, env, param)
+                    except _FAILURES as e:
+                        failure = e
             vals[i] = out
             if out is None:
                 failures[i] = failure
@@ -548,13 +499,12 @@ PROBE_PROGRAMS = (
 _PROBE_BINDINGS = tuple(make_binding(prog) for prog in PROBE_PROGRAMS)
 
 
-def is_nonconstant(expr, evaluator: Optional[Evaluator] = None,
-                   table: Optional[dict] = None) -> bool:
+def is_nonconstant(expr, evaluator: Optional[Evaluator] = None) -> bool:
     """True when the expression yields at least two distinct programs as all
     its variables range together over `PROBE_PROGRAMS`.  True proves
     non-constancy; False is only probe-relative.  A probe is evaluated only
     while the values before it hold fewer than two programs."""
-    ev = evaluator or Evaluator(table or {})
+    ev = evaluator or Evaluator()
     i = ev.position(expr)
     names = free_vars(expr)
     first = None
@@ -599,9 +549,9 @@ class _LpfParser(_Parser):
     """The form grammar on top of the `.lp` parser, whose term grammar it
     reuses inside `[X := t]`."""
 
-    def __init__(self, tokens: list, source: str, table: dict):
+    def __init__(self, tokens: list, source: str):
         super().__init__(tokens, source)
-        self.table = table
+        self.table: dict = {}
 
     def parse_file(self) -> dict:
         while self.peek() is not None:
@@ -636,20 +586,18 @@ class _LpfParser(_Parser):
     def param(self) -> ParamSpec:
         name = self.take("VAR", "a parameter name").text
         pred = None
-        tup: tuple = ()
         if self.at("LBRACKET"):
             self.i += 1
             pred = self.take("IDENT", "a predicate placeholder").text
             self.take("RBRACKET", "']'")
-        if self.at("LPAREN"):
+        if self.at("LPAREN"):  # a variable tuple, checked and not kept
             self.i += 1
-            names = [self.take("VAR", "a tuple placeholder").text]
+            self.take("VAR", "a tuple placeholder")
             while self.at("COMMA"):
                 self.i += 1
-                names.append(self.take("VAR", "a tuple placeholder").text)
+                self.take("VAR", "a tuple placeholder")
             self.take("RPAREN", "')'")
-            tup = tuple(names)
-        return ParamSpec(name, pred, tup)
+        return ParamSpec(name, pred)
 
     # -- expressions ----------------------------------------------------
 
@@ -657,12 +605,12 @@ class _LpfParser(_Parser):
         """Binary operators from `_BINARY[level]` on, loosest first."""
         if level == len(_BINARY):
             return self.postfix()
-        kind, (symbol, _) = list(_BINARY.items())[level]
+        op = list(_BINARY)[level]
         node = self.expr(level + 1)
         # A BLOCK token's text keeps its braces, so `{o}` is no operator.
-        while (tok := self.peek()) is not None and tok.text == symbol:
+        while (tok := self.peek()) is not None and tok.text == op:
             self.i += 1
-            node = kind(node, self.expr(level + 1))
+            node = Binary(op, node, self.expr(level + 1))
         return node
 
     def postfix(self):
@@ -702,15 +650,14 @@ class _LpfParser(_Parser):
             return node
         if tok.kind == "IDENT":
             self.i += 1
-            kind = next((k for k, (name, _) in _UNARY.items() if name == tok.text), None)
-            if kind is None:
+            if tok.text not in _UNARY:
                 raise ParseError(
                     f"unknown function {tok.text!r}", source=self.source, line=tok.line, col=tok.col
                 )
             self.take("LPAREN", "'('")
             inner = self.expr()
             self.take("RPAREN", "')'")
-            return kind(inner)
+            return Unary(tok.text, inner)
         if tok.kind == "VAR":
             self.i += 1
             if self.at("LPAREN"):
@@ -735,11 +682,11 @@ class _LpfParser(_Parser):
         raise self.error("expected a form expression")
 
 
-def parse_forms(text: str, source: str = "<string>", table: Optional[dict] = None) -> dict:
-    """Parse form definitions, appending to (and returning) the table.
-    Forms may only call forms defined earlier."""
+def parse_forms(text: str, source: str = "<string>") -> dict:
+    """Parse form definitions into a table by name.  Forms may only call
+    forms defined earlier."""
     tokens = tokenize(text, source, _LPF_TOKEN_RE, {"{": "unterminated { program literal"})
-    return _LpfParser(tokens, source, dict(table) if table else {}).parse_file()
+    return _LpfParser(tokens, source).parse_file()
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +698,10 @@ def form_to_text(expr) -> str:
     with their own variable names, so forms that `expr_key` tells apart
     print apart."""
     kind = type(expr)
-    if kind in _BINARY:
-        return f"({form_to_text(expr.left)} {_BINARY[kind][0]} {form_to_text(expr.right)})"
-    if kind in _UNARY:
-        return f"{_UNARY[kind][0]}({form_to_text(expr.expr)})"
+    if kind is Binary:
+        return f"({form_to_text(expr.left)} {expr.op} {form_to_text(expr.right)})"
+    if kind is Unary:
+        return f"{expr.op}({form_to_text(expr.expr)})"
     if kind is VarRef:
         return expr.name
     if kind is Lit:

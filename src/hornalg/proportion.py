@@ -28,14 +28,12 @@ from typing import Callable, Optional
 from .errors import BudgetError, FormEvalError, ProportionError
 from .forms import (
     _BINARY,
+    Binary,
     Binding,
-    BodyOf,
     Evaluator,
-    FactsOf,
     FormCall,
     Lit,
-    ProperOf,
-    ReverseOf,
+    Unary,
     VarRef,
     form_to_text,
     free_vars,
@@ -389,7 +387,7 @@ def derived_proportions(problem: ProportionProblem, witness: ProportionWitness,
 # ---------------------------------------------------------------------------
 # Solving
 
-_UNARY_OPS = (FactsOf, ProperOf, ReverseOf, BodyOf)
+_UNARY_OPS = ("facts", "proper", "rev", "body")
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,8 +432,8 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
             break
         prev = level
         level = list(islice(chain(
-            (op(e) for op in _UNARY_OPS for e in prev),
-            (op(l, r) for op in _BINARY for l in primaries for r in prev),
+            (Unary(op, e) for op in _UNARY_OPS for e in prev),
+            (Binary(op, l, r) for op in _BINARY for l in primaries for r in prev),
         ), budget.max_forms - len(pool)))
         pool.extend(level)
     return pool
@@ -611,7 +609,7 @@ def parse_binding_spec(text: str, load: Callable[[str], Program]) -> Binding:
             if not re.fullmatch(r"[A-Z_][A-Za-z0-9_]*", name):
                 raise ProportionError(f"binding tuple entry {name!r} is not a variable")
         var_tuple = tuple(Var(name) for name in names)
-    return make_binding(program, main_pred, var_tuple, source=text.strip())
+    return make_binding(program, main_pred, var_tuple)
 
 
 @dataclass(slots=True)

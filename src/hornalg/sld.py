@@ -44,12 +44,10 @@ class Query:
 
 @dataclass(frozen=True, slots=True)
 class DerivationStep:
-    """One resolution step: the query it acted on, the selected atom's index,
-    the (standardized-apart) rule used, the unifier, the label of the rule's
+    """One resolution step on the query's first goal: the
+    (standardized-apart) rule used, the unifier, the label of the rule's
     source sub-program, and the resolvent it produced."""
 
-    query: Query
-    selected_index: int
     rule_used: Rule
     unifier: dict
     source_label: str
@@ -75,7 +73,7 @@ def _dfs(p: Program, q: Query, remaining: int, fresh: FreshNames,
         rest = _dfs(p, resolvent, remaining - 1, fresh, labels)
         if rest is not None:
             label = labels.get(canonical_key(rule), "") if labels else ""
-            step = DerivationStep(q, 0, copy, s, label, resolvent)
+            step = DerivationStep(copy, s, label, resolvent)
             return [step] + rest
     return None
 

@@ -285,9 +285,11 @@ def render_rule(r: Rule) -> str:
 # atoms sorted by shape (skeleton, local pattern), same-shape atoms in the
 # order that renders least.  Their renderings differ only in names and never
 # prefix one another, so only atoms that render least under the names given
-# so far can come next.  The search tries interchangeable atoms once and
-# memoises ties, so only ties cost more: symmetric same-shape atoms, and past
-# 26 variables unnamed ones, as `V26` sorts before `W`.
+# so far can come next.  Past Z, variable n is named `_`, the length of n's
+# digits, then n (`_226`, ..., `_299`, `_3100`): the names sort in the order
+# they are given and after Z, and none prefixes another, so a new name never
+# renders below one already given.  The search tries interchangeable atoms
+# once and memoises ties, so only symmetric same-shape atoms cost more.
 
 
 def _shape(a: Atom) -> tuple:
@@ -307,11 +309,11 @@ def _shape(a: Atom) -> tuple:
 
 
 def _rename(x, mapping: dict):
-    """`x` renamed by `mapping`, which names new variables A, ..., Z, V26, ..."""
+    """`x` renamed by `mapping`, which names new variables A, ..., Z, _226, ..."""
     if isinstance(x, Var):
         if x not in mapping:
             n = len(mapping)
-            mapping[x] = Var(string.ascii_uppercase[n] if n < 26 else f"V{n}")
+            mapping[x] = Var(string.ascii_uppercase[n] if n < 26 else f"_{len(str(n))}{n}")
         return mapping[x]
     if not x.args:
         return x

@@ -6,6 +6,7 @@ order, and is the reference for the search in `syntax`.
 """
 
 import random
+import time
 from itertools import permutations, product
 from math import factorial
 
@@ -41,7 +42,7 @@ def _shape(a):
 def _rename(t, mapping):
     if isinstance(t, Var):
         name = len(mapping)
-        return mapping.setdefault(t, Var(chr(65 + name) if name < 26 else f"V{name}"))
+        return mapping.setdefault(t, Var(chr(65 + name) if name < 26 else f"_{len(str(name))}{name}"))
     return Compound(t.functor, tuple(_rename(a, mapping) for a in t.args))
 
 
@@ -188,6 +189,16 @@ def test_renamed_shuffled_chain_of_eight_is_one_rule():
         f"e(Y{(i + 3) % 9},Y{(i + 4) % 9})" for i in shuffled) + ".")
     assert canonical_key(r1) == canonical_key(r2)
     assert len(Program([r1, r2])) == 1
+
+
+def test_chain_past_twenty_six_variables_is_keyed_quickly():
+    # Names past Z sort after it and in the order given, so no unnamed atom
+    # of the chain ties with the next link.
+    r1 = rule_of([e(f"X{i}", f"X{i + 1}") for i in range(150)], head=["X0"])
+    r2 = renamed(r1, random.Random(5))
+    started = time.perf_counter()
+    assert canonical_key(r1) == canonical_key(r2)
+    assert time.perf_counter() - started < 2.0
 
 
 def test_long_body_of_distinct_predicates_is_keyed_without_recursion():

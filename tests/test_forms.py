@@ -5,16 +5,15 @@ import pytest
 from hornalg import corpus
 from hornalg.errors import FormEvalError, ParseError
 from hornalg.forms import (
+    _BINARY,
+    _UNARY,
+    Binary,
     Binding,
-    ComposeOf,
-    ConcatOf,
     Evaluator,
-    FactsOf,
     FormCall,
     Lit,
-    ProperOf,
     RenamePred,
-    UnionOf,
+    Unary,
     VarRef,
     body_program,
     eval_form,
@@ -47,21 +46,21 @@ def table(text):
 def test_union_binds_loosest():
     t = table("form T(X) = X | X o X . X;")
     body = t["T"].body
-    assert isinstance(body, UnionOf)
-    assert isinstance(body.right, ComposeOf)
-    assert isinstance(body.right.right, ConcatOf)
+    assert body.op == "|"
+    assert body.right.op == "o"
+    assert body.right.right.op == "."
 
 
 def test_parentheses_override():
     t = table("form T(X) = (X | X) o X;")
-    assert isinstance(t["T"].body, ComposeOf)
-    assert isinstance(t["T"].body.left, UnionOf)
+    assert t["T"].body.op == "o"
+    assert t["T"].body.left.op == "|"
 
 
 def test_postfix_rename_and_literals():
     t = table("form T(X) = X[q/plus] . {plus(Y,Y).};")
     body = t["T"].body
-    assert isinstance(body, ConcatOf)
+    assert body.op == "."
     assert isinstance(body.left, RenamePred)
     assert isinstance(body.right, Lit)
     assert body.right.program == pg("plus(Y,Y).")
@@ -70,8 +69,8 @@ def test_postfix_rename_and_literals():
 def test_builtin_wrappers_parse():
     t = table("form T(X) = facts(X) | (proper(X) o proper(X));")
     body = t["T"].body
-    assert isinstance(body.left, FactsOf)
-    assert isinstance(body.right.left, ProperOf)
+    assert body.left.op == "facts"
+    assert body.right.left.op == "proper"
 
 
 def test_form_calls_must_be_defined():
@@ -89,6 +88,10 @@ def test_param_placeholders():
     (p,) = t["T"].params
     assert p.name == "X"
     assert p.pred_placeholder == "q"
+    # the tuple is checked, though it has no effect
+    for bad in ("form T(X(xs)) = X;", "form T(X()) = X;"):
+        with pytest.raises(ParseError):
+            table(bad)
 
 
 def test_form_to_text_round_trips():
@@ -103,7 +106,7 @@ def test_literals_print_their_own_variable_names():
     # equal programs, but concatenation tells them apart, so must the text
     x, y = Lit(pg("q(X) :- p(X,Z).")), Lit(pg("q(Y) :- p(Y,Z)."))
     assert x == y
-    assert form_to_text(ConcatOf(x, y)) == "({q(X) :- p(X,Z).} . {q(Y) :- p(Y,Z).})"
+    assert form_to_text(Binary(".", x, y)) == "({q(X) :- p(X,Z).} . {q(Y) :- p(Y,Z).})"
 
 
 def test_parse_error_reports_location():
@@ -224,8 +227,8 @@ def test_memo_distinguishes_variant_literals():
     ev = Evaluator()
     a = Lit(pg("p(A) :- p(A)."))
     b = Lit(pg("p(B) :- p(B)."))
-    same = ev.eval(ConcatOf(a, Lit(pg("p(A) :- p(A)."))))
-    diff = ev.eval(ConcatOf(a, b))
+    same = ev.eval(Binary(".", a, Lit(pg("p(A) :- p(A)."))))
+    diff = ev.eval(Binary(".", a, b))
     assert same == pg("p(A,A) :- p(A,A).")
     assert diff == pg("p(A,B) :- p(A,B).")
     assert same != diff
@@ -299,7 +302,7 @@ def test_times_form_on_nat():
 def test_forms_table_lookup():
     t = corpus.forms_table("standard")
     assert {"Id", "Plus", "Even", "G", "Times"} <= set(t)
-    assert corpus.forms_table("ex43")["AddFactB"].body == UnionOf(VarRef("X"), Lit(pg("b.")))
+    assert corpus.forms_table("ex43")["AddFactB"].body == Binary("|", VarRef("X"), Lit(pg("b.")))
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +311,18 @@ def test_forms_table_lookup():
 
 def test_identity_form_is_nonconstant():
     t = table("form T(X) = X;")
-    assert is_nonconstant(t["T"].body, table=t)
+    assert is_nonconstant(t["T"].body)
 
 
 def test_constant_form_is_detected():
     t = table("form T(X) = {c.};")
-    assert not is_nonconstant(t["T"].body, table=t)
+    assert not is_nonconstant(t["T"].body)
 
 
 def test_erasing_form_is_detected():
     # proper rules composed against an alien fact yield nothing, for every probe
     t = table("form T(X) = proper(X) o {z.};")
-    assert not is_nonconstant(t["T"].body, table=t)
+    assert not is_nonconstant(t["T"].body)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +365,10 @@ def test_node_kind_through_every_walk(kind):
     header, body, value, lits, preds, functors = _KINDS[kind]
     t = _kind_form(header, body)
     expr = t["T"].body
+
+    # a kind per operator spelling, so no table entry skips the walks
+    tops = [_kind_form(h, b)["T"].body for h, b, *_ in _KINDS.values()]
+    assert {e.op for e in tops if isinstance(e, (Binary, Unary))} == set(_BINARY) | set(_UNARY)
 
     again = _kind_form(header, form_to_text(expr))["T"].body
     assert expr_key(again) == expr_key(expr)

@@ -9,13 +9,11 @@ import pytest
 from hornalg import algebra, corpus
 from hornalg.errors import FormEvalError, ProportionError
 from hornalg.forms import (
-    ComposeOf,
-    ConcatOf,
+    Binary,
     Evaluator,
-    FactsOf,
     FormCall,
     Lit,
-    UnionOf,
+    Unary,
     VarRef,
     expr_key,
     form_to_text,
@@ -239,9 +237,9 @@ V = "a. b :- a."
     (X1, X1, "a.", "c.", "fggf", ("a.", "a.", "c.", "c."), A, C),
     (X1, X1, "a.", "c.", "ffgg", ("a.", "c.", "a.", "c."), AC, AC),
     # the two vectors are equal
-    (X1, FactsOf(X1), V, V, "fgfg", (V, "a.", V, "a."), AB, AB),
-    (X1, FactsOf(X1), V, V, "fggf", (V, "a.", "a.", V), AB, AB),
-    (X1, FactsOf(X1), V, V, "ffgg", (V, V, "a.", "a."), AB, AB),
+    (X1, Unary("facts", X1), V, V, "fgfg", (V, "a.", V, "a."), AB, AB),
+    (X1, Unary("facts", X1), V, V, "fggf", (V, "a.", "a.", V), AB, AB),
+    (X1, Unary("facts", X1), V, V, "ffgg", (V, V, "a.", "a."), AB, AB),
 ])
 def test_rearrangements_verify_when_forms_or_vectors_coincide(
         f, g, pvec, rvec, line, programs, source, target):
@@ -263,7 +261,7 @@ def test_rearrangements_verify_when_forms_or_vectors_coincide(
     ("ffgg", [("ffgg", "fg", "rp"), ("ffgg", "gf", "pr"), ("fgfg", "fg", "pr")]),
 ])
 def test_derived_witnesses_follow_the_rearranged_equations(line, expected):
-    f, g = X1, FactsOf(X1)
+    f, g = X1, Unary("facts", X1)
     pvec, rvec = (make_binding(pg("a.")),), (make_binding(pg("b.")),)
     problem = ProportionProblem(pg("a."), pg("a."), pg("a."), AB, AB, pg("a."))
     forms, vecs = {"f": f, "g": g}, {"p": pvec, "r": rvec}
@@ -392,9 +390,9 @@ def test_pool_positions_evaluate_any_node():
     table = parse_forms("form F(X) = X o X;")
     x1, lit = VarRef("X1"), Lit(pg("p(a)."))
     outside = Lit(pg("q(b)."))  # an operand that is no pool form
-    pool = [x1, lit, FormCall("F", ("X1",)), FactsOf(FormCall("F", ("X1",))),
-            UnionOf(x1, outside), FormCall("G", ("X1",)), ComposeOf(lit, FormCall("G", ("X1",))),
-            FactsOf(lit), UnionOf(x1, lit)]
+    pool = [x1, lit, FormCall("F", ("X1",)), Unary("facts", FormCall("F", ("X1",))),
+            Binary("|", x1, outside), FormCall("G", ("X1",)),
+            Binary("o", lit, FormCall("G", ("X1",))), Unary("facts", lit), Binary("|", x1, lit)]
     ev = Evaluator(table)
     positions = [ev.position(fm) for fm in pool]
     assert len(set(positions)) == len(pool)  # no two share an expr_key
@@ -415,7 +413,7 @@ def test_pool_positions_evaluate_any_node():
 
 def test_pool_values_keep_the_first_form_of_each_expr_key():
     x1, a, b, c = VarRef("X1"), Lit(pg("q(X).")), Lit(pg("q(X).")), Lit(pg("q(Y)."))
-    u = UnionOf(x1, b)
+    u = Binary("|", x1, b)
     ev = Evaluator()
     # b repeats a's key; {q(Y).} equals {q(X).} as a program, not by key
     assert [ev.position(fm) for fm in (x1, a, b, c, u)] == [0, 1, 1, 2, 3]
@@ -426,7 +424,7 @@ def test_operation_memo_tells_operands_apart_by_name():
     # {q(X).} and {q(Y).} are equal programs, but concatenation sees the
     # names, so the memo must not hand one's result to the other.
     ev = Evaluator()
-    i = ev.position(ConcatOf(VarRef("X1"), Lit(pg("q(X)."))))
+    i = ev.position(Binary(".", VarRef("X1"), Lit(pg("q(X)."))))
     on_x = ev.values({"X1": make_binding(pg("q(X)."))})
     on_y = ev.values({"X1": make_binding(pg("q(Y)."))})
     assert on_x(i).name_key() == ("q(X,X).",)
