@@ -336,6 +336,7 @@ class Evaluator:
         self._plan: list = []
         self._envs: dict = {}  # environment key -> (values, failures) by position
         self._applied: dict = {}  # (operation, operand name_keys) -> (value, failure)
+        self._probes: dict = {}  # free variable names -> value functions of the probes
 
     def position(self, expr, placeholders: Optional[dict] = None) -> int:
         """The position of `expr` inside a form whose placeholders stand for
@@ -489,12 +490,12 @@ def eval_form(table: dict, name: str, bindings: dict,
 # Non-constancy
 
 
-# Structurally distinct programs on which a form must vary.
+# Structurally distinct programs on which a form must vary, cheapest first.
 PROBE_PROGRAMS = (
-    parse_program("p(c)."),
-    parse_program("p(c). p(f(X)) :- p(X)."),
     parse_program("p."),
+    parse_program("p(c)."),
     parse_program("p(c). p(d)."),
+    parse_program("p(c). p(f(X)) :- p(X)."),
 )
 _PROBE_BINDINGS = tuple(make_binding(prog) for prog in PROBE_PROGRAMS)
 
@@ -507,9 +508,11 @@ def is_nonconstant(expr, evaluator: Optional[Evaluator] = None) -> bool:
     ev = evaluator or Evaluator()
     i = ev.position(expr)
     names = free_vars(expr)
+    if names not in ev._probes:
+        ev._probes[names] = [ev.values({n: b for n in names}) for b in _PROBE_BINDINGS]
     first = None
-    for b in _PROBE_BINDINGS if names else ():
-        v = ev.values({n: b for n in names})(i)
+    for value in ev._probes[names] if names else ():
+        v = value(i)
         if first is None:
             first = v
         elif v is not None and v != first:

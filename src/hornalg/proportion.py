@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import cache
-from heapq import nsmallest
+from heapq import merge
 from itertools import chain, combinations, islice, product
 from typing import Callable, Optional
 
@@ -494,23 +494,30 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
 
     # Each vector's values by position, from the evaluator.  A target
     # vector is read only where a source lookup points; a source vector is
-    # read everywhere, to find the positions giving each value.
+    # read everywhere, to find the positions giving P, Q or R, the only
+    # values the lines look up.
     tvals = [ev.values(_vec_env((make_binding(tv),))) for tv in tvecs]
 
     @cache
     def lookup(si: int) -> dict:
         value = ev.values(_vec_env((make_binding(svecs[si]),)))
-        by_value: dict = {}
+        by_value: dict = {P: [], Q: [], R: []}
         for i in forms:
-            if (v := value(i)) is not None:
-                by_value.setdefault(v, []).append(i)
+            if (v := value(i)) is not None and (hit := by_value.get(v)) is not None:
+                hit.append(i)
         return by_value
+
+    @cache
+    def text(i: int) -> str:
+        return form_to_text(forms[i])
 
     # The line identities hold by construction: a candidate is generated only
     # when the lookups match, and the lookups read the values that
     # `check_proportion`'s `Evaluator.eval` gives, with the same Program
     # equality, so the check would agree.
-    verified: list = []  # (line, f, g, source vector, target vector, S) by position
+    blocks: dict = {}  # (line, source vector, target vector) -> its (F, G), as sets
+    by_s: dict = {}  # S -> (block, F, G in text order) of each block giving it
+    f_gives_s = {line: ("s", "f", "r") in eqs for line, eqs in _LINE_EQUATIONS.items()}
     for line in _LINES:
         psig, rsig, shared = _line_domains(line, source, target)
         if shared is not None and not all(lies_in(x, shared) for x in (P, Q, R)):
@@ -520,7 +527,6 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         # S in the intersection is also in the target (`s_in_target`).
         gives = {form + vec: known.get(prog) for prog, form, vec in _LINE_EQUATIONS[line]}
         f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
-        f_gives_s = f_target is None
         for si, sv in enumerate(svecs):
             if not lies_in(sv, psig):
                 continue
@@ -534,47 +540,53 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
                 # The form checks run last: they evaluate the forms on the probes.
                 fs = [i for i in fs if form_ok(i)] if gs else ()
                 gs = [i for i in gs if form_ok(i)] if fs else ()
-                verified.extend((line, f, g, si, ti, tval(f) if f_gives_s else tval(g))
-                                for f in fs for g in gs)
+                if not (fs and gs):
+                    continue
+                gs.sort(key=lambda i: (len(text(i)), text(i)))  # the key grows along a row
+                block = (line, si, ti)
+                blocks[block] = (frozenset(fs), frozenset(gs))
+                split: dict = {}
+                for i in fs if f_gives_s[line] else gs:
+                    split.setdefault(tval(i), []).append(i)
+                for s, part in split.items():
+                    by_s.setdefault(s, []).append(
+                        (block, part, gs) if f_gives_s[line] else (block, fs, part))
 
-    # Candidates stay position tuples until the cap: only the solutions
-    # returned are built as witnesses.  Per (line, F, G), a vector pair is
-    # dropped when another verified pair lies pointwise inside it.
-    groups: dict = {}
-    for cand in verified:
-        groups.setdefault(cand[:3], []).append(cand)
-    by_s: dict = {}  # S -> its kept candidates, in the order found
-    for group in groups.values():
-        for cand in group:
-            si, ti = cand[3], cand[4]
-            if not any((osi, oti) != (si, ti) and svecs[osi].issubset(svecs[si])
-                       and tvecs[oti].issubset(tvecs[ti]) for *_, osi, oti, _ in group):
-                by_s.setdefault(cand[5], []).append(cand)
+    # A pair (F, G) of a block is dropped when another block on its line,
+    # with vectors pointwise inside its own, holds F and G too.
+    inside_s = [[a for a, sub in enumerate(svecs) if sub.issubset(v)] for v in svecs]
+    inside_t = [[b for b, sub in enumerate(tvecs) if sub.issubset(v)] for v in tvecs]
 
     @cache
-    def text(i: int) -> str:
-        return form_to_text(forms[i])
+    def lower(block: tuple) -> list:
+        line, si, ti = block
+        return [blocks[low] for a in inside_s[si] for b in inside_t[ti]
+                if (low := (line, a, b)) != block and low in blocks]
 
     svec_text = [render_program(v) for v in svecs]
     tvec_text = [render_program(v) for v in tvecs]
 
-    def witness_key(cand):
-        line, f, g, si, ti, _ = cand
-        return (len(text(f)) + len(text(g)), line, text(f), text(g),
-                svec_text[si], tvec_text[ti])
+    def row(block: tuple, f: int, gs: list):
+        """One F's candidates (witness key, block, F, G), by key."""
+        line, si, ti = block
+        for g in gs:
+            yield ((len(text(f)) + len(text(g)), line, text(f), text(g),
+                    svec_text[si], tvec_text[ti]), block, f, g)
 
     # Group by the fourth program so one heavily-witnessed candidate cannot
     # crowd every other candidate out of the solution cap; within a group,
-    # prefer syntactically small witnesses.  Equal programs render equal,
-    # so the groups are ordered by their text.
+    # take the smallest undominated witnesses from the rows merged by key.
+    # Equal programs render equal, so the groups are ordered by their text.
     out: list = []
-    for group in sorted(by_s.values(), key=lambda group: render_program(group[0][5])):
+    for s in sorted(by_s, key=render_program):
         if len(out) >= budget.max_solutions:
             break
-        out.extend(nsmallest(budget.witnesses_per_s, group, key=witness_key))
-    return [ProportionSolution(s, ProportionWitness(
+        merged = merge(*[row(block, f, gs) for block, fs, gs in by_s[s] for f in fs])
+        out.extend(islice((c for c in merged if not any(
+            c[2] in fs and c[3] in gs for fs, gs in lower(c[1]))), budget.witnesses_per_s))
+    return [ProportionSolution(tvals[ti](f if f_gives_s[line] else g), ProportionWitness(
                 forms[f], forms[g], (make_binding(svecs[si]),), (make_binding(tvecs[ti]),), line))
-            for line, f, g, si, ti, s in out[: budget.max_solutions]]
+            for _, (line, si, ti), f, g in out[: budget.max_solutions]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, run in process."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -292,6 +293,15 @@ def test_prop_solve_output_is_pinned():
         {"s": s, "line": line, "f": f, "g": g, "pvec": [pvec], "rvec": [rvec]}
         for s, line, f, g, pvec, rvec in _EX43_JOINT_DEPTH2
     ]}
+
+
+def test_prop_solve_depth_three_output_is_pinned():
+    # The digest of the whole text output (24 solutions); no benchmark op
+    # solves at depth 3.
+    code, out, _ = run("prop-solve", "corpus:ex43_joint", "--budget", "3")
+    assert code == OK
+    assert len(out.splitlines()) == 144
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "b10fa3db6a969cf1"
 
 
 def test_prop_solve_budget_caps_witnesses_per_s():

@@ -2,6 +2,8 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
+from itertools import product
 
 from hornalg import corpus
 from hornalg.algebra import compose, concatenate, omega
@@ -12,7 +14,8 @@ from hornalg.errors import (
     FormEvalError,
     ProportionError,
 )
-from hornalg.forms import Evaluator, form_to_text, is_nonconstant, make_binding
+from hornalg.forms import (PROBE_PROGRAMS, Evaluator, form_to_text, free_vars, is_nonconstant,
+                          make_binding)
 from hornalg.parser import parse_program
 from hornalg.proportion import (
     DomainSig,
@@ -320,7 +323,8 @@ def test_solver_answers_verify():
 def _oracle_solutions(problem, budget, rejections=None):
     """Exhaustive enumeration sharing only the pools and the checker with
     the solver; candidate generation and pruning are reimplemented.  The
-    codes of the items failing on each rejected candidate are counted into
+    codes of the items failing on each rejected candidate, and `dominated`
+    for each verified candidate that domination drops, are counted into
     `rejections` when it is given."""
     ev = Evaluator()
     forms = form_pool(problem, budget)
@@ -381,21 +385,20 @@ def _oracle_solutions(problem, budget, rejections=None):
             if not dominated:
                 kept.add((line, form_to_text(fm), form_to_text(gm),
                           render_program(sv), render_program(tv), render_program(s_out)))
+            elif rejections is not None:
+                rejections["dominated"] += 1
     return kept
 
 
+def _solution_row(sol):
+    """(line, F, G, source vector, target vector, S) of a solution, as text."""
+    w = sol.witness
+    return (w.line, form_to_text(w.f), form_to_text(w.g), render_program(w.pvec[0].program),
+            render_program(w.rvec[0].program), render_program(sol.s))
+
+
 def _solver_set(problem, budget):
-    return {
-        (
-            sol.witness.line,
-            form_to_text(sol.witness.f),
-            form_to_text(sol.witness.g),
-            render_program(sol.witness.pvec[0].program),
-            render_program(sol.witness.rvec[0].program),
-            render_program(sol.s),
-        )
-        for sol in solve_proportion(problem, budget)
-    }
+    return {_solution_row(sol) for sol in solve_proportion(problem, budget)}
 
 
 def test_solver_matches_brute_force_oracle():
@@ -435,6 +438,43 @@ def test_solver_matches_oracle_on_overlapping_domains():
         assert _solver_set(problem, budget) == oracle_set, render_program(problem.p)
     for code in ("f_nonconstant", "g_nonconstant", "pvec_in_domain", "ffgg_intersection"):
         assert rejections[code] > 0, code
+
+
+def _ranked(kept, witnesses_per_s, max_solutions):
+    """The oracle's kept rows capped as the solver caps them: S groups in
+    the order of their text, each with its smallest witnesses by the key
+    (F and G text length, line, F, G, source vector, target vector)."""
+    by_s = {}
+    for row in kept:
+        by_s.setdefault(row[5], []).append(row)
+    out = []
+    for s in sorted(by_s):
+        if len(out) >= max_solutions:
+            break
+        ranked = sorted(by_s[s], key=lambda row: (len(row[1]) + len(row[2]), *row[:5]))
+        out += ranked[:witnesses_per_s]
+    return out[:max_solutions]
+
+
+def test_capped_solver_output_is_the_ranked_oracle():
+    rng = random.Random(2525)
+    rejections = Counter()
+    capped = 0
+    for target_preds in (("c", "d"), ("b", "c")):
+        for depth, vector_rules in ((1, 2), (2, 1)):
+            full = SolveBudget(max_form_depth=depth, max_vector_rules=vector_rules,
+                               max_solutions=100_000, witnesses_per_s=100_000)
+            for _ in range(12):
+                problem = _rand_problem(rng, target_preds)
+                kept = _oracle_solutions(problem, full, rejections)
+                for per_s, max_solutions in product((1, 4), (3, 64)):
+                    budget = replace(full, max_solutions=max_solutions, witnesses_per_s=per_s)
+                    solved = [_solution_row(sol) for sol in solve_proportion(problem, budget)]
+                    assert solved == _ranked(kept, per_s, max_solutions), \
+                        render_program(problem.p)
+                    capped += len(solved) < len(kept)
+    assert capped > 0
+    assert rejections["dominated"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +536,23 @@ def test_nonconstancy_is_the_same_on_an_evaluator_shared_with_a_solve():
     budget = SolveBudget(max_form_depth=2)
     for problem, table in _pool_problems():
         _assert_nonconstancy_ignores_sharing(problem, table, budget)
+
+
+def test_nonconstancy_reads_as_if_every_probe_were_evaluated():
+    # `is_nonconstant` stops at the second distinct value, so the probe
+    # order decides only how much it evaluates.
+    budget = SolveBudget(max_form_depth=2)
+    for problem, table in _pool_problems():
+        ev, reference = Evaluator(table), Evaluator(table)
+        for fm in form_pool(problem, budget):
+            names = free_vars(fm)
+            values = set()
+            for prog in PROBE_PROGRAMS:
+                try:
+                    values.add(reference.eval(fm, {n: make_binding(prog) for n in names}))
+                except (FormEvalError, BudgetError):
+                    pass
+            assert is_nonconstant(fm, ev) == (len(values) >= 2), form_to_text(fm)
 
 
 # ---------------------------------------------------------------------------
