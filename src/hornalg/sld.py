@@ -1,7 +1,10 @@
 """SLD-resolution: derivations, proofs, and labeled traces.
 
 Search is determinized: leftmost atom selection, rules tried in canonical
-program order, iterative deepening on the number of resolution steps.
+program order (a rule whose head clashes with the goal is not renamed),
+body goals put first in their rule's `body_order`, iterative deepening on
+the number of steps.  Deepening stops once a bound prunes nothing, so a
+finitely failed goal costs the same at any depth and gives None (`no`).
 A trace records every step; when the program was assembled as a labeled
 union, each step carries the label of the sub-program its rule came from.
 """
@@ -16,7 +19,9 @@ from .syntax import (
     Atom,
     Program,
     Rule,
+    Var,
     atom_vars,
+    body_order,
     canonical_key,
     render_atom,
     render_term,
@@ -54,23 +59,31 @@ class DerivationStep:
     resolvent: Query
 
 
+def _clashes(s, t) -> bool:
+    """True when the terms differ in functor or arity where neither is a variable."""
+    return (type(s) is not Var and type(t) is not Var
+            and (s.functor != t.functor or len(s.args) != len(t.args)
+                 or any(map(_clashes, s.args, t.args))))
+
+
 def _dfs(p: Program, q: Query, remaining: int, fresh: FreshNames,
-         labels: Optional[Mapping[str, str]]) -> Optional[list]:
+         labels: Optional[Mapping[str, str]], pruned: list) -> Optional[list]:
     if q.is_empty:
         return []
     if remaining == 0:
+        pruned[0] = True
         return None
     goal = q.goals[0]
     for rule in p:
-        if rule.head.pred != goal.pred or rule.head.arity != goal.arity:
+        if (rule.head.pred != goal.pred or rule.head.arity != goal.arity
+                or any(map(_clashes, goal.args, rule.head.args))):
             continue
         copy = fresh_variant(rule, fresh)
         s = mgu_atoms(goal, copy.head)
         if s is None:
             continue
-        inserted = tuple(sorted(copy.body, key=render_atom))
-        resolvent = Query(tuple(apply(s, g) for g in inserted + q.goals[1:]))
-        rest = _dfs(p, resolvent, remaining - 1, fresh, labels)
+        resolvent = Query(tuple(apply(s, g) for g in body_order(copy) + q.goals[1:]))
+        rest = _dfs(p, resolvent, remaining - 1, fresh, labels, pruned)
         if rest is not None:
             label = labels.get(canonical_key(rule), "") if labels else ""
             step = DerivationStep(copy, s, label, resolvent)
@@ -86,8 +99,9 @@ def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
     fresh.reserve(v.name for v in vars_of(p))
     fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
     for limit in range(max_depth + 1):
-        result = _dfs(p, q, limit, fresh, labels)
-        if result is not None:
+        pruned = [False]
+        result = _dfs(p, q, limit, fresh, labels, pruned)
+        if result is not None or not pruned[0]:
             return result
     return None
 

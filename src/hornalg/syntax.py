@@ -198,7 +198,8 @@ def term_functors(*terms: Term) -> frozenset:
 
 
 def body_order(r: Rule) -> tuple:
-    """The rule's body atoms in `render_atom` order, sorted once per rule."""
+    """The rule's body atoms in `render_atom` order, sorted once per rule;
+    a `fresh_variant` copy keeps its original's order, renamed."""
     try:
         return r._order
     except AttributeError:

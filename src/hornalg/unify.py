@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .syntax import Atom, Compound, Program, Rule, Term, Var, rule_vars
+from .syntax import Atom, Compound, Program, Rule, Term, Var, body_order, rule_vars
 
 
 def _apply_term(s: dict, t: Term) -> Term:
@@ -204,6 +204,11 @@ class FreshNames:
 
 
 def fresh_variant(rule: Rule, fresh: FreshNames) -> Rule:
-    """A copy of the rule with every variable replaced by a fresh one."""
+    """A copy of the rule with fresh variables that keeps the rule's `body_order`."""
     mapping = {v: fresh.fresh() for v in rule_vars(rule)}
-    return apply(mapping, rule)
+    if not mapping:
+        return rule
+    order = tuple([_apply_atom(mapping, a) for a in body_order(rule)])
+    copy = Rule(_apply_atom(mapping, rule.head), frozenset(order))
+    object.__setattr__(copy, "_order", order)
+    return copy

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,40 @@ def test_query_unprovable_is_exhausted():
 def test_query_depth_budget():
     code, _, _ = run("query", "corpus:nat", "nat(s(s(s(s(0)))))", "--depth", "3")
     assert code == EXHAUSTED
+
+
+def test_query_goal_order_ignores_fresh_names(tmp_path):
+    # body goals go in the rule's own order, whatever names the renaming draws
+    rules = "pair(X,Y) :- e(X), e(Y).\ne(a).\ne(b).\n"
+    (tmp_path / "plain.lp").write_text(rules)
+    (tmp_path / "padded.lp").write_text(rules + "pad(_S1,_S2,_S3,_S4).\n")
+    for name in ("plain.lp", "padded.lp"):
+        code, out, _ = run("query", str(tmp_path / name), "pair(a,b)", "--trace")
+        assert code == OK
+        assert out.splitlines() == ["yes", "<- pair(a,b)", "<- e(a), e(b)", "<- e(b)", "<- []"]
+
+
+def _readme_query_examples():
+    """Each `$ hornalg query ...` line of README's examples with the output
+    lines under it, up to a blank line or the end of the block."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ hornalg query "):
+            end = i + 1
+            while end < len(lines) and lines[end] not in ("", "```"):
+                end += 1
+            examples.append((shlex.split(line)[2:], lines[i + 1:end]))
+    return examples
+
+
+def test_readme_query_examples_print_what_readme_shows():
+    examples = _readme_query_examples()
+    assert len(examples) == 3
+    for argv, shown in examples:
+        code, out, _ = run(*argv)
+        assert code == OK, argv
+        assert out.splitlines() == shown, argv
 
 
 def test_lm_rejects_a_negative_depth():

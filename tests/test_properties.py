@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import product
 
-from hornalg import corpus
+from hornalg import corpus, sld
 from hornalg.algebra import compose, concatenate, omega
 from hornalg.errors import (
     BudgetError,
@@ -35,9 +35,10 @@ from hornalg.semantics import (
     list_universe,
     tp_step,
 )
-from hornalg.sld import proves
-from hornalg.syntax import (NIL, Atom, Compound, Program, Rule, Var, body_order, cons,
-                            render_atom, render_program, rule_vars, vars_of)
+from hornalg.sld import DerivationStep, Query, answer_substitution, proves, render_trace
+from hornalg.syntax import (NIL, Atom, Compound, Program, Rule, Var, atom_vars, body_order,
+                            cons, render_atom, render_program, rule_vars, vars_of)
+from hornalg.unify import FreshNames, apply, mgu_atoms
 
 CASES = 500
 
@@ -273,6 +274,93 @@ def test_sld_and_least_model_agree():
                 ))
             expected = atom in lm
             assert proves(p, atom, max_depth=depth) == expected, (name, atom)
+
+
+# ---------------------------------------------------------------------------
+# 5b. SLD search with its clash test and early exit gives the proofs of
+# plain iterative deepening
+
+
+def _reference_dfs(p, q, remaining, fresh):
+    """Depth-bounded SLD with no clash test: every rule of the goal's
+    predicate is renamed and unified; its body goes first in `body_order`."""
+    if q.is_empty:
+        return []
+    if remaining == 0:
+        return None
+    goal = q.goals[0]
+    for rule in p:
+        if rule.head.pred != goal.pred or rule.head.arity != goal.arity:
+            continue
+        renaming = {v: fresh.fresh() for v in rule_vars(rule)}
+        s = mgu_atoms(goal, apply(renaming, rule.head))
+        if s is None:
+            continue
+        inserted = tuple(apply(renaming, a) for a in body_order(rule))
+        resolvent = Query(tuple(apply(s, g) for g in inserted + q.goals[1:]))
+        rest = _reference_dfs(p, resolvent, remaining - 1, fresh)
+        if rest is not None:
+            return [DerivationStep(apply(renaming, rule), s, "", resolvent)] + rest
+    return None
+
+
+def _reference_proof(p, q, max_depth):
+    """Plain iterative deepening: every bound up to `max_depth` is run
+    until one gives a proof."""
+    fresh = FreshNames(prefix="_S")
+    fresh.reserve(v.name for v in vars_of(p))
+    fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
+    for limit in range(max_depth + 1):
+        steps = _reference_dfs(p, q, limit, fresh)
+        if steps is not None:
+            return steps
+    return None
+
+
+def _rand_goal(rng, p, lists, p_var):
+    """A random atom, or an instance of a random rule head of `p`."""
+    if rng.random() < 0.5:
+        head = rng.choice(list(p)).head
+        return apply({v: rand_open_term(rng, 1, lists, p_var) for v in atom_vars(head)}, head)
+    pred, arity = rng.choice((("p", 1), ("r", 2)))
+    return Atom(pred, tuple(rand_open_term(rng, 2, lists, p_var) for _ in range(arity)))
+
+
+def _shown(steps, q):
+    return None if steps is None else (render_trace(steps, q), answer_substitution(steps, q))
+
+
+def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
+    rng = random.Random(1606)
+    seen = Counter()
+    dfs, clashes = sld._dfs, sld._clashes
+
+    def counted_dfs(p, q, remaining, fresh, labels, pruned):
+        seen["bounds"] += q is query
+        return dfs(p, q, remaining, fresh, labels, pruned)
+
+    def counted_clashes(s, t):
+        out = clashes(s, t)
+        seen["clash"] += out
+        return out
+
+    monkeypatch.setattr(sld, "_dfs", counted_dfs)
+    monkeypatch.setattr(sld, "_clashes", counted_clashes)
+    for i in range(CASES):
+        lists = i % 2 == 0
+        p = rand_open_program(rng, lists)
+        query = Query(tuple(_rand_goal(rng, p, lists, 0.3 * (i % 3))
+                            for _ in range(rng.randint(1, 2))))
+        max_depth = rng.randint(0, 8)
+        seen["bounds"] = 0
+        steps = sld.prove_with_trace(p, query, max_depth)
+        expected = _reference_proof(p, query, max_depth)
+        assert _shown(steps, query) == _shown(expected, query), (render_program(p), query)
+        seen["proved"] += steps is not None
+        seen["open_goal"] += steps is not None and bool(answer_substitution(steps, query))
+        seen["early_exit"] += steps is None and seen["bounds"] <= max_depth
+    assert all(seen[k] > CASES // 10 for k in ("proved", "open_goal", "early_exit")), seen
+    assert seen["clash"], seen
 
 
 # ---------------------------------------------------------------------------

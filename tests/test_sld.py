@@ -1,6 +1,6 @@
 import unittest
 
-from hornalg import corpus
+from hornalg import corpus, sld
 from hornalg.parser import parse_atom, parse_program, parse_query, parse_rule
 from hornalg.semantics import GroundingBound
 from hornalg.sld import (
@@ -14,7 +14,8 @@ from hornalg.sld import (
     render_answer,
     render_trace,
 )
-from hornalg.syntax import render_rule, render_term
+from hornalg.syntax import body_order, render_atom, render_rule, render_term
+from hornalg.unify import FreshNames, fresh_variant
 
 NAT = parse_program("nat(0). nat(s(X)) :- nat(X).")
 
@@ -147,6 +148,44 @@ def test_trace_mentions_rule_used():
     steps = prove_with_trace(NAT, Query((parse_atom("nat(s(0))"),)))
     used = [render_rule(s.rule_used) for s in steps]
     assert used[-1] == "nat(0)."
+
+
+def _count_copies(monkeypatch):
+    calls = []
+
+    def counted(rule, fresh):
+        calls.append(rule)
+        return fresh_variant(rule, fresh)
+
+    monkeypatch.setattr(sld, "fresh_variant", counted)
+    return calls
+
+
+def test_finitely_failed_goal_costs_the_same_at_any_depth(monkeypatch):
+    calls = _count_copies(monkeypatch)
+    plus, goal = corpus.program("plus"), parse_atom("plus(s(0),s(0),s(0))")
+    counts = []
+    for depth in (4, 16):
+        calls.clear()
+        assert not proves(plus, goal, max_depth=depth)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_goal_clashing_with_every_head_makes_no_copies(monkeypatch):
+    calls = _count_copies(monkeypatch)
+    assert not proves(corpus.program("plus"), parse_atom("plus(a,b,c)"))
+    assert not proves(corpus.program("member"), parse_atom("member(a,[])"))
+    assert calls == []
+
+
+def test_copies_keep_the_rule_body_order():
+    rule = parse_rule("pair(X,Y) :- e(X), e(Y).")
+    names = FreshNames(prefix="_S")
+    for _ in range(8):  # X gets _S9 and Y _S10, which renders first
+        names.fresh()
+    copy = fresh_variant(rule, names)
+    assert [render_atom(a) for a in body_order(copy)] == ["e(_S9)", "e(_S10)"]
 
 
 if __name__ == "__main__":

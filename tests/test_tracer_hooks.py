@@ -42,3 +42,16 @@ def test_form_evaluation_reaches_the_traced_callees():
         "Evaluator(t).eval(t['S'].body, x)\n"
         "assert tracer.calls['unify.apply'] == before + 1, tracer.calls\n"
     )
+
+
+def test_proof_search_reaches_the_traced_callees():
+    # `sld` must call `fresh_variant` and `mgu_atoms` through its own globals
+    _run(
+        "from hornalg import corpus, sld\n"
+        "from hornalg.parser import parse_atom\n"
+        "tracer.active = True\n"
+        "goal = sld.Query((parse_atom('plus(s(0),s(0),X)'),))\n"
+        "assert sld.prove_with_trace(corpus.program('plus'), goal) is not None\n"
+        "assert tracer.calls['unify.fresh_variant'] > 0, tracer.calls\n"
+        "assert tracer.calls['unify.mgu'] > 0, tracer.calls\n"
+    )
