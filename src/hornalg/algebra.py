@@ -23,6 +23,7 @@ from .syntax import (
     body_order,
     is_ground,
     pred_of,
+    rule_vars,
     vars_of,
 )
 from .unify import (
@@ -48,35 +49,34 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
     Facts of p have no body atoms, so they pass through unchanged.  Raises
     CompositionOverflowError when more than `cap` rules are generated.
     """
-    fresh = FreshNames(prefix="_C")
-    fresh.reserve(v.name for v in vars_of(p))
-    fresh.reserve(v.name for v in vars_of(r))
     out: list[Rule] = []
     r_rules = r.rules
 
-    # Ground rules need no standardizing apart, and a ground head can only
-    # resolve a goal of the same predicate and arity (an equal goal, when the
-    # goal itself is ground).  Index them so hopeless candidates are never
-    # visited; rules with variables are always tried, as their head may
-    # unify under the threaded substitution.
+    # A goal is offered only the rules whose head can resolve it: those of its
+    # predicate and arity, of which a ground goal takes a ground rule only
+    # when the rule's head equals it.  Candidates keep r's order.  Each rule
+    # with variables is copied apart before it is tried, so fresh names are
+    # needed only when r holds such a rule.
+    by_sig: dict[tuple, list[int]] = {}
+    open_by_sig: dict[tuple, list[int]] = {}
     ground_by_head: dict[Atom, list[int]] = {}
-    ground_by_sig: dict[tuple, list[int]] = {}
-    var_indices: list[int] = []
     for idx, cand in enumerate(r_rules):
-        if not is_ground(cand):
-            var_indices.append(idx)
+        sig = (cand.head.pred, len(cand.head.args))
+        by_sig.setdefault(sig, []).append(idx)
+        if rule_vars(cand):
+            open_by_sig.setdefault(sig, []).append(idx)
         else:
             ground_by_head.setdefault(cand.head, []).append(idx)
-            sig = (cand.head.pred, len(cand.head.args))
-            ground_by_sig.setdefault(sig, []).append(idx)
-    var_set = frozenset(var_indices)
+    if open_by_sig:
+        fresh = FreshNames(prefix="_C")
+        fresh.reserve(v.name for v in vars_of(p))
+        fresh.reserve(v.name for v in vars_of(r))
 
-    def candidates(goal: Atom) -> list[int]:
-        if is_ground(goal):
-            ground = ground_by_head.get(goal, ())
-        else:
-            ground = ground_by_sig.get((goal.pred, len(goal.args)), ())
-        return sorted([*ground, *var_indices])
+    def candidates(goal: Atom, ground: bool) -> list[int]:
+        sig = (goal.pred, len(goal.args))
+        if not ground:
+            return by_sig.get(sig, [])
+        return sorted([*ground_by_head.get(goal, ()), *open_by_sig.get(sig, ())])
 
     for rho in p:
         if rho.is_fact:
@@ -85,10 +85,13 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
                 raise CompositionOverflowError(cap)
             continue
         goals = body_order(rho)
-        goal_cands = [candidates(g) for g in goals]
+        ground_rho = not rule_vars(rho)
+        goal_cands = [candidates(g, ground_rho or is_ground(g)) for g in goals]
+        if not all(goal_cands):  # some goal has no rule to resolve it
+            continue
 
         # Depth-first over assignments of rules to body atoms, threading a
-        # triangular substitution.  Each chosen rule is copied apart first.
+        # triangular substitution.
         def assign(i: int, s: dict, bodies: tuple):
             if i == len(goals):
                 theta = _resolve(s)
@@ -100,7 +103,7 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
                 return
             for idx in goal_cands[i]:
                 cand = r_rules[idx]
-                copy = cand if idx not in var_set else fresh_variant(cand, fresh)
+                copy = fresh_variant(cand, fresh) if rule_vars(cand) else cand
                 s2 = _unify_atoms(goals[i], copy.head, s)
                 if s2 is not None:
                     assign(i + 1, s2, bodies + (copy.body,))

@@ -19,6 +19,7 @@ from hornalg.algebra import (
 from hornalg.errors import CompositionOverflowError, FixpointBudgetError
 from hornalg.parser import parse_atom, parse_program, parse_rule
 from hornalg.syntax import Program, render_program
+from test_properties import reference_compose
 
 
 def pg(text):
@@ -77,6 +78,30 @@ def test_compose_overflow_raises():
     q = pg("q(a). q(b).")
     with pytest.raises(CompositionOverflowError):
         compose(p, q, cap=3)
+
+
+def test_compose_keeps_copies_apart():
+    r = pg("r(X,Y) :- s(Y,X). r(a,Y) :- s(Y,Y).")
+    assert compose(pg("q(X) :- r(X,Y)."), r) == pg("q(X) :- s(Y,X). q(a) :- s(Y,Y).")
+    # two copies of one rule get distinct names: else Y and Z would meet
+    assert compose(pg("q(X,Z) :- r(X,Y), r(Y,Z)."), r) == pg(
+        "q(X,Z) :- s(Y,X), s(Z,Y). q(X,Z) :- s(a,X), s(Z,Z)."
+        "q(a,Z) :- s(Y,Y), s(Z,Y). q(a,Z) :- s(a,a), s(Z,Z).")
+    # names already drawn by an earlier compose are not drawn again
+    assert compose(pg("q(_C1,_C2) :- r(_C1,_C3), r(_C2,_C4)."), r) == pg(
+        "q(X,Z) :- s(Y,X), s(U,Z). q(X,a) :- s(Y,Y), s(U,X)."
+        "q(a,Z) :- s(Y,Y), s(U,Z). q(a,a) :- s(Y,Y), s(U,U).")
+
+
+@pytest.mark.parametrize("name", ["plus", "reverse", "times_nat"])
+def test_power_matches_a_fold_of_the_reference_compose(name):
+    # each power composes p with the previous one, whose `_C` names are
+    # those compose draws
+    p = corpus.program(name)
+    acc = identity_program(p)
+    for n in range(1, 6):
+        acc = reference_compose(p, acc)
+        assert render_program(power(p, n)) == render_program(acc), n
 
 
 def test_power_zero_is_identity():

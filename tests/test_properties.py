@@ -5,7 +5,9 @@ from collections import Counter
 from dataclasses import replace
 from itertools import product
 
-from hornalg import corpus, sld
+import pytest
+
+from hornalg import algebra, corpus, sld
 from hornalg.algebra import compose, concatenate, omega
 from hornalg.errors import (
     BudgetError,
@@ -96,6 +98,87 @@ def test_compose_associativity():
         assert left == right, (render_program(a), render_program(b), render_program(c))
         checked += 1
     assert checked >= CASES * 0.95
+
+
+# ---------------------------------------------------------------------------
+# 1b. the head index of compose emits what offering every rule emits
+
+
+def reference_compose(p, r, cap=100_000, copies=None):
+    """Composition with no head index: every rule of r is offered to every
+    goal, and every rule with variables is copied apart before it is
+    unified.  `copies`, a Counter, counts the copies made."""
+    fresh = FreshNames(prefix="_C")
+    fresh.reserve(v.name for v in vars_of(p))
+    fresh.reserve(v.name for v in vars_of(r))
+    out = []
+
+    def assign(rho, goals, theta, bodies):
+        if not goals:
+            out.append(Rule(apply(theta, rho.head), frozenset(apply(theta, a) for a in bodies)))
+            if len(out) > cap:
+                raise CompositionOverflowError(cap)
+            return
+        for cand in r:
+            if rule_vars(cand):
+                cand = apply({v: fresh.fresh() for v in rule_vars(cand)}, cand)
+                if copies is not None:
+                    copies["copies"] += 1
+            s = mgu_atoms(apply(theta, goals[0]), cand.head)
+            if s is not None:
+                composed = {v: apply(s, t) for v, t in theta.items()}
+                assign(rho, goals[1:], {**s, **composed}, bodies + body_order(cand))
+
+    for rho in p:
+        assign(rho, body_order(rho), {}, ())
+    return Program(out)
+
+
+_SIGNATURES = (("p", 0), ("q", 1), ("q", 2), ("r", 2))
+
+
+def _rand_sig_program(rng):
+    """Rules over predicates that share a name but not an arity, or
+    neither, one of them 0-ary; at least half the rules are ground."""
+    def atom(p_var):
+        pred, arity = rng.choice(_SIGNATURES)
+        return Atom(pred, tuple(rand_open_term(rng, 1, False, p_var) for _ in range(arity)))
+
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        p_var = rng.choice((0.0, 0.4))
+        rules.append(Rule(atom(p_var), frozenset(atom(p_var) for _ in range(rng.randint(0, 2)))))
+    return Program(rules)
+
+
+def test_compose_matches_offering_every_rule(monkeypatch):
+    rng = random.Random(1111)
+    copies = Counter()
+    fresh_variant = algebra.fresh_variant
+
+    def counted_fresh_variant(rule, fresh):
+        copies["index"] += 1
+        return fresh_variant(rule, fresh)
+
+    monkeypatch.setattr(algebra, "fresh_variant", counted_fresh_variant)
+    for _ in range(CASES):
+        p, r = _rand_sig_program(rng), _rand_sig_program(rng)
+        shown = (render_program(p), render_program(r))
+        for cap in (2, 100_000):
+            try:
+                expected = reference_compose(p, r, cap, copies)
+            except CompositionOverflowError:
+                with pytest.raises(CompositionOverflowError):
+                    compose(p, r, cap=cap)
+                copies["overflow"] += 1
+                continue
+            got = compose(p, r, cap=cap)
+            assert render_program(got) == render_program(expected), (cap, shown)
+            assert len(got) == len(expected), (cap, shown)
+            copies["equal"] += 1
+    assert copies["equal"] > CASES and copies["overflow"] > CASES // 20, copies
+    # the index skips rules whose head cannot resolve the goal
+    assert copies["index"] < copies["copies"], copies
 
 
 # ---------------------------------------------------------------------------

@@ -55,3 +55,16 @@ def test_proof_search_reaches_the_traced_callees():
         "assert tracer.calls['unify.fresh_variant'] > 0, tracer.calls\n"
         "assert tracer.calls['unify.mgu'] > 0, tracer.calls\n"
     )
+
+
+def test_composition_reaches_the_traced_callees():
+    # `algebra.compose` must copy and unify through its own globals, or the
+    # traced `closure` counters read 0
+    _run(
+        "from hornalg import algebra, corpus\n"
+        "tracer.active = True\n"
+        "p = corpus.program('plus')\n"
+        "assert len(algebra.compose(p, p)) == 3\n"
+        "assert tracer.calls['unify.fresh_variant'] > 0, tracer.calls\n"
+        "assert tracer.calls['unify.unify'] > 0, tracer.calls\n"
+    )
