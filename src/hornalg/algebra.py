@@ -23,8 +23,8 @@ from .syntax import (
     body_order,
     is_ground,
     pred_of,
+    program_vars_ordered,
     rule_vars,
-    vars_of,
 )
 from .unify import (
     FreshNames,
@@ -69,8 +69,8 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             ground_by_head.setdefault(cand.head, []).append(idx)
     if open_by_sig:
         fresh = FreshNames(prefix="_C")
-        fresh.reserve(v.name for v in vars_of(p))
-        fresh.reserve(v.name for v in vars_of(r))
+        fresh.reserve(v.name for v in program_vars_ordered(p))
+        fresh.reserve(v.name for v in program_vars_ordered(r))
 
     def candidates(goal: Atom, ground: bool) -> list[int]:
         sig = (goal.pred, len(goal.args))

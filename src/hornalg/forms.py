@@ -60,7 +60,6 @@ from .syntax import (
     program_vars_ordered,
     render_term,
     term_functors,
-    vars_of,
 )
 from .unify import FreshNames, apply
 
@@ -181,7 +180,7 @@ def refresh_body_vars(p: Program) -> Program:
     ordered = dict.fromkeys(v for r in p for a in body_order(r) for v in atom_vars(a))
     if not ordered:
         return p
-    fresh = FreshNames((v.name for v in vars_of(p) if v not in ordered), prefix="Z")
+    fresh = FreshNames((v.name for v in program_vars_ordered(p) if v not in ordered), prefix="Z")
     return apply({v: fresh.fresh() for v in ordered}, p)
 
 
@@ -574,6 +573,11 @@ class _LpfParser(_Parser):
             self.i += 1
             params.append(self.param())
         self.take("RPAREN", "')'")
+        declared = [n for s in params for n in (s.name, s.pred_placeholder) if n]
+        twice = sorted({n for n in declared if declared.count(n) > 1})
+        if twice:
+            raise ParseError(f"form {name} declares {', '.join(twice)} twice",
+                             source=self.source, line=kw.line, col=kw.col)
         self.take("EQUALS", "'='")
         body = self.expr()
         self.take("SEMI", "';'")
@@ -675,6 +679,12 @@ class _LpfParser(_Parser):
                     self.i += 1
                     args.append(self.take("VAR", "a parameter reference").text)
                 self.take("RPAREN", "')'")
+                want = len(self.table[tok.text].params)
+                if len(args) != want:
+                    raise ParseError(
+                        f"form {tok.text} takes {want} arguments, got {len(args)}",
+                        source=self.source, line=tok.line, col=tok.col,
+                    )
                 return FormCall(tok.text, tuple(args))
             if tok.text in self.table:
                 raise ParseError(

@@ -473,23 +473,25 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     source, target = problem.source, problem.target
     inter = source.intersection(target)
 
-    # A candidate is verified by the parts of `check_proportion` it depends
-    # on, each computed once where its inputs are: the form checks once per
-    # pool form, the domain checks once per (program, domain).
+    # A candidate is verified by the form checks of `check_proportion`, run
+    # once per pool form.  The domain checks hold by construction.  Source
+    # vectors are rule sets of P | Q, which lie in the source domain, and
+    # target vectors rule sets of R, which lies in the target; the ffgg line
+    # is tried only when P, Q and R lie in the intersection, which its
+    # vectors must.  S is a form's value on a target vector: a form that
+    # passes `form_ok` holds fixed material from the intersection only, and
+    # no operation gives a symbol that is neither in its operands nor fixed
+    # material, so S lies in the target vector's domain, and so in the target.
     @cache
     def form_ok(i: int) -> bool:
         return (not fixed_material_offences((forms[i],), inter, ev.table)
                 and is_nonconstant(forms[i], ev))
 
-    @cache
-    def lies_in(prog: Program, sig: DomainSig) -> bool:
-        return not domain_offences((("", prog),), sig)
-
-    def fitting(positions, value, want: Optional[Program], ssig: DomainSig) -> list:
+    def fitting(positions, value, want: Optional[Program]) -> list:
         """The positions whose value on the target vector is `want`, or,
-        for None, a candidate S: any value lying in `ssig`."""
+        for None, a candidate S: any value."""
         if want is None:
-            return [i for i in positions if (v := value(i)) is not None and lies_in(v, ssig)]
+            return [i for i in positions if value(i) is not None]
         return [i for i in positions if value(i) == want]
 
     # Each vector's values by position, from the evaluator.  A target
@@ -519,24 +521,18 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     by_s: dict = {}  # S -> (block, F, G in text order) of each block giving it
     f_gives_s = {line: ("s", "f", "r") in eqs for line, eqs in _LINE_EQUATIONS.items()}
     for line in _LINES:
-        psig, rsig, shared = _line_domains(line, source, target)
-        if shared is not None and not all(lies_in(x, shared) for x in (P, Q, R)):
+        _, _, shared = _line_domains(line, source, target)
+        if shared is not None and not all(in_domain(x, shared) for x in (P, Q, R)):
             continue
         # What each form must give on the source and on the target vector;
-        # None stands for S, which lies in the target vector's domain, as
-        # S in the intersection is also in the target (`s_in_target`).
+        # None stands for S.
         gives = {form + vec: known.get(prog) for prog, form, vec in _LINE_EQUATIONS[line]}
         f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
-        for si, sv in enumerate(svecs):
-            if not lies_in(sv, psig):
-                continue
+        for si in range(len(svecs)):
             sby = lookup(si)
-            for ti, tv in enumerate(tvecs):
-                if not lies_in(tv, rsig):
-                    continue
-                tval = tvals[ti]
-                fs = fitting(sby.get(f_source, ()), tval, f_target, rsig)
-                gs = fitting(sby.get(g_source, ()), tval, g_target, rsig)
+            for ti, tval in enumerate(tvals):
+                fs = fitting(sby.get(f_source, ()), tval, f_target)
+                gs = fitting(sby.get(g_source, ()), tval, g_target)
                 # The form checks run last: they evaluate the forms on the probes.
                 fs = [i for i in fs if form_ok(i)] if gs else ()
                 gs = [i for i in gs if form_ok(i)] if fs else ()

@@ -43,7 +43,7 @@ from .syntax import (
     render_atom,
     render_term,
     rule_vars,
-    vars_of,
+    term_vars,
 )
 from .unify import _match_term, apply, match_atom
 
@@ -199,7 +199,7 @@ def _key(positions: dict, base: tuple, args: tuple, bound: set) -> tuple:
     """The lookup key of a pattern: `base`, or `base + (j,)` when argument
     j is the first one whose variables all lie in `bound` (j is then
     recorded in `positions` as a position to index)."""
-    j = next((j for j, t in enumerate(args) if vars_of(t) <= bound), None)
+    j = next((j for j, t in enumerate(args) if bound.issuperset(term_vars(t))), None)
     if j is None:
         return base
     positions.setdefault(base, set()).add(j)
@@ -236,28 +236,28 @@ class _Plan:
 
     def __init__(self, p: Program, universe: frozenset):
         self.universe = universe
-        self.ground_rules = [r for r in p if is_ground(r)]
-        self.rules = []
+        self.ground_rules, self.rules = [], []
         self.atom_keys: dict = {}
         term_keys: dict = {}
         for rule in p:
             if is_ground(rule):
+                self.ground_rules.append(rule)
                 continue
             body = body_order(rule)
             bound: set = set()
             body_keys = []
             for b in body:
                 body_keys.append(_key(self.atom_keys, (b.pred, b.arity), b.args, bound))
-                bound |= vars_of(b)
+                bound.update(term_vars(*b.args))
             opens, closed = [], []
             for k, t in enumerate(rule.head.args):
-                if vars_of(t) <= bound:
+                if bound.issuperset(term_vars(t)):
                     closed.append(k)
                 elif isinstance(t, Var):
                     opens.append((t, ()))
                 else:
                     opens.append((t, _key(term_keys, (t.functor, len(t.args)), t.args, bound)))
-                bound |= vars_of(t)
+                bound.update(term_vars(t))
             self.rules.append((rule.head, body, body_keys, opens, closed))
         self.terms: dict = {(): list(universe)}
         for t in universe:

@@ -23,10 +23,10 @@ from .syntax import (
     atom_vars,
     body_order,
     canonical_key,
+    program_vars_ordered,
     render_atom,
     render_term,
     term_vars,
-    vars_of,
 )
 from .unify import FreshNames, apply, fresh_variant, mgu_atoms
 
@@ -96,7 +96,7 @@ def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
     """Iterative-deepening SLD search; returns the first (shortest) successful
     derivation as a list of steps, or None within the depth budget."""
     fresh = FreshNames(prefix="_S")
-    fresh.reserve(v.name for v in vars_of(p))
+    fresh.reserve(v.name for v in program_vars_ordered(p))
     fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
     for limit in range(max_depth + 1):
         pruned = [False]
@@ -133,8 +133,7 @@ def _answers(steps: list, q: Query, shown: Iterable[Atom] = ()) -> tuple:
             answers[v] = apply(st.unifier, answers[v])
     fresh = FreshNames(prefix="_")
     fresh.reserve(v.name for v in answers)
-    others = [w for t in answers.values() for w in term_vars(t)]
-    others += [w for a in shown for w in atom_vars(a)]
+    others = term_vars(*answers.values(), *(t for a in shown for t in a.args))
     return answers, {w: fresh.fresh() for w in dict.fromkeys(others) if w not in answers}
 
 

@@ -92,19 +92,8 @@ Term = Union[Var, Compound]
 NIL = Compound("nil", ())
 
 
-def const(name: str) -> Compound:
-    return Compound(name, ())
-
-
 def cons(head: Term, tail: Term) -> Compound:
     return Compound("cons", (head, tail))
-
-
-def make_list(items: Iterable[Term], tail: Term = NIL) -> Term:
-    out = tail
-    for item in reversed(tuple(items)):
-        out = cons(item, out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +161,19 @@ def pred_of(rule: Rule) -> PredSignature:
 # Variable collection
 
 
-def term_vars(t: Term) -> Iterator[Var]:
-    if isinstance(t, Var):
-        yield t
-    else:
-        for a in t.args:
-            yield from term_vars(a)
+def term_vars(*terms: Term) -> Iterator[Var]:
+    """The variable occurrences of the terms, left to right, at any depth."""
+    stack = list(terms[::-1])
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            yield t
+        elif t.args:
+            stack.extend(t.args[::-1])
 
 
 def atom_vars(a: Atom) -> Iterator[Var]:
-    for t in a.args:
-        yield from term_vars(t)
+    return term_vars(*a.args)
 
 
 def term_functors(*terms: Term) -> frozenset:
@@ -218,24 +209,12 @@ def rule_vars(r: Rule) -> tuple:
         return r._vars
 
 
-def vars_of(obj) -> frozenset:
-    """All variables occurring in a term, atom, rule, or program."""
-    if isinstance(obj, (Var, Compound)):
-        return frozenset(term_vars(obj))
-    if isinstance(obj, Atom):
-        return frozenset(atom_vars(obj))
-    if isinstance(obj, Rule):
-        return frozenset(rule_vars(obj))
-    if isinstance(obj, Program):
-        return frozenset(v for r in obj for v in rule_vars(r))
-    raise TypeError(f"cannot collect variables from {type(obj).__name__}")
-
-
 def is_ground(obj) -> bool:
-    """No variable occurs in `obj`; a term or an atom stops at the first."""
-    if isinstance(obj, (Var, Compound, Atom)):
-        return not isinstance(obj, Var) and all(map(is_ground, obj.args))
-    return not (rule_vars(obj) if isinstance(obj, Rule) else vars_of(obj))
+    """No variable occurs in a term, an atom or a rule; a term or an atom
+    stops at the first."""
+    if isinstance(obj, Rule):
+        return not rule_vars(obj)
+    return next(term_vars(*obj.args) if isinstance(obj, Atom) else term_vars(obj), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from math import factorial
 
 from hornalg.parser import parse_rule
 from hornalg.syntax import (Atom, Compound, Program, Rule, Var, canonical_key, canonical_rule,
-                            cons, render_atom, vars_of)
+                            cons, render_atom, rule_vars)
 from hornalg.unify import apply
 
 CASES = 3000
@@ -101,7 +101,7 @@ def rand_rule(rng, n_vars=6, max_body=7):
 def renamed(rule, rng):
     """A variant of `rule` under a random bijection onto fresh names; the
     body's iteration order changes with the names."""
-    old = sorted(vars_of(rule), key=lambda v: v.name)
+    old = sorted(rule_vars(rule), key=lambda v: v.name)
     new = [Var(f"R{i}") for i in range(len(old))]
     rng.shuffle(new)
     return apply(dict(zip(old, new)), rule)
@@ -109,7 +109,7 @@ def renamed(rule, rng):
 
 def is_variant(r1, r2):
     """Brute force: some bijection of variables maps r1 onto r2."""
-    v1, v2 = sorted(vars_of(r1), key=repr), sorted(vars_of(r2), key=repr)
+    v1, v2 = sorted(rule_vars(r1), key=repr), sorted(rule_vars(r2), key=repr)
     return len(v1) == len(v2) and any(
         apply(dict(zip(v1, image)), r1) == r2 for image in permutations(v2))
 

@@ -459,3 +459,39 @@ def test_long_list_is_a_budget_error(tmp_path):
     code, _, err = run("lm", str(path))
     assert code == EXHAUSTED
     assert err == "budget exhausted: term nesting exceeds the recursion limit\n"
+
+
+def test_lm_past_the_atom_budget_is_exhausted(tmp_path):
+    path = tmp_path / "wide.lp"
+    path.write_text("p(f(a,b)).\n")
+    code, out, err = run("lm", str(path), "--depth", "4")
+    assert code == EXHAUSTED
+    assert out == ""
+    assert err == "budget exhausted: grounding exceeded the atom budget of 200000\n"
+
+
+def test_form_eval_of_an_unknown_form():
+    code, out, err = run("form-eval", "corpus:standard", "Nope")
+    assert code == INPUT_ERROR and out == ""
+    assert err == "error: unknown form Nope\n"
+
+
+def test_form_eval_bind_needs_an_equals_sign():
+    code, out, err = run("form-eval", "corpus:standard", "Plus", "--bind", "corpus:nat")
+    assert code == INPUT_ERROR and out == ""
+    assert err == "error: --bind expects NAME=SPEC, got 'corpus:nat'\n"
+
+
+def test_prop_check_needs_a_witness(tmp_path):
+    path = tmp_path / "bare.prop"
+    path.write_text("p: corpus:ex43_p\nq: corpus:ex43_q\nr: corpus:ex43_r\n"
+                    "source-preds: a b c d\ntarget-preds: a b c d\n")
+    code, out, err = run("prop-check", str(path))
+    assert code == INPUT_ERROR and out == ""
+    assert err == f"error: {path}: no witness to check\n"
+
+
+def test_prop_solve_budget_skips_empty_entries():
+    spaced = run("prop-solve", "corpus:ex43_joint", "--budget", "depth=1,,vec=1")
+    assert spaced[0] == OK
+    assert spaced == run("prop-solve", "corpus:ex43_joint", "--budget", "depth=1,vec=1")

@@ -2,8 +2,8 @@
 
 import pytest
 
-from hornalg import corpus
-from hornalg.errors import FormEvalError, ParseError
+from hornalg import corpus, semantics
+from hornalg.errors import BudgetError, FormEvalError, ParseError
 from hornalg.forms import (
     _BINARY,
     _UNARY,
@@ -134,6 +134,31 @@ def test_program_references_are_not_syntax():
         table("form T(X) = X | @p;")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("frm T(X) = X;", "expected 'form'"),
+    ("form T(X) = X; form T(Y) = Y;", "form T defined twice"),
+    ("form T(X) = ", "expected a form expression"),
+    ("form T(X) = ;", "expected a form expression"),
+    ("form T(X) = frob(X);", "unknown function 'frob'"),
+    ("form A(X) = X; form B(X) = A | X;", "form A used without arguments"),
+    ("form T(X, X) = X;", "form T declares X twice"),
+    ("form F(X[q], Y[q]) = X[q/r] | Y;", "form F declares q twice"),
+    ("form A(X) = X; form B(X, Y) = A(X, Y);", "form A takes 1 arguments, got 2"),
+    ("form A(X, Y) = X | Y; form B(X) = A(X);", "form A takes 2 arguments, got 1"),
+])
+def test_malformed_form_files_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        table(text)
+
+
+def test_calls_and_tuples_take_several_names():
+    t = table("form A(X, Y) = X | Y; form B(X(U, V, W), Y) = A(Y, X);")
+    assert t["B"].body == FormCall("A", ("Y", "X"))
+    assert [p.name for p in t["B"].params] == ["X", "Y"]
+    a, b = make_binding(pg("p(a).")), make_binding(pg("q(b)."))
+    assert eval_form(t, "B", {"X": a, "Y": b}) == pg("p(a). q(b).")
+
+
 def test_substitution_terms_use_the_program_term_grammar():
     t = table("form T(X) = X[Y := [a,f(Z)|W]];")
     assert form_to_text(t["T"].body) == "X[Y := [a,f(Z)|W]]"
@@ -219,6 +244,40 @@ def test_eval_rename_uses_binding_main_pred():
 def test_eval_undefined_form_name():
     with pytest.raises(FormEvalError):
         eval_form(table("form T(X) = X;"), "U", {"X": make_binding(pg("a."))})
+
+
+def test_eval_errors_name_what_is_missing():
+    t = table("form F(X[q]) = X[q/r];")
+    ev = Evaluator(t)
+    two_heads = make_binding(pg("p(a). q(b)."))
+    assert two_heads.main_pred is None
+    cases = [
+        (lambda: eval_form(t, "F", {"X": two_heads}), "placeholder q has no main predicate"),
+        (lambda: ev.eval(FormCall("F", ("X", "Y")), {"X": two_heads}),
+         "form F takes 1 arguments, got 2"),
+        (lambda: ev.eval(FormCall("F", ("Y",)), {"X": two_heads}), "unbound form variable Y"),
+        (lambda: eval_form(t, "F", {}), "missing bindings for X"),
+    ]
+    for call, message in cases:
+        with pytest.raises(FormEvalError, match=message):
+            call()
+
+
+def test_memo_keeps_a_failed_operation(monkeypatch):
+    # Two environments bind one program under two main predicates; `gnd`
+    # of it overflows the atom budget once, and the second read raises
+    # what the first one raised.
+    calls = []
+    real = semantics.ground
+    monkeypatch.setattr(semantics, "ground", lambda p: calls.append(p) or real(p))
+    ev, prog, form = Evaluator(), pg("p(f(a,b))."), Unary("gnd", VarRef("X"))
+    raised = []
+    for main in ("p", "q"):
+        with pytest.raises(BudgetError) as info:
+            ev.eval(form, {"X": make_binding(prog, main_pred=main)})
+        raised.append(info.value)
+    assert raised[0] is raised[1]
+    assert calls == [prog]
 
 
 def test_memo_distinguishes_variant_literals():

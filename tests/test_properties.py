@@ -39,7 +39,8 @@ from hornalg.semantics import (
 )
 from hornalg.sld import DerivationStep, Query, answer_substitution, proves, render_trace
 from hornalg.syntax import (NIL, Atom, Compound, Program, Rule, Var, atom_vars, body_order,
-                            cons, render_atom, render_program, rule_vars, vars_of)
+                            cons, program_vars_ordered, render_atom, render_program,
+                            rule_vars, term_vars)
 from hornalg.unify import FreshNames, apply, mgu_atoms
 
 CASES = 500
@@ -109,8 +110,8 @@ def reference_compose(p, r, cap=100_000, copies=None):
     goal, and every rule with variables is copied apart before it is
     unified.  `copies`, a Counter, counts the copies made."""
     fresh = FreshNames(prefix="_C")
-    fresh.reserve(v.name for v in vars_of(p))
-    fresh.reserve(v.name for v in vars_of(r))
+    fresh.reserve(v.name for v in program_vars_ordered(p))
+    fresh.reserve(v.name for v in program_vars_ordered(r))
     out = []
 
     def assign(rho, goals, theta, bodies):
@@ -286,8 +287,9 @@ def naive_fixpoint(g):
 
 
 def _nested_head_only(rule):
-    open_vars = vars_of(rule.head).difference(*map(vars_of, rule.body))
-    return any(not isinstance(t, Var) and vars_of(t) & open_vars for t in rule.head.args)
+    open_vars = set(atom_vars(rule.head)).difference(*map(atom_vars, rule.body))
+    return any(not isinstance(t, Var) and not open_vars.isdisjoint(term_vars(t))
+               for t in rule.head.args)
 
 
 def test_least_model_matches_fixpoint_of_grounding():
@@ -391,7 +393,7 @@ def _reference_proof(p, q, max_depth):
     """Plain iterative deepening: every bound up to `max_depth` is run
     until one gives a proof."""
     fresh = FreshNames(prefix="_S")
-    fresh.reserve(v.name for v in vars_of(p))
+    fresh.reserve(v.name for v in program_vars_ordered(p))
     fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
     for limit in range(max_depth + 1):
         steps = _reference_dfs(p, q, limit, fresh)

@@ -30,6 +30,7 @@ from hornalg.proportion import (
     alien_symbols,
     check_proportion,
     derived_proportions,
+    fixed_material_offences,
     form_pool,
     in_domain,
     make_witness,
@@ -178,6 +179,25 @@ def test_explicit_s_overrides_problem_s():
                               evaluator=ev_for(spec))
     assert not report.ok
     assert not next(i for i in report.items if i.code == "s_identity").ok
+
+
+def test_identity_that_fails_to_evaluate_is_a_failed_item():
+    # F reads the main predicate of its argument, and the target vector
+    # has two head predicates.
+    spec = joint_spec()
+    table = parse_forms("form Main(X[q]) = X[q/c];")
+    witness = make_witness(FormCall("Main", ("X1",)), VarRef("X1"), spec.witness.pvec,
+                           (pg("c :- d. d."),), "fgfg")
+    report = check_proportion(spec.problem, witness, evaluator=Evaluator(table))
+    item = next(i for i in report.items if i.code == "r_identity")
+    assert not item.ok
+    assert item.detail == ("F on the target vector failed to evaluate: "
+                           "placeholder q has no main predicate to resolve against")
+
+
+def test_fixed_material_of_an_unknown_form_is_a_proportion_error():
+    with pytest.raises(ProportionError, match="call of unknown form Nope"):
+        fixed_material_offences((FormCall("Nope", ("X1",)),), ABCD, {})
 
 
 def test_wrong_line_fails_identities():
@@ -556,6 +576,12 @@ def test_parse_binding_spec_rejects_bad_tuple():
         parse_binding_spec("corpus:tree(U,x,X)", corpus.program)
 
 
+def test_parse_binding_spec_main_predicate():
+    b = parse_binding_spec("corpus:ex43_p[b]", corpus.program)
+    assert b.program == corpus.program("ex43_p")
+    assert b.main_pred == "b"
+
+
 def test_problem_file_round_trip():
     spec = corpus.problem_spec("nat_plus_list")
     assert spec.problem.p == corpus.program("nat")
@@ -588,6 +614,23 @@ def test_problem_file_rejects_duplicate_keys():
     text = "p: corpus:nat\np: corpus:list\nq: corpus:nat\nr: corpus:nat\n"
     with pytest.raises(ProportionError):
         parse_proportion_file(text, corpus.program, corpus.forms_table)
+
+
+_CORE = ("p: corpus:ex43_p\nq: corpus:ex43_q\nr: corpus:ex43_r\n"
+         "source-preds: a b c d\ntarget-preds: a b c d\n")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("no colon here\n", "<string>:6: expected `key: value`"),
+    ("line: fgfg\nform-f: Id\n", "witness needs key form-g"),
+    ("forms: corpus:ex43.lpf\nline: fgfg\nform-f: Id\nform-g: Nope\npvec: corpus:ex43_p\n",
+     "unknown form Nope"),
+    ("forms: corpus:ex43.lpf\nline: fgfg\nform-f: Id\nform-g: Id\n",
+     "form Id needs 1 arguments, vectors have 0"),
+])
+def test_problem_file_errors_are_proportion_errors(extra, message):
+    with pytest.raises(ProportionError, match=message):
+        parse_proportion_file(_CORE + extra, corpus.program, corpus.forms_table)
 
 
 def test_report_formatting_shape():

@@ -18,7 +18,7 @@ from hornalg.semantics import (
     list_universe,
     tp_step,
 )
-from hornalg.syntax import NIL, Compound, Program, const, render_term
+from hornalg.syntax import NIL, Compound, Program, render_term
 from test_properties import naive_fixpoint
 
 
@@ -40,11 +40,11 @@ def test_universe_collects_functors_by_depth():
 
 def test_universe_includes_extra_constants():
     u = herbrand_universe(pg("p(X)."), GroundingBound(max_term_depth=0, constants=frozenset({"a", "b"})))
-    assert u == frozenset({const("a"), const("b")})
+    assert u == frozenset({Compound("a"), Compound("b")})
 
 
 def test_universe_override_wins():
-    given = frozenset({const("x")})
+    given = frozenset({Compound("x")})
     u = herbrand_universe(NAT, GroundingBound(universe=given))
     assert u == given
 
@@ -111,7 +111,7 @@ def test_universe_work_grows_with_its_size():
 
 def test_list_universe_contents():
     u = list_universe("ab", 2)
-    assert const("a") in u and const("b") in u
+    assert Compound("a") in u and Compound("b") in u
     assert NIL in u
     assert term("[a,b]") in u and term("[b,a]") in u
     assert term("[a,b,a]") not in u
@@ -219,14 +219,14 @@ def test_head_only_variables_take_values_by_position():
     u = list_universe("ab", 2)
     lm = least_model(pg("p(a). plus([U|X],Y) :- p(a)."), GroundingBound(universe=u))
     plus = [a for a in lm if a.pred == "plus"]
-    assert {a.args[0].args[0] for a in plus} == {const("a"), const("b")}
+    assert {a.args[0].args[0] for a in plus} == {Compound("a"), Compound("b")}
     assert {a.args[0].args[1] for a in plus} == {NIL, term("[a]"), term("[b]")}
     assert {a.args[1] for a in plus} == u  # a bare argument is unconstrained
     assert len(plus) == 6 * len(u)
 
 
 def test_head_only_variable_takes_one_value_across_positions():
-    u = frozenset({term("f(a)"), term("g(b)"), const("a"), const("b")})
+    u = frozenset({term("f(a)"), term("g(b)"), Compound("a"), Compound("b")})
     assert least_model(pg("p(f(X),g(X))."), GroundingBound(universe=u)) == frozenset()
     lm = least_model(pg("p(f(X),g(X))."), GroundingBound(universe=u | {term("g(a)")}))
     assert lm == frozenset({parse_atom("p(f(a),g(a))")})

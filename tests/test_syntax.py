@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 
 from hornalg.parser import parse_atom, parse_program, parse_rule
 from hornalg.syntax import (
@@ -18,13 +17,12 @@ from hornalg.syntax import (
     Program,
     Rule,
     Var,
+    atom_vars,
     body_order,
     canonical_key,
     canonical_rule,
     cons,
-    const,
     is_ground,
-    make_list,
     pred_of,
     program_vars_ordered,
     render_atom,
@@ -32,7 +30,7 @@ from hornalg.syntax import (
     render_rule,
     render_term,
     rule_vars,
-    vars_of,
+    term_vars,
 )
 
 
@@ -42,17 +40,17 @@ def pg(text):
 
 def test_list_sugar_round_trip():
     a = parse_atom("plus([a,b|X],Y)")
-    assert a.args[0] == cons(const("a"), cons(const("b"), Var("X")))
+    assert a.args[0] == cons(Compound("a"), cons(Compound("b"), Var("X")))
     assert render_atom(a) == "plus([a,b|X],Y)"
 
 
 def test_nil_renders_as_empty_list():
     assert render_term(NIL) == "[]"
-    assert render_term(make_list([const("a"), const("b")])) == "[a,b]"
+    assert render_term(cons(Compound("a"), cons(Compound("b"), NIL))) == "[a,b]"
 
 
 def test_improper_tail_kept():
-    t = make_list([const("a")], tail=const("b"))
+    t = cons(Compound("a"), Compound("b"))
     assert render_term(t) == "[a|b]"
 
 
@@ -86,8 +84,21 @@ def test_pred_of_ignores_arity():
 
 def test_vars_of_spans_head_and_body():
     r = parse_rule("p(X,f(Y)) :- q(Z).")
-    assert {v.name for v in vars_of(r)} == {"X", "Y", "Z"}
+    assert {v.name for v in rule_vars(r)} == {"X", "Y", "Z"}
     assert is_ground(parse_rule("p(a) :- q(b)."))
+
+
+def test_variable_walks_take_any_depth():
+    deep, ground = Var("X"), Compound("0")
+    for _ in range(5000):
+        deep, ground = Compound("s", (deep,)), Compound("s", (ground,))
+    head = Atom("p", (deep, Var("Y"), ground))
+    assert list(term_vars(deep)) == [Var("X")]
+    assert list(term_vars(ground, deep, Var("Y"))) == [Var("X"), Var("Y")]
+    assert list(atom_vars(head)) == [Var("X"), Var("Y")]
+    assert rule_vars(Rule(head)) == (Var("X"), Var("Y"))
+    assert is_ground(ground)
+    assert not any(map(is_ground, (deep, head, Rule(head))))
 
 
 def test_canonical_key_identifies_variants():
@@ -120,7 +131,7 @@ def test_program_equality_is_variant_equality():
 def test_program_keeps_original_variable_names():
     p = pg("q(Foo) :- p(Foo).")
     (rule,) = p.rules
-    assert {v.name for v in vars_of(rule)} == {"Foo"}
+    assert {v.name for v in rule_vars(rule)} == {"Foo"}
 
 
 def test_program_union_and_containment():
@@ -187,7 +198,7 @@ def test_atom_arity():
 
 
 def test_compound_equality_is_structural():
-    assert Compound("f", (const("a"),)) == Compound("f", (const("a"),))
+    assert Compound("f", (Compound("a"),)) == Compound("f", (Compound("a"),))
     assert Compound("f", ()) != Compound("g", ())
 
 
@@ -195,11 +206,6 @@ def test_rule_constructor_freezes_body():
     r = Rule(parse_atom("p"), [parse_atom("q"), parse_atom("q")])
     assert isinstance(r.body, frozenset)
     assert len(r.body) == 1
-
-
-def test_vars_of_rejects_strings():
-    with pytest.raises(TypeError):
-        vars_of("p(X)")
 
 
 def test_program_union_keeps_the_left_representative():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from hornalg.parser import parse_atom, parse_program, parse_rule
-from hornalg.syntax import Var, canonical_key, render_term, vars_of
+from hornalg.syntax import Var, canonical_key, render_term, rule_vars
 from hornalg.unify import (
     FreshNames,
     apply,
@@ -91,7 +91,7 @@ def test_fresh_variant_renames_consistently():
     v1 = fresh_variant(r, names)
     v2 = fresh_variant(r, names)
     assert canonical_key(v1) == canonical_key(v2) == canonical_key(r)
-    assert vars_of(v1).isdisjoint(vars_of(v2))
+    assert set(rule_vars(v1)).isdisjoint(rule_vars(v2))
 
 
 def test_render_term_after_subst():
