@@ -124,13 +124,23 @@ def identity_program(p: Program) -> Program:
 
 
 def power(p: Program, n: int, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
-    """n-fold composition of p with itself; power 0 is the identity program."""
+    """n-fold composition of p with itself; power 0 is the identity program.
+
+    Each power is a function of the previous one's stored rules, variable
+    names included, so once a power's `name_key` equals an earlier one's,
+    the powers cycle and the n-th is read off the cycle."""
     if n < 0:
         raise ValueError("power requires n >= 0")
-    acc = identity_program(p)
-    for _ in range(n):
-        acc = compose(p, acc, cap=cap)
-    return acc
+    powers = [identity_program(p)]
+    at: dict = {powers[0]: [0]}  # variant class -> the powers in it
+    for k in range(1, n + 1):
+        acc = compose(p, powers[-1], cap=cap)
+        for j in at.get(acc, ()):
+            if powers[j].name_key() == acc.name_key():
+                return powers[j + (n - j) % (k - j)]
+        at.setdefault(acc, []).append(k)
+        powers.append(acc)
+    return powers[n]
 
 
 def star(p: Program, cap: int = DEFAULT_CLOSURE_CAP, compose_cap: int = DEFAULT_COMPOSE_CAP) -> Program:

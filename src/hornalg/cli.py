@@ -53,31 +53,18 @@ from .syntax import Program, render_atom, render_program, render_term
 
 OK, USAGE_ERROR, INPUT_ERROR, EXHAUSTED, NOT_VERIFIED = 0, 1, 2, 3, 4
 
-_PREFIX = "corpus:"
-_SUFFIXES = {"programs": ".lp", "forms": ".lpf", "proportions": ".prop"}
-
-
-def _read_text(path: str, folder: str) -> str:
-    if path.startswith(_PREFIX):
-        return corpus.data_text(corpus._normalize(path, folder, _SUFFIXES[folder]))
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}", source=path)
-
-
 def _label_of(path: str) -> str:
-    if path.startswith(_PREFIX):
-        path = path[len(_PREFIX):]
+    if path.startswith(corpus.PREFIX):
+        path = path[len(corpus.PREFIX):]
     return Path(path).stem
 
 
 def load_program_arg(path: str) -> Program:
-    return parse_program(_read_text(path, "programs"), source=path)
+    return parse_program(corpus.read_text(path, "programs"), source=path)
 
 
 def load_forms_arg(path: str) -> dict:
-    return parse_forms(_read_text(path, "forms"), source=path)
+    return parse_forms(corpus.read_text(path, "forms"), source=path)
 
 
 def _emit(args, text_lines: list, payload: dict) -> None:
@@ -154,22 +141,21 @@ def cmd_query(args) -> int:
 
 def cmd_form_eval(args) -> int:
     table = load_forms_arg(args.forms)
-    fd = table.get(args.name)
-    if fd is None:
-        raise FormEvalError(f"unknown form {args.name}")
     bindings = {}
     for spec in args.bind or []:
         if "=" not in spec:
             raise FormEvalError(f"--bind expects NAME=SPEC, got {spec!r}")
         name, rest = spec.split("=", 1)
-        bindings[name.strip()] = parse_binding_spec(rest, load_program_arg)
-    result = eval_form(table, args.name, bindings)
-    return _program_out(args, result)
+        name = name.strip()
+        if name in bindings:
+            raise FormEvalError(f"--bind binds {name} twice")
+        bindings[name] = parse_binding_spec(rest, load_program_arg)
+    return _program_out(args, eval_form(table, args.name, bindings))
 
 
 def _load_problem(args):
     return parse_proportion_file(
-        _read_text(args.problem, "proportions"),
+        corpus.read_text(args.problem, "proportions"),
         load_program=load_program_arg,
         load_forms=load_forms_arg,
         source=args.problem,

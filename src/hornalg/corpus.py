@@ -21,6 +21,7 @@ import time
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 from . import forms
@@ -33,23 +34,42 @@ from .syntax import Program, render_program
 _cache: dict = {}
 
 
+# Each data folder: the kind of its entries and their file suffix.
+_FOLDERS = {"programs": ("program", ".lp"), "forms": ("form", ".lpf"),
+            "proportions": ("proportion", ".prop"), "golden": ("golden", ".lp")}
+PREFIX = "corpus:"
+
+
 def data_text(relpath: str) -> str:
     node = resources.files("hornalg").joinpath("data")
     for part in relpath.split("/"):
         node = node.joinpath(part)
     try:
         return node.read_text(encoding="utf-8")
-    except (FileNotFoundError, NotADirectoryError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ParseError(f"no bundled entry {relpath}", source=relpath) from exc
 
 
-def _normalize(name: str, folder: str, suffix: str) -> str:
+def read_text(path: str, folder: str) -> str:
+    """The text a file argument names: a bundled entry of `folder` for a
+    `corpus:` name, else a local file."""
+    if path.startswith(PREFIX):
+        return data_text(_normalize(path, folder))
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}",
+                         source=path) from exc
+
+
+def _normalize(name: str, folder: str) -> str:
     """Accept a stem ("plus"), a data-relative path ("golden/x.lp"), or a
     `corpus:`-prefixed name as used on the command line."""
-    if name.startswith("corpus:"):
-        name = name[len("corpus:"):]
+    if name.startswith(PREFIX):
+        name = name[len(PREFIX):]
     if "/" not in name:
         name = f"{folder}/{name}"
+    suffix = _FOLDERS[folder][1]
     if not name.endswith(suffix):
         name += suffix
     return name
@@ -58,7 +78,7 @@ def _normalize(name: str, folder: str, suffix: str) -> str:
 def program(name: str) -> Program:
     """A bundled program, by stem name ("plus") or data-relative path
     ("golden/plus_tree_shared.lp")."""
-    rel = _normalize(name, "programs", ".lp")
+    rel = _normalize(name, "programs")
     key = ("program", rel)
     if key not in _cache:
         _cache[key] = parse_program(data_text(rel), source=rel)
@@ -66,7 +86,7 @@ def program(name: str) -> Program:
 
 
 def forms_table(name: str = "standard") -> dict:
-    rel = _normalize(name, "forms", ".lpf")
+    rel = _normalize(name, "forms")
     key = ("forms", rel)
     if key not in _cache:
         _cache[key] = parse_forms(data_text(rel), source=rel)
@@ -76,7 +96,7 @@ def forms_table(name: str = "standard") -> dict:
 def problem_spec(name: str) -> ProblemSpec:
     """A bundled proportion problem; file paths inside it are data-relative
     (they may carry the `corpus:` prefix, which is stripped)."""
-    rel = _normalize(name, "proportions", ".prop")
+    rel = _normalize(name, "proportions")
     return parse_proportion_file(
         data_text(rel),
         load_program=program,
@@ -124,18 +144,9 @@ class CorpusEntry:
     path: str  # data-relative
 
 
-_KINDS = (("programs", "program"), ("forms", "form"),
-          ("proportions", "proportion"), ("golden", "golden"))
-
-
 def corpus_entries() -> tuple:
-    entries = []
-    for folder, kind in _KINDS:
-        for stem in names(folder):
-            suffix = {"program": "lp", "form": "lpf", "proportion": "prop",
-                      "golden": "lp"}[kind]
-            entries.append(CorpusEntry(stem, kind, f"{folder}/{stem}.{suffix}"))
-    return tuple(entries)
+    return tuple(CorpusEntry(stem, kind, f"{folder}/{stem}{suffix}")
+                 for folder, (kind, suffix) in _FOLDERS.items() for stem in names(folder))
 
 
 # ---------------------------------------------------------------------------

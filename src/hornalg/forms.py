@@ -11,7 +11,8 @@ by that spelling, and the parser, the printer, the evaluator and every walk
 read the tables.  Variables, literals, powers, renames, substitutions and
 form calls are the only kinds handled one by one.
 
-Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`:
+Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`,
+read with the `.lp` token table (`parser.tokenize`):
 
     expr     :=  union
     union    :=  comp ("|" comp)*            union of programs
@@ -43,12 +44,11 @@ variables occurring only in heads (or only in facts) are left alone.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import algebra, semantics
-from .errors import BudgetError, FormEvalError, ParseError
+from .errors import BudgetError, FormEvalError
 from .parser import _Parser, parse_program, tokenize
 from .syntax import (
     Program,
@@ -482,6 +482,9 @@ def eval_form(table: dict, name: str, bindings: dict,
     missing = [s.name for s in fd.params if s.name not in bindings]
     if missing:
         raise FormEvalError(f"missing bindings for {', '.join(missing)}")
+    extra = sorted(bindings.keys() - set(call.args))
+    if extra:
+        raise FormEvalError(f"form {name} has no parameter {', '.join(extra)}")
     return ev.eval(call, dict(bindings), {})
 
 
@@ -522,31 +525,6 @@ def is_nonconstant(expr, evaluator: Optional[Evaluator] = None) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing `.lpf` files
 
-_LPF_TOKEN_RE = re.compile(
-    r"""
-      (?P<WS>\s+)
-    | (?P<COMMENT>%[^\n]*)
-    | (?P<BLOCK>\{[^}]*\})
-    | (?P<ASSIGN>:=)
-    | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
-    | (?P<IDENT>[a-z][A-Za-z0-9_]*)
-    | (?P<INT>[0-9]+)
-    | (?P<LPAREN>\()
-    | (?P<RPAREN>\))
-    | (?P<LBRACKET>\[)
-    | (?P<RBRACKET>\])
-    | (?P<BAR>\|)
-    | (?P<CARET>\^)
-    | (?P<SLASH>/)
-    | (?P<COMMA>,)
-    | (?P<SEMI>;)
-    | (?P<EQUALS>=)
-    | (?P<DOT>\.)
-    """,
-    re.VERBOSE,
-)
-
-
 class _LpfParser(_Parser):
     """The form grammar on top of the `.lp` parser, whose term grammar it
     reuses inside `[X := t]`."""
@@ -563,31 +541,25 @@ class _LpfParser(_Parser):
     def form_def(self):
         kw = self.take("IDENT", "'form'")
         if kw.text != "form":
-            raise ParseError("expected 'form'", source=self.source, line=kw.line, col=kw.col)
+            raise self.error_at(kw, "expected 'form'")
         name = self.take("VAR", "a form name (capitalized)").text
         if name in self.table:
-            raise ParseError(f"form {name} defined twice", source=self.source, line=kw.line, col=kw.col)
+            raise self.error_at(kw, f"form {name} defined twice")
         self.take("LPAREN", "'('")
-        params = [self.param()]
-        while self.at("COMMA"):
-            self.i += 1
-            params.append(self.param())
+        params = self.commas(self.param)
         self.take("RPAREN", "')'")
         declared = [n for s in params for n in (s.name, s.pred_placeholder) if n]
         twice = sorted({n for n in declared if declared.count(n) > 1})
         if twice:
-            raise ParseError(f"form {name} declares {', '.join(twice)} twice",
-                             source=self.source, line=kw.line, col=kw.col)
+            raise self.error_at(kw, f"form {name} declares {', '.join(twice)} twice")
         self.take("EQUALS", "'='")
         body = self.expr()
         self.take("SEMI", "';'")
         fv = free_vars(body)
         unknown = fv - {s.name for s in params}
         if unknown:
-            raise ParseError(
-                f"form {name} uses undeclared variables {', '.join(sorted(unknown))}",
-                source=self.source, line=kw.line, col=kw.col,
-            )
+            raise self.error_at(
+                kw, f"form {name} uses undeclared variables {', '.join(sorted(unknown))}")
         self.table[name] = FormDef(name, tuple(params), body)
 
     def param(self) -> ParamSpec:
@@ -599,10 +571,7 @@ class _LpfParser(_Parser):
             self.take("RBRACKET", "']'")
         if self.at("LPAREN"):  # a variable tuple, checked and not kept
             self.i += 1
-            self.take("VAR", "a tuple placeholder")
-            while self.at("COMMA"):
-                self.i += 1
-                self.take("VAR", "a tuple placeholder")
+            self.commas(lambda: self.take("VAR", "a tuple placeholder"))
             self.take("RPAREN", "')'")
         return ParamSpec(name, pred)
 
@@ -658,9 +627,7 @@ class _LpfParser(_Parser):
         if tok.kind == "IDENT":
             self.i += 1
             if tok.text not in _UNARY:
-                raise ParseError(
-                    f"unknown function {tok.text!r}", source=self.source, line=tok.line, col=tok.col
-                )
+                raise self.error_at(tok, f"unknown function {tok.text!r}")
             self.take("LPAREN", "'('")
             inner = self.expr()
             self.take("RPAREN", "')'")
@@ -669,28 +636,17 @@ class _LpfParser(_Parser):
             self.i += 1
             if self.at("LPAREN"):
                 if tok.text not in self.table:
-                    raise ParseError(
-                        f"call of undefined form {tok.text}",
-                        source=self.source, line=tok.line, col=tok.col,
-                    )
+                    raise self.error_at(tok, f"call of undefined form {tok.text}")
                 self.i += 1
-                args = [self.take("VAR", "a parameter reference").text]
-                while self.at("COMMA"):
-                    self.i += 1
-                    args.append(self.take("VAR", "a parameter reference").text)
+                args = self.commas(lambda: self.take("VAR", "a parameter reference").text)
                 self.take("RPAREN", "')'")
                 want = len(self.table[tok.text].params)
                 if len(args) != want:
-                    raise ParseError(
-                        f"form {tok.text} takes {want} arguments, got {len(args)}",
-                        source=self.source, line=tok.line, col=tok.col,
-                    )
+                    raise self.error_at(
+                        tok, f"form {tok.text} takes {want} arguments, got {len(args)}")
                 return FormCall(tok.text, tuple(args))
             if tok.text in self.table:
-                raise ParseError(
-                    f"form {tok.text} used without arguments",
-                    source=self.source, line=tok.line, col=tok.col,
-                )
+                raise self.error_at(tok, f"form {tok.text} used without arguments")
             return VarRef(tok.text)
         raise self.error("expected a form expression")
 
@@ -698,8 +654,7 @@ class _LpfParser(_Parser):
 def parse_forms(text: str, source: str = "<string>") -> dict:
     """Parse form definitions into a table by name.  Forms may only call
     forms defined earlier."""
-    tokens = tokenize(text, source, _LPF_TOKEN_RE, {"{": "unterminated { program literal"})
-    return _LpfParser(tokens, source).parse_file()
+    return _LpfParser(tokenize(text, source), source).parse_file()
 
 
 # ---------------------------------------------------------------------------

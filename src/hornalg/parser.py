@@ -1,4 +1,9 @@
-"""Parser for the `.lp` rule syntax.
+"""Lexer and parser for the `.lp` rule syntax.
+
+One token table serves `.lp` programs and queries, `.lpf` forms
+(`forms._LpfParser`) and the `[main]`, `[old/new]` and `(V1,...,Vk)`
+parts of binding specs (`proportion.parse_binding_spec`).  The kinds only
+forms use (`{...}` `:=` `^` `/` `;` `=`) come last; this grammar rejects them.
 
 Grammar (UTF-8, `%` starts a line comment):
 
@@ -38,6 +43,12 @@ _TOKEN_RE = re.compile(
     | (?P<BAR>\|)
     | (?P<COMMA>,)
     | (?P<DOT>\.)
+    | (?P<BLOCK>\{[^}]*\})
+    | (?P<ASSIGN>:=)
+    | (?P<CARET>\^)
+    | (?P<SLASH>/)
+    | (?P<SEMI>;)
+    | (?P<EQUALS>=)
     """,
     re.VERBOSE,
 )
@@ -51,17 +62,17 @@ class Token:
     col: int
 
 
-def tokenize(text: str, source: str = "<string>", token_re: re.Pattern = _TOKEN_RE,
-             unmatched: dict | None = None) -> list[Token]:
-    """Split `text` by `token_re`, whose named groups are the token kinds.
-    `unmatched` maps a character no token starts with to its error message."""
+def tokenize(text: str, source: str = "<string>") -> list[Token]:
+    """Split `text` by `_TOKEN_RE`, whose named groups are the token kinds."""
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = token_re.match(text, pos)
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
-            message = (unmatched or {}).get(text[pos], f"unexpected character {text[pos]!r}")
+            ch = text[pos]
+            message = ("unterminated { program literal" if ch == "{"
+                       else f"unexpected character {ch!r}")
             raise ParseError(message, source=source, line=line, col=col)
         kind = m.lastgroup
         lexeme = m.group()
@@ -86,16 +97,18 @@ class _Parser:
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
+    def error_at(self, tok: Token, message: str) -> ParseError:
+        return ParseError(message, source=self.source, line=tok.line, col=tok.col)
+
     def error(self, message: str) -> ParseError:
+        """`message` at the next token, or just past the last one."""
         tok = self.peek()
         if tok is None:
             last = self.tokens[-1] if self.tokens else None
             line = last.line if last else 1
             col = (last.col + len(last.text)) if last else 1
             return ParseError(message + " (at end of input)", source=self.source, line=line, col=col)
-        return ParseError(
-            f"{message} (got {tok.text!r})", source=self.source, line=tok.line, col=tok.col
-        )
+        return self.error_at(tok, f"{message} (got {tok.text!r})")
 
     def take(self, kind: str, what: str) -> Token:
         tok = self.peek()
@@ -107,6 +120,14 @@ class _Parser:
     def at(self, kind: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.kind == kind
+
+    def commas(self, item) -> list:
+        """`item ("," item)*`, each read by calling `item()`."""
+        out = [item()]
+        while self.at("COMMA"):
+            self.i += 1
+            out.append(item())
+        return out
 
     # -- grammar ------------------------------------------------------------
 
@@ -122,18 +143,11 @@ class _Parser:
         body: list[Atom] = []
         if self.at("IMPLIES"):
             self.i += 1
-            body.append(self.atom())
-            while self.at("COMMA"):
-                self.i += 1
-                body.append(self.atom())
+            body = self.commas(self.atom)
         return Rule(head, frozenset(body))
 
     def query(self) -> tuple:
-        atoms = [self.atom()]
-        while self.at("COMMA"):
-            self.i += 1
-            atoms.append(self.atom())
-        return tuple(atoms)
+        return tuple(self.commas(self.atom))
 
     def atom(self) -> Atom:
         name = self.take("IDENT", "a predicate name").text
@@ -144,10 +158,7 @@ class _Parser:
 
     def term_args(self) -> tuple:
         self.take("LPAREN", "'('")
-        args = [self.term()]
-        while self.at("COMMA"):
-            self.i += 1
-            args.append(self.term())
+        args = self.commas(self.term)
         self.take("RPAREN", "')'")
         return tuple(args)
 
@@ -175,10 +186,7 @@ class _Parser:
         if self.at("RBRACKET"):
             self.i += 1
             return NIL
-        items = [self.term()]
-        while self.at("COMMA"):
-            self.i += 1
-            items.append(self.term())
+        items = self.commas(self.term)
         tail: Term = NIL
         if self.at("BAR"):
             self.i += 1

@@ -25,7 +25,7 @@ from heapq import merge
 from itertools import chain, combinations, islice, product
 from typing import Callable, Optional
 
-from .errors import BudgetError, FormEvalError, ProportionError
+from .errors import BudgetError, FormEvalError, ParseError, ProportionError
 from .forms import (
     _BINARY,
     Binary,
@@ -42,6 +42,7 @@ from .forms import (
     make_binding,
     rebuild,
 )
+from .parser import _Parser, tokenize
 from .syntax import Program, Rule, Var, render_atom, render_program
 
 # ---------------------------------------------------------------------------
@@ -588,36 +589,40 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
 # ---------------------------------------------------------------------------
 # Problem files
 
-_BINDING_RE = re.compile(
-    r"^\s*(?P<path>[^\[\()]+?)\s*(?:\[(?P<bracket>[^\]]*)\])?\s*(?:\((?P<tuple>[^\)]*)\))?\s*$"
-)
-
 
 def parse_binding_spec(text: str, load: Callable[[str], Program]) -> Binding:
-    """Parse `path`, `path[mainpred]`, `path[old/new]`, optionally followed
-    by a call-site variable tuple `(V1,...,Vk)`."""
-    m = _BINDING_RE.match(text)
-    if m is None or not m.group("path"):
+    """Parse `path`, `path[main]`, `path[old/new]`, optionally followed
+    by a call-site variable tuple `(V1,...,Vk)`.  The path ends at the
+    first `[` or `(`.  The rest is read with the `.lp` tokens, so `main`,
+    `old` and `new` are identifiers and each `Vi` is a variable."""
+    cut = re.match(r"[^\[(]*", text).end()
+    path = text[:cut].strip()
+    if not path:
         raise ProportionError(f"cannot parse binding spec {text!r}")
-    program = load(m.group("path").strip())
-    main_pred = None
-    bracket = m.group("bracket")
-    if bracket is not None:
-        bracket = bracket.strip()
-        if "/" in bracket:
-            old, new = (part.strip() for part in bracket.split("/", 1))
-            program = program.rename_predicate(old, new)
-        elif bracket:
-            main_pred = bracket
-    var_tuple: tuple = ()
-    tup = m.group("tuple")
-    if tup is not None:
-        names = [part.strip() for part in tup.split(",") if part.strip()]
-        for name in names:
-            if not re.fullmatch(r"[A-Z_][A-Za-z0-9_]*", name):
-                raise ProportionError(f"binding tuple entry {name!r} is not a variable")
-        var_tuple = tuple(Var(name) for name in names)
-    return make_binding(program, main_pred, var_tuple)
+    program = load(path)
+    source = f"binding spec {text!r}"
+    main = None
+    names = []
+    try:
+        # The path is blanked, so columns count from the start of `text`.
+        p = _Parser(tokenize(" " * cut + text[cut:], source), source)
+        if p.at("LBRACKET"):
+            p.i += 1
+            main = p.take("IDENT", "a predicate name").text
+            if p.at("SLASH"):
+                p.i += 1
+                program = program.rename_predicate(main, p.take("IDENT", "a predicate name").text)
+                main = None
+            p.take("RBRACKET", "']'")
+        if p.at("LPAREN"):
+            p.i += 1
+            names = p.commas(lambda: p.take("VAR", "a variable").text)
+            p.take("RPAREN", "')'")
+        if p.peek() is not None:
+            raise p.error("trailing input after binding spec")
+    except ParseError as exc:
+        raise ProportionError(str(exc)) from None
+    return make_binding(program, main, tuple(Var(name) for name in names))
 
 
 @dataclass(slots=True)

@@ -73,9 +73,7 @@ def _occurs(v: Var, t: Term, s: dict) -> bool:
     return any(_occurs(v, a, s) for a in t.args)
 
 
-def _unify(t1: Term, t2: Term, s: Optional[dict]) -> Optional[dict]:
-    if s is None:
-        return None
+def _unify(t1: Term, t2: Term, s: dict) -> Optional[dict]:
     t1 = _walk(t1, s)
     t2 = _walk(t2, s)
     if isinstance(t1, Var):
@@ -119,11 +117,9 @@ def mgu_terms(t1: Term, t2: Term) -> Optional[dict]:
     return None if s is None else _resolve(s)
 
 
-def _unify_atoms(a: Atom, b: Atom, s: Optional[dict]) -> Optional[dict]:
+def _unify_atoms(a: Atom, b: Atom, s: dict) -> Optional[dict]:
     """Extend the triangular substitution `s` to unify the two atoms; `s`
     itself is never modified."""
-    if s is None:
-        return None
     if a.pred != b.pred or a.arity != b.arity:
         return None
     for t1, t2 in zip(a.args, b.args):
@@ -142,9 +138,7 @@ def mgu_atoms(a: Atom, b: Atom) -> Optional[dict]:
 # One-way matching (pattern variables bind; target is left untouched)
 
 
-def _match_term(pat: Term, tgt: Term, s: Optional[dict]) -> Optional[dict]:
-    if s is None:
-        return None
+def _match_term(pat: Term, tgt: Term, s: dict) -> Optional[dict]:
     if isinstance(pat, Var):
         bound = s.get(pat)
         if bound is None:

@@ -104,6 +104,29 @@ def test_power_matches_a_fold_of_the_reference_compose(name):
         assert render_program(power(p, n)) == render_program(acc), n
 
 
+@pytest.mark.parametrize("text", [
+    "p(X) :- q(X). q(X) :- p(X).",
+    "p(a).",
+    "p(X) :- q(X). q(X) :- r(X). r(X) :- p(X).",
+    "p(X) :- p(X), q(X). q(a).",
+    "p(X,Y) :- q(Y,Z). q(A,B) :- p(B,A).",
+    "p(f(X)) :- p(X).",
+])
+def test_power_reads_repeating_powers_off_their_cycle(text):
+    # once a power's stored rules repeat an earlier one's, names included,
+    # every later power repeats too: `power` must give what the plain loop
+    # gives, and a huge n must not run n rounds
+    p = pg(text)
+    plain = [identity_program(p)]
+    for n in range(40):
+        plain.append(compose(p, plain[-1]))
+    for n, acc in enumerate(plain):
+        assert power(p, n).name_key() == acc.name_key(), n
+    if text != "p(f(X)) :- p(X).":  # the one whose powers never repeat
+        # every cycle here is 1, 2 or 6 long and starts by power 2
+        assert power(p, 10**14).name_key() == plain[10**14 % 6 + 6].name_key()
+
+
 def test_power_zero_is_identity():
     assert power(NAT, 0) == identity_program(NAT)
     assert power(NAT, 1) == NAT

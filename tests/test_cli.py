@@ -482,6 +482,38 @@ def test_form_eval_bind_needs_an_equals_sign():
     assert err == "error: --bind expects NAME=SPEC, got 'corpus:nat'\n"
 
 
+def test_form_eval_rejects_a_name_the_form_does_not_declare():
+    code, out, err = run("form-eval", "corpus:standard", "Plus",
+                         "--bind", "X=corpus:nat", "--bind", "Q=corpus:list")
+    assert code == INPUT_ERROR and out == ""
+    assert err == "error: form Plus has no parameter Q\n"
+
+
+def test_form_eval_rejects_a_name_bound_twice():
+    code, out, err = run("form-eval", "corpus:standard", "Plus",
+                         "--bind", "X=corpus:nat", "--bind", "X=corpus:list")
+    assert code == INPUT_ERROR and out == ""
+    assert err == "error: --bind binds X twice\n"
+
+
+def test_form_eval_binding_names_are_program_identifiers():
+    for spec, col, got in [("corpus:nat[nat/]", 16, "]"), ("corpus:nat[nat/Even]", 16, "Even"),
+                           ("corpus:nat[Nat]", 12, "Nat")]:
+        code, out, err = run("form-eval", "corpus:standard", "Even", "--bind", f"X={spec}")
+        assert code == INPUT_ERROR and out == ""
+        assert err == (f"error: binding spec {spec!r}:1:{col}: "
+                       f"expected a predicate name (got {got!r})\n")
+
+
+def test_a_nul_byte_in_a_named_path_is_an_input_error(tmp_path):
+    for path in ("a\0b.lp", "corpus:a\0b"):
+        problem = tmp_path / "nul.prop"
+        problem.write_text(f"p: {path}\nq: corpus:nat\nr: corpus:nat\n")
+        code, out, err = run("prop-solve", str(problem))
+        assert code == INPUT_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_prop_check_needs_a_witness(tmp_path):
     path = tmp_path / "bare.prop"
     path.write_text("p: corpus:ex43_p\nq: corpus:ex43_q\nr: corpus:ex43_r\n"

@@ -100,3 +100,37 @@ def test_documented_mismatches_are_marked():
 def test_data_text_round_trip():
     text = corpus.data_text("programs/nat.lp")
     assert "nat(0)." in text
+
+
+def _golden(command, expected, pinned_actual=None):
+    return corpus.run_golden_case(corpus.GoldenCase(
+        "probe", "a case built to fail", command, expected, pinned_actual))
+
+
+def test_golden_case_fails_on_a_command_error(capsys):
+    res = _golden(("compose", "corpus:no_such_program"), "programs/plus.lp")
+    assert not res.ok and not res.documented_mismatch
+    assert res.detail == "command exited 2: "
+    assert "no bundled entry programs/no_such_program.lp" in capsys.readouterr().err
+
+
+def test_golden_case_fails_on_a_mismatch():
+    res = _golden(("compose", "corpus:q1", "corpus:pluslist"), "programs/nat.lp")
+    assert not res.ok and not res.documented_mismatch
+    assert res.detail == ("expected {nat(0). nat(s(A)) :- nat(A).}, "
+                          "got {plus(0,A,A). plus(s(A),B,s(C)) :- plus(A,B,C).}")
+
+
+def test_documented_mismatch_fails_once_it_vanishes():
+    res = _golden(("compose", "corpus:q1", "corpus:pluslist"), "programs/plus.lp",
+                  pinned_actual="programs/nat.lp")
+    assert not res.ok and res.documented_mismatch
+    assert res.detail == "documented mismatch vanished: output now equals the stated value"
+
+
+def test_documented_mismatch_fails_once_its_pinned_value_drifts():
+    res = _golden(("compose", "corpus:q1", "corpus:pluslist"), "programs/nat.lp",
+                  pinned_actual="programs/empty.lp")
+    assert not res.ok and res.documented_mismatch
+    assert res.detail == ("pinned value drifted: "
+                          "got {plus(0,A,A). plus(s(A),B,s(C)) :- plus(A,B,C).}")

@@ -145,6 +145,7 @@ def test_program_references_are_not_syntax():
     ("form F(X[q], Y[q]) = X[q/r] | Y;", "form F declares q twice"),
     ("form A(X) = X; form B(X, Y) = A(X, Y);", "form A takes 1 arguments, got 2"),
     ("form A(X, Y) = X | Y; form B(X) = A(X);", "form A takes 2 arguments, got 1"),
+    ("form T(X) = X :- X;", r"1:15: expected ';' \(got ':-'\)"),
 ])
 def test_malformed_form_files_are_parse_errors(text, message):
     with pytest.raises(ParseError, match=message):
@@ -246,6 +247,11 @@ def test_eval_undefined_form_name():
         eval_form(table("form T(X) = X;"), "U", {"X": make_binding(pg("a."))})
 
 
+def test_eval_huge_power_of_a_repeating_program():
+    t = table("form T(X) = X^99999999999999;")
+    assert eval_form(t, "T", {"X": make_binding(pg("p(a)."))}) == pg("p(a).")
+
+
 def test_eval_errors_name_what_is_missing():
     t = table("form F(X[q]) = X[q/r];")
     ev = Evaluator(t)
@@ -257,6 +263,8 @@ def test_eval_errors_name_what_is_missing():
          "form F takes 1 arguments, got 2"),
         (lambda: ev.eval(FormCall("F", ("Y",)), {"X": two_heads}), "unbound form variable Y"),
         (lambda: eval_form(t, "F", {}), "missing bindings for X"),
+        (lambda: eval_form(t, "F", {"X": two_heads, "Y": two_heads, "Q": two_heads}),
+         "form F has no parameter Q, Y"),
     ]
     for call, message in cases:
         with pytest.raises(FormEvalError, match=message):

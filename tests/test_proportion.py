@@ -576,6 +576,15 @@ def test_parse_binding_spec_rejects_bad_tuple():
         parse_binding_spec("corpus:tree(U,x,X)", corpus.program)
 
 
+@pytest.mark.parametrize("spec", [
+    "corpus:nat[nat/]", "corpus:nat[nat/Even]", "corpus:nat[Nat]", "corpus:nat[]",
+    "corpus:tree()", "corpus:tree(U,X,)", "corpus:nat[nat/even] x", "corpus:nat[a/b/c]",
+])
+def test_parse_binding_spec_reads_names_as_program_tokens(spec):
+    with pytest.raises(ProportionError, match=r"^binding spec "):
+        parse_binding_spec(spec, corpus.program)
+
+
 def test_parse_binding_spec_main_predicate():
     b = parse_binding_spec("corpus:ex43_p[b]", corpus.program)
     assert b.program == corpus.program("ex43_p")

@@ -8,7 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
+from hornalg.errors import ParseError
 from hornalg.parser import parse_atom, parse_program, parse_rule
 from hornalg.syntax import (
     NIL,
@@ -283,3 +285,28 @@ def test_pickled_terms_hash_afresh_under_another_hash_seed():
         return proc.stdout
 
     run(_UNPICKLE, 2, stdin=run(_PICKLE, 1))
+
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_atom, "p(", "<string>:1:3: expected a term (at end of input)"),
+    (parse_atom, "p(;)", "<string>:1:3: expected a term (got ';')"),
+    (parse_rule, "p. q.", "<string>:1:4: trailing input after rule (got 'q')"),
+])
+def test_parser_reports_an_unfinished_or_misplaced_term(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, got", [
+    ("p ^ q.", "^"), ("p(a) / q.", "/"), ("p; q.", ";"),
+    ("p = q.", "="), ("p(X) := q.", ":="), ("p {q.}", "{q.}"),
+])
+def test_form_tokens_in_a_program_fail_in_the_parser(text, got):
+    # One token table serves `.lp` and `.lpf` text, so form tokens in a
+    # program are rejected by the rule grammar, where they stand.
+    with pytest.raises(ParseError) as info:
+        parse_program(text)
+    col = text.index(got) + 1
+    assert str(info.value) == f"<string>:1:{col}: expected '.' after rule (got {got!r})"
