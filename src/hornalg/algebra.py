@@ -20,11 +20,11 @@ from .syntax import (
     Program,
     Rule,
     Var,
+    atom_vars,
     body_order,
     is_ground,
     pred_of,
     program_vars_ordered,
-    rule_vars,
 )
 from .unify import (
     FreshNames,
@@ -32,6 +32,7 @@ from .unify import (
     _unify_atoms,
     apply,
     fresh_variant,
+    match_atom,
 )
 
 DEFAULT_COMPOSE_CAP = 100_000
@@ -54,29 +55,47 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
 
     # A goal is offered only the rules whose head can resolve it: those of its
     # predicate and arity, of which a ground goal takes a ground rule only
-    # when the rule's head equals it.  Candidates keep r's order.  Each rule
-    # with variables is copied apart before it is tried, so fresh names are
-    # needed only when r holds such a rule.
-    by_sig: dict[tuple, list[int]] = {}
+    # when the rule's head equals it.  Candidates keep r's order.  A ground
+    # goal needs no copy of a rule whose variables all occur in its head: one-
+    # way matching instantiates the rule, its body is ground and the
+    # substitution stays as it is.  Each other rule with variables is copied
+    # apart and unified, so fresh names are needed only when r holds such a rule.
+    by_sig: dict[tuple, list] = {}  # the options of an open goal
     open_by_sig: dict[tuple, list[int]] = {}
     ground_by_head: dict[Atom, list[int]] = {}
+    head_bound: set[int] = set()  # open rules with no body-only variable
     for idx, cand in enumerate(r_rules):
         sig = (cand.head.pred, len(cand.head.args))
-        by_sig.setdefault(sig, []).append(idx)
-        if rule_vars(cand):
-            open_by_sig.setdefault(sig, []).append(idx)
-        else:
+        by_sig.setdefault(sig, []).append((idx, None))
+        if is_ground(cand):
             ground_by_head.setdefault(cand.head, []).append(idx)
+        else:
+            open_by_sig.setdefault(sig, []).append(idx)
+            head_vars = set(atom_vars(cand.head))
+            if all(v in head_vars for a in cand.body for v in atom_vars(a)):
+                head_bound.add(idx)
     if open_by_sig:
         fresh = FreshNames(prefix="_C")
         fresh.reserve(v.name for v in program_vars_ordered(p))
         fresh.reserve(v.name for v in program_vars_ordered(r))
 
-    def candidates(goal: Atom, ground: bool) -> list[int]:
-        sig = (goal.pred, len(goal.args))
-        if not ground:
-            return by_sig.get(sig, [])
-        return sorted([*ground_by_head.get(goal, ()), *open_by_sig.get(sig, ())])
+    # Each goal's options, in r's order: (rule index, instance body) for a
+    # rule that resolves a ground goal with no copy, (rule index, None) for
+    # one to copy apart and unify.  A ground goal's options are found once.
+    by_goal: dict[Atom, list] = {}
+
+    def ground_options(goal: Atom) -> list:
+        if goal not in by_goal:
+            sig = (goal.pred, len(goal.args))
+            options = []
+            for idx in sorted([*ground_by_head.get(goal, ()), *open_by_sig.get(sig, ())]):
+                cand = r_rules[idx]
+                if idx not in head_bound:  # a ground rule's head is the goal
+                    options.append((idx, cand.body if is_ground(cand) else None))
+                elif (m := match_atom(cand.head, goal)) is not None:
+                    options.append((idx, apply(m, cand).body))
+            by_goal[goal] = options
+        return by_goal[goal]
 
     for rho in p:
         if rho.is_fact:
@@ -84,9 +103,12 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             if len(out) > cap:
                 raise CompositionOverflowError(cap)
             continue
+        ground_rho = is_ground(rho)
+        if ground_rho and not all(map(ground_options, rho.body)):
+            continue  # a goal no rule resolves, found before the body is sorted
         goals = body_order(rho)
-        ground_rho = not rule_vars(rho)
-        goal_cands = [candidates(g, ground_rho or is_ground(g)) for g in goals]
+        goal_cands = [ground_options(g) if ground_rho or is_ground(g)
+                      else by_sig.get((g.pred, len(g.args)), ()) for g in goals]
         if not all(goal_cands):  # some goal has no rule to resolve it
             continue
 
@@ -101,9 +123,12 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
                 if len(out) > cap:
                     raise CompositionOverflowError(cap)
                 return
-            for idx in goal_cands[i]:
+            for idx, body in goal_cands[i]:
+                if body is not None:
+                    assign(i + 1, s, bodies + (body,))
+                    continue
                 cand = r_rules[idx]
-                copy = fresh_variant(cand, fresh) if rule_vars(cand) else cand
+                copy = cand if is_ground(cand) else fresh_variant(cand, fresh)
                 s2 = _unify_atoms(goals[i], copy.head, s)
                 if s2 is not None:
                     assign(i + 1, s2, bodies + (copy.body,))

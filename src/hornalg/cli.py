@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import algebra, corpus
-from .errors import BudgetError, EngineError, FormEvalError, ParseError, ProportionError
+from .errors import (BudgetError, EngineError, FormEvalError, ParseError, ProportionError,
+                     printable)
 from .forms import Evaluator, eval_form, form_to_text, parse_forms
 from .parser import parse_program, parse_query
 from .proportion import (
@@ -165,7 +166,7 @@ def _load_problem(args):
 def cmd_prop_check(args) -> int:
     spec = _load_problem(args)
     if spec.witness is None:
-        raise ProportionError(f"{args.problem}: no witness to check")
+        raise ProportionError(f"{printable(args.problem)}: no witness to check")
     report = check_proportion(spec.problem, spec.witness, strict=args.strict_eq,
                               evaluator=Evaluator(spec.table))
     lines = report.format_lines()

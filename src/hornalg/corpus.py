@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import forms
-from .errors import FormEvalError, ParseError
+from .errors import FormEvalError, ParseError, printable
 from .forms import Binding, Evaluator, make_binding, parse_forms
 from .parser import parse_program
 from .proportion import ProblemSpec, parse_proportion_file
@@ -47,7 +47,7 @@ def data_text(relpath: str) -> str:
     try:
         return node.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ParseError(f"no bundled entry {relpath}", source=relpath) from exc
+        raise ParseError(f"no bundled entry {printable(relpath)}", source=relpath) from exc
 
 
 def read_text(path: str, folder: str) -> str:
@@ -58,15 +58,20 @@ def read_text(path: str, folder: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}",
+        raise ParseError(f"cannot read {printable(path)}: {getattr(exc, 'strerror', None) or exc}",
                          source=path) from exc
 
 
 def _normalize(name: str, folder: str) -> str:
     """Accept a stem ("plus"), a data-relative path ("golden/x.lp"), or a
-    `corpus:`-prefixed name as used on the command line."""
+    `corpus:`-prefixed name as used on the command line.  A name that is
+    empty, absolute, or has an empty or `..` segment would leave the data
+    folder, and is a ParseError."""
     if name.startswith(PREFIX):
         name = name[len(PREFIX):]
+    if any(part in ("", "..") for part in name.split("/")):
+        raise ParseError(f"a bundled name is a relative path inside the data folder, "
+                         f"not {name!r}", source=PREFIX + name)
     if "/" not in name:
         name = f"{folder}/{name}"
     suffix = _FOLDERS[folder][1]

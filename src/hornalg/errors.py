@@ -7,6 +7,13 @@ callers can catch one type at the boundary (the CLI does exactly that).
 from __future__ import annotations
 
 
+def printable(text: str) -> str:
+    """`text` with each non-printable character escaped, so that a path
+    from the command line reaches an error message inert."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                   for c in text)
+
+
 class EngineError(Exception):
     """Base class for all errors raised by this package on purpose."""
 
@@ -18,7 +25,7 @@ class ParseError(EngineError):
         self.source = source
         self.line = line
         self.col = col
-        super().__init__(f"{source}:{line}:{col}: {message}")
+        super().__init__(f"{printable(source)}:{line}:{col}: {message}")
 
 
 class BudgetError(EngineError):

@@ -25,7 +25,7 @@ from heapq import merge
 from itertools import chain, combinations, islice, product
 from typing import Callable, Optional
 
-from .errors import BudgetError, FormEvalError, ParseError, ProportionError
+from .errors import BudgetError, FormEvalError, ParseError, ProportionError, printable
 from .forms import (
     _BINARY,
     Binary,
@@ -643,6 +643,7 @@ def parse_proportion_file(text: str, load_program: Callable[[str], Program],
     domains; optional `forms:` names form files, and `line:`, `form-f:`,
     `form-g:` with repeated `pvec:`/`rvec:` entries give a witness.
     """
+    source = printable(source)  # it names a file in every message
     single: dict = {}
     multi: dict = {"pvec": [], "rvec": [], "forms": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):

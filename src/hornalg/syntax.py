@@ -10,8 +10,9 @@ Predicate and function symbols are *unranked*: identity is by name only,
 and the same name may occur at several arities within one program.
 
 Variables, compounds and atoms compute their dataclass hash once, and a
-rule its variables and its body order, on first use.  The caches are slots
-but not fields, so `==`, `repr`, pickling and copying never see them.
+rule its variables, its body order and whether it is ground, on first
+use.  The caches are slots but not fields, so `==`, `repr`, pickling and
+copying never see them.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class Atom(_Cached):
 
 
 class _RuleCached:
-    __slots__ = ("_vars", "_order")  # unset until first use
+    __slots__ = ("_vars", "_order", "_ground")  # unset until first use
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,10 +211,19 @@ def rule_vars(r: Rule) -> tuple:
 
 
 def is_ground(obj) -> bool:
-    """No variable occurs in a term, an atom or a rule; a term or an atom
-    stops at the first."""
+    """No variable occurs in a term, an atom or a rule; the walk stops at
+    the first.  A rule is walked once, as stored, its body unsorted, and a
+    ground one keeps `()` as its variables."""
     if isinstance(obj, Rule):
-        return not rule_vars(obj)
+        try:
+            return obj._ground
+        except AttributeError:
+            terms = [t for a in (obj.head, *obj.body) for t in a.args]
+            ground = next(term_vars(*terms), None) is None
+            object.__setattr__(obj, "_ground", ground)
+            if ground:
+                object.__setattr__(obj, "_vars", ())
+            return ground
     return next(term_vars(*obj.args) if isinstance(obj, Atom) else term_vars(obj), None) is None
 
 
@@ -343,6 +353,12 @@ def _least_order(groups: list, mapping: dict, memo: dict) -> list:
 
 @lru_cache(maxsize=65536)
 def _canonicalize(rule: Rule) -> tuple:
+    if is_ground(rule):  # its own representative: no names to give, atoms in shape order
+        body = rule.body
+        if len(body) > 1:
+            body = sorted(body, key=lambda a: (_shape(a)[0], render_atom(a)))
+        text = render_atom(rule.head) + (" :- " + ", ".join(map(render_atom, body)) if body else "")
+        return rule, text + "."
     mapping: dict = {}
     head = _rename(rule.head, mapping)
     by_shape: dict = {}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hornalg import corpus
+from hornalg import algebra, corpus
 from hornalg.algebra import (
     DecompositionWitness,
     check_representation,
@@ -18,7 +18,7 @@ from hornalg.algebra import (
 )
 from hornalg.errors import CompositionOverflowError, FixpointBudgetError
 from hornalg.parser import parse_atom, parse_program, parse_rule
-from hornalg.syntax import Program, render_program
+from hornalg.syntax import Compound, Program, Var, render_program
 from test_properties import reference_compose
 
 
@@ -91,6 +91,29 @@ def test_compose_keeps_copies_apart():
     assert compose(pg("q(_C1,_C2) :- r(_C1,_C3), r(_C2,_C4)."), r) == pg(
         "q(X,Z) :- s(Y,X), s(U,Z). q(X,a) :- s(Y,Y), s(U,X)."
         "q(a,Z) :- s(Y,Y), s(U,Z). q(a,a) :- s(Y,Y), s(U,U).")
+
+
+def test_compose_matches_ground_goals_without_copies(monkeypatch):
+    # the rules of an identity program have every variable in the head
+    copies, fresh_variant = [], algebra.fresh_variant
+    monkeypatch.setattr(algebra, "fresh_variant",
+                        lambda rule, fresh: copies.append(rule) or fresh_variant(rule, fresh))
+    p = pg("p(a) :- q(a,[b]), p(f(a)). p(f(a)) :- s. q(a,[b]). s.")
+    assert compose(p, identity_program(p)).strict_equals(p) and not copies
+
+
+def test_compose_keeps_a_body_only_variable_fresh_for_a_ground_goal():
+    p, r = pg("p :- q(a)."), pg("q(X) :- r(X,Y).")
+    (rule,) = compose(p, r)
+    (body,) = rule.body
+    assert body.pred == "r" and body.args[0] == Compound("a")
+    assert isinstance(body.args[1], Var) and body.args[1].name not in ("X", "Y")
+
+
+def test_compose_matches_a_repeated_head_variable_consistently():
+    r = pg("q(X,X) :- s(X).")
+    assert compose(pg("p :- q(a,b)."), r) == Program()
+    assert compose(pg("p :- q(a,a)."), r) == pg("p :- s(a).")
 
 
 @pytest.mark.parametrize("name", ["plus", "reverse", "times_nat"])

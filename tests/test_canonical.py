@@ -98,6 +98,26 @@ def rand_rule(rng, n_vars=6, max_body=7):
     return Rule(atom("p", rng.randint(0, 2)), body)
 
 
+def rand_ground_term(rng, depth):
+    roll = rng.random()
+    if roll < 0.4 or depth == 0:
+        return Compound(rng.choice(("a", "b", "nil")))
+    if roll < 0.8:
+        return cons(rand_ground_term(rng, depth - 1), rand_ground_term(rng, depth - 1))
+    return Compound("f", (rand_ground_term(rng, depth - 1),))
+
+
+def rand_ground_rule(rng):
+    """Lists, whose shape `cons(a,[])` sorts unlike their rendering `[a]`,
+    `nil`, and 0-ary heads and body atoms."""
+    def atom(pred, arity):
+        return Atom(pred, tuple(rand_ground_term(rng, 2) for _ in range(arity)))
+
+    preds = (("e", 2), ("q", 1), ("s", 0))
+    body = frozenset(atom(*rng.choice(preds)) for _ in range(rng.randint(0, 5)))
+    return Rule(atom("p", rng.randint(0, 2)), body)
+
+
 def renamed(rule, rng):
     """A variant of `rule` under a random bijection onto fresh names; the
     body's iteration order changes with the names."""
@@ -142,13 +162,16 @@ FAMILIES = {
 
 
 def test_key_is_the_least_enumerated_rendering():
-    rng = random.Random(6)
-    tied = 0
+    rng, ground_rng = random.Random(6), random.Random(7)
+    tied = unlike = 0
     for _ in range(CASES):
         rule = rand_rule(rng)  # at most 7 body atoms, so at most 7! orders
         assert canonical_key(rule) == enumerated_key(rule), rule
         tied += enumerated_orders(rule) > 1
-    assert tied > CASES * 0.4
+        ground = rand_ground_rule(ground_rng)
+        assert canonical_key(ground) == enumerated_key(ground), ground
+        unlike += sorted(ground.body, key=_shape) != sorted(ground.body, key=render_atom)
+    assert tied > CASES * 0.4 and unlike > CASES * 0.1
 
 
 def test_variants_past_seven_factorial_orders_share_one_key():

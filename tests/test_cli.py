@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 from hornalg.cli import EXHAUSTED, INPUT_ERROR, NOT_VERIFIED, OK, USAGE_ERROR, main
@@ -512,6 +513,32 @@ def test_a_nul_byte_in_a_named_path_is_an_input_error(tmp_path):
         code, out, err = run("prop-solve", str(problem))
         assert code == INPUT_ERROR and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_corpus_name_cannot_leave_the_data_folder(tmp_path):
+    (tmp_path / "x.lp").write_text("p(a).\n")
+    programs = resources.files("hornalg").joinpath("data").joinpath("programs")
+    up = os.path.relpath(tmp_path / "x", str(programs))
+    assert up.startswith("../")
+    for name in (up, str(tmp_path / "x"), "golden//plus_facts", "programs/", ""):
+        code, out, err = run("compose", f"corpus:{name}")
+        assert code == INPUT_ERROR and out == "", name
+        assert "a bundled name is a relative path inside the data folder" in err, err
+
+
+def test_error_text_escapes_control_characters_in_paths(tmp_path):
+    bad = tmp_path / "bad\x1b[31m.lp"
+    bad.write_text("p(a) :-\n")
+    bare = tmp_path / "bare\x07.prop"
+    bare.write_text("p: corpus:ex43_p\n")
+    for argv in (("compose", "no\x1b[2Jsuch\x00.lp"), ("compose", "corpus:no\x1bsuch"),
+                 ("compose", "corpus:..\x1b/x"), ("lm", str(bad)), ("prop-check", str(bare)),
+                 ("prop-check", str(tmp_path / "missing\r.prop"))):
+        code, out, err = run(*argv)
+        assert code == INPUT_ERROR and out == "", argv
+        assert err.startswith("error: ") and err.endswith("\n"), err
+        assert all(ord(c) >= 0x20 for c in err[:-1]), err
+        assert "\\x1b" in err or "\\x07" in err or "\\r" in err, err
 
 
 def test_prop_check_needs_a_witness(tmp_path):

@@ -140,7 +140,9 @@ _SIGNATURES = (("p", 0), ("q", 1), ("q", 2), ("r", 2))
 
 def _rand_sig_program(rng):
     """Rules over predicates that share a name but not an arity, or
-    neither, one of them 0-ary; at least half the rules are ground."""
+    neither, one of them 0-ary; about half the drawn rules are ground.  A
+    rule with a repeated head variable and one with a variable only in its
+    body are often added."""
     def atom(p_var):
         pred, arity = rng.choice(_SIGNATURES)
         return Atom(pred, tuple(rand_open_term(rng, 1, False, p_var) for _ in range(arity)))
@@ -149,22 +151,48 @@ def _rand_sig_program(rng):
     for _ in range(rng.randint(1, 4)):
         p_var = rng.choice((0.0, 0.4))
         rules.append(Rule(atom(p_var), frozenset(atom(p_var) for _ in range(rng.randint(0, 2)))))
+    if rng.random() < 0.4:
+        x = Var(rng.choice(("X", "Y")))
+        rules.append(Rule(Atom(rng.choice(("q", "r")), (x, x)),
+                          frozenset(atom(0.0) for _ in range(rng.randint(0, 1)))))
+    if rng.random() < 0.4:
+        body = Atom("r", (rand_open_term(rng, 1, False, 0.0), Var("W")))
+        rules.append(Rule(atom(0.0), frozenset([body])))
     return Program(rules)
 
 
 def test_compose_matches_offering_every_rule(monkeypatch):
     rng = random.Random(1111)
     copies = Counter()
-    fresh_variant = algebra.fresh_variant
+    fresh_variant, match_atom, unify_atoms = (algebra.fresh_variant, algebra.match_atom,
+                                              algebra._unify_atoms)
+    copied_heads = {}  # id -> the head of a copy compose made
 
     def counted_fresh_variant(rule, fresh):
         copies["index"] += 1
-        return fresh_variant(rule, fresh)
+        copy = fresh_variant(rule, fresh)
+        copied_heads[id(copy.head)] = copy.head
+        return copy
+
+    def counted_match_atom(pattern, goal):
+        s = match_atom(pattern, goal)
+        copies["matched"] += s is not None
+        copies["unmatched"] += s is None
+        return s
+
+    def counted_unify_atoms(goal, head, s):
+        ground = next(term_vars(*goal.args, *head.args), None) is None
+        copies["ground rule unified"] += ground and id(head) not in copied_heads
+        return unify_atoms(goal, head, s)
 
     monkeypatch.setattr(algebra, "fresh_variant", counted_fresh_variant)
+    monkeypatch.setattr(algebra, "match_atom", counted_match_atom)
+    monkeypatch.setattr(algebra, "_unify_atoms", counted_unify_atoms)
     for _ in range(CASES):
         p, r = _rand_sig_program(rng), _rand_sig_program(rng)
         shown = (render_program(p), render_program(r))
+        heads = {c.head for c in r if not rule_vars(c)}
+        copies["ground lane"] += sum(g in heads for rho in p for g in rho.body)
         for cap in (2, 100_000):
             try:
                 expected = reference_compose(p, r, cap, copies)
@@ -180,6 +208,10 @@ def test_compose_matches_offering_every_rule(monkeypatch):
     assert copies["equal"] > CASES and copies["overflow"] > CASES // 20, copies
     # the index skips rules whose head cannot resolve the goal
     assert copies["index"] < copies["copies"], copies
+    # a ground goal resolves a ground rule, or one whose variables all occur
+    # in its head, by matching: only copies of other rules are unified
+    assert copies["matched"] > CASES // 5 and copies["unmatched"] > CASES // 5, copies
+    assert copies["ground lane"] > CASES // 10 and copies["ground rule unified"] == 0, copies
 
 
 # ---------------------------------------------------------------------------

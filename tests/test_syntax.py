@@ -225,6 +225,15 @@ def test_rule_vars_are_distinct_in_first_occurrence_order():
     assert rule_vars(parse_rule("p(a) :- q(b).")) == ()
 
 
+def test_is_ground_on_a_new_rule_leaves_its_body_unsorted():
+    ground, opened = parse_rule("p(a) :- r(b), q([a]), s."), parse_rule("p(a) :- r(b), q(X).")
+    assert is_ground(ground) and not is_ground(opened)
+    for r in (ground, opened):
+        with pytest.raises(AttributeError):
+            r._order
+    assert rule_vars(ground) == () and canonical_rule(ground) is ground
+
+
 def test_caches_show_in_neither_repr_nor_equality():
     text = "p(f(X),[a|Y]) :- q(X), r(Y,g(Z))."
     hashed, fresh = parse_rule(text), parse_rule(text)
@@ -239,7 +248,7 @@ def test_caches_show_in_neither_repr_nor_equality():
 def test_terms_and_rules_pickle_and_copy_without_their_caches():
     text = "p(f(X),[a|Y]) :- q(X), r(Y,g(Z))."
     r = parse_rule(text)
-    hash(r), rule_vars(r), hash(r.head.args[0]), hash(Var("X"))
+    hash(r), rule_vars(r), is_ground(r), hash(r.head.args[0]), hash(Var("X"))
     p = pg(text + " s(a).")
     for obj in (r, r.head, r.head.args[0], r.head.args[0].args[0], p):
         for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
