@@ -12,7 +12,8 @@ every argument term of every atom in it belongs to the bounded universe
 (a variable may take a value that occurs only inside universe terms);
 variable-free rules are kept verbatim (each is its own instance).  Answers
 are therefore bound-relative, and `equivalent` means equivalence at the
-bound, nothing stronger.
+bound, nothing stronger.  `ground` tests each argument term as soon as its
+last variable is bound, so it builds only the admitted instances.
 
 `tp_step` and `least_model` evaluate bottom-up by matching, not through
 `ground`.  A plan fixed once per (program, universe) says how each rule's
@@ -45,7 +46,7 @@ from .syntax import (
     rule_vars,
     term_vars,
 )
-from .unify import _match_term, apply, match_atom
+from .unify import _apply_term, _match_term, apply, match_atom
 
 Interpretation = frozenset  # of ground Atom
 
@@ -144,10 +145,6 @@ def _atom_closed(a: Atom, universe: frozenset) -> bool:
     return all(t in universe for t in a.args)
 
 
-def _rule_closed(r: Rule, universe: frozenset) -> bool:
-    return _atom_closed(r.head, universe) and all(_atom_closed(a, universe) for a in r.body)
-
-
 def ordered_subterms(universe: frozenset) -> list:
     """The terms of the universe and all their subterms, in rendering
     order: every value a variable takes in some universe-closed instance."""
@@ -163,16 +160,49 @@ def ordered_subterms(universe: frozenset) -> list:
 
 def closed_instances(rule: Rule, universe: frozenset, subterms: list) -> Iterator[Rule]:
     """The rule's instances whose argument terms all lie in the universe,
-    enumerated in `subterms` order (see `ordered_subterms`) over the rule's
-    variables; a variable-free rule is its own only instance."""
+    in the order of the product of `subterms` (see `ordered_subterms`) over
+    the rule's variables; a variable-free rule is its own only instance.
+    The variables are bound depth first, one iterator each on a stack, and
+    a branch is cut once an argument whose last variable is bound lies
+    outside the universe.  Instances come already marked ground."""
     rvars = rule_vars(rule)
     if not rvars:
         yield rule
         return
-    for combo in product(subterms, repeat=len(rvars)):
-        inst = apply(dict(zip(rvars, combo)), rule)
-        if _rule_closed(inst, universe):
-            yield inst
+    last = {v: i for i, v in enumerate(rvars)}
+    checks: list = [[] for _ in rvars]  # the argument terms whose last variable is rvars[i]
+    inst: dict = {}  # argument term -> its instance under the bindings so far
+    atoms = (rule.head, *rule.body)
+    for t in dict.fromkeys(t for a in atoms for t in a.args):
+        i = max(map(last.__getitem__, term_vars(t)), default=None)
+        if i is not None:
+            checks[i].append(t)
+        elif t in universe:
+            inst[t] = t
+        else:
+            return
+    s: dict = {}
+    stack = [iter(subterms)]
+    while stack:
+        i = len(stack) - 1  # bind rvars[i] to its next value that passes checks[i]
+        for s[rvars[i]] in stack[i]:
+            for t in checks[i]:
+                inst[t] = t_inst = _apply_term(s, t)
+                if t_inst not in universe:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(rvars):
+            stack.append(iter(subterms))
+            continue
+        head, *body = [Atom(a.pred, tuple([inst[t] for t in a.args])) for a in atoms]
+        r = Rule(head, frozenset(body))
+        object.__setattr__(r, "_ground", True)
+        object.__setattr__(r, "_vars", ())
+        yield r
 
 
 def ground(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> Program:

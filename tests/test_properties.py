@@ -31,10 +31,12 @@ from hornalg.proportion import (
 )
 from hornalg.semantics import (
     GroundingBound,
+    closed_instances,
     ground,
     herbrand_universe,
     least_model,
     list_universe,
+    ordered_subterms,
     tp_step,
 )
 from hornalg.sld import DerivationStep, Query, answer_substitution, proves, render_trace
@@ -342,6 +344,77 @@ def test_least_model_matches_fixpoint_of_grounding():
         seen["outside"] += any(not all(t in universe for t in a.args) for a in model)
         seen["derived"] += model != {r.head for r in g if r.is_fact}
     assert all(seen[k] > CASES // 10 for k in ("nested_head_only", "outside", "derived")), seen
+
+
+# ---------------------------------------------------------------------------
+# 4c. the pruned walk of `closed_instances` yields the filtered product, in
+# its order
+
+
+def _reference_instances(rule, universe, subterms):
+    """Every assignment of `subterms` to the rule's variables, in product
+    order, applied, then kept when its argument terms lie in the universe."""
+    rvars = rule_vars(rule)
+    if not rvars:
+        yield rule
+        return
+    for combo in product(subterms, repeat=len(rvars)):
+        inst = apply(dict(zip(rvars, combo)), rule)
+        if all(t in universe for a in (inst.head, *inst.body) for t in a.args):
+            yield inst
+
+
+def _reference_counterinstance(p, rule, bound, max_depth):
+    universe = herbrand_universe(p | Program([rule]), bound)
+    for inst in _reference_instances(rule, universe, ordered_subterms(universe)):
+        if (all(proves(p, b, max_depth) for b in sorted(inst.body, key=render_atom))
+                and not proves(p, inst.head, max_depth)):
+            return inst
+    return None
+
+
+def _rand_instance_rule(rng, lists):
+    """Atoms of arity 0 to 2 whose arguments are often ground and whose
+    variables (X, Y, U) often repeat."""
+    def atom():
+        pred, arity = rng.choice((("e", 0), ("p", 1), ("r", 2)))
+        return Atom(pred, tuple(rand_open_term(rng, 2, lists) for _ in range(arity)))
+
+    return Rule(atom(), frozenset(atom() for _ in range(rng.randint(0, 2))))
+
+
+def test_closed_instances_match_the_filtered_product():
+    rng = random.Random(1717)
+    seen = Counter()
+    for i in range(CASES):
+        lists = i % 2 == 0
+        rule = _rand_instance_rule(rng, lists)
+        if lists:
+            bound = GroundingBound(universe=list_universe(rng.choice(("a", "ab")), rng.randint(0, 2)))
+        else:
+            bound = GroundingBound(max_term_depth=rng.randint(0, 2), constants=frozenset({"0", "a"}))
+        universe = herbrand_universe(Program([rule]), bound)
+        if i % 4 < 2:  # drop constants but keep the terms built from them
+            universe = frozenset(t for t in universe if t.args or rng.random() < 0.5)
+        subterms = ordered_subterms(universe)
+        got = list(closed_instances(rule, universe, subterms))
+        assert got == list(_reference_instances(rule, universe, subterms)), repr(rule)
+        if rule_vars(rule):
+            assert all(inst._ground is True and inst._vars == () for inst in got)
+        seen["instances"] += bool(got)
+        seen["none"] += not got
+        seen["not_subterm_closed"] += len(subterms) > len(universe)
+        args = [t for a in (rule.head, *rule.body) for t in a.args]
+        seen["repeated_var"] += len(list(term_vars(*args))) > len(rule_vars(rule))
+        seen["ground_arg"] += any(next(term_vars(t), None) is None for t in args)
+        seen["zero_ary"] += any(a.arity == 0 for a in (rule.head, *rule.body))
+
+        p = rand_open_program(rng, lists)
+        max_depth = rng.randint(0, 3)
+        counter = sld.find_rule_counterinstance(p, rule, bound, max_depth)
+        assert counter == _reference_counterinstance(p, rule, bound, max_depth), render_program(p)
+        seen["counter"] += counter is not None
+    assert all(n > CASES // 10 for n in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from hornalg.errors import GroundingOverflowError
 from hornalg.parser import parse_atom, parse_program, parse_rule
 from hornalg.semantics import (
     GroundingBound,
+    closed_instances,
     entails,
     equivalent,
     ground,
     herbrand_universe,
     least_model,
     list_universe,
+    ordered_subterms,
     tp_step,
 )
 from hornalg.syntax import NIL, Compound, Program, render_term
@@ -136,20 +138,34 @@ def test_ground_of_ground_program_is_identity():
 
 
 def test_ground_stops_at_its_budget(monkeypatch):
-    # 12^5 instances of the rule; the budget must stop the enumeration early
+    # 12^5 instances of the rule; the budget must stop the enumeration early.
+    # `ground` builds each instance as one `Rule` and calls no `apply`.
     p = pg(" ".join(f"p(c{i})." for i in range(12)) + " q(X1,X2,X3,X4,X5) :- p(X1).")
     built = 0
-    real_apply = semantics.apply
+    real_rule = semantics.Rule
 
-    def counting_apply(s, obj):
+    def counting_rule(*args):
         nonlocal built
         built += 1
-        return real_apply(s, obj)
+        return real_rule(*args)
 
-    monkeypatch.setattr(semantics, "apply", counting_apply)
+    monkeypatch.setattr(semantics, "Rule", counting_rule)
     with pytest.raises(GroundingOverflowError):
         ground(p, GroundingBound(max_term_depth=0, max_atoms=1000))
-    assert built <= 1001
+    assert 900 <= built <= 1001
+
+
+def test_ground_walks_a_long_rule_without_recursion():
+    p = pg("p(" + ",".join(f"X{i}" for i in range(1200)) + ") :- q(a).")
+    g = ground(p, GroundingBound(max_term_depth=0))
+    assert g == pg("p(" + ",".join(["a"] * 1200) + ") :- q(a).")
+
+
+def test_ground_drops_a_rule_with_a_ground_argument_outside_the_universe():
+    p = pg("p(a). q(X, f(a)) :- p(X).")
+    assert ground(p, GroundingBound(max_term_depth=0, constants=frozenset("b"))) == pg("p(a).")
+    u = frozenset({term("a"), term("b")})
+    assert list(closed_instances(parse_rule("q(X, f(a)) :- p(X)."), u, ordered_subterms(u))) == []
 
 
 def test_tp_step_from_empty():
