@@ -19,8 +19,10 @@ last variable is bound, so it builds only the admitted instances.
 `ground`.  A plan fixed once per (program, universe) says how each rule's
 body atoms are looked up in an index of universe-closed atoms, and how
 head variables the body leaves open are bound by matching head arguments
-against universe terms.  `least_model` grows one index by each round's
-new atoms and fires rules semi-naively.
+against universe terms.  A body part that shares no variable with the
+head is a condition, tested for one match and never joined into the head.
+`least_model` grows one index by each round's new atoms and fires rules
+semi-naively.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def list_universe(constants: Iterable[str], max_len: int) -> frozenset:
     return frozenset(out)
 
 
-def _atom_closed(a: Atom, universe: frozenset) -> bool:
+def _atom_closed(a: Atom, universe: dict) -> bool:
     return all(t in universe for t in a.args)
 
 
@@ -252,6 +254,24 @@ def _lookup(idx: dict, key: tuple, pattern, s: dict) -> list:
     return idx.get(key, ())
 
 
+def _parts(head_vars: set, body: tuple, body_keys: list, body_vars: list) -> list:
+    """The body's variable-connected parts as (atoms in body order, their keys):
+    first the core, linked to the head by chains of shared variables, then
+    the conditions in order of their first atoms; a ground atom is one alone."""
+    part: list = [None] * len(body)
+    reach, n = head_vars, 0
+    while None in part:
+        for i, vs in enumerate(body_vars):
+            if part[i] is None and not reach.isdisjoint(vs):
+                break
+        else:  # nothing more joins part n: the first atom left starts the next
+            n, i, reach = n + 1, part.index(None), set()
+        part[i] = n
+        reach |= body_vars[i]
+    return [([b for b, k in zip(body, part) if k == m],
+             [key for key, k in zip(body_keys, part) if k == m]) for m in range(n + 1)]
+
+
 class _Plan:
     """How each rule of a program fires over a universe, fixed once.
 
@@ -261,11 +281,13 @@ class _Plan:
     bind.  Each head argument the body leaves open is matched against
     universe terms looked up the same way, by (functor, arity) or by a
     bound sub-argument; a bare open variable ranges over the universe.
-    Only the positions some lookup uses are indexed.
+    Only the positions some lookup uses are indexed.  Body parts that share
+    no variable with the head are conditions, Boolean subqueries planned as
+    rules with a 0-ary head.  Head arguments are the universe's own terms.
     """
 
     def __init__(self, p: Program, universe: frozenset):
-        self.universe = universe
+        self.universe = dict(zip(universe, universe))  # each term to itself
         self.ground_rules, self.rules = [], []
         self.atom_keys: dict = {}
         term_keys: dict = {}
@@ -275,23 +297,29 @@ class _Plan:
                 continue
             body = body_order(rule)
             bound: set = set()
-            body_keys = []
+            body_keys, body_vars = [], []
             for b in body:
                 body_keys.append(_key(self.atom_keys, (b.pred, b.arity), b.args, bound))
-                bound.update(term_vars(*b.args))
-            opens, closed = [], []
-            for k, t in enumerate(rule.head.args):
-                if bound.issuperset(term_vars(t)):
-                    closed.append(k)
-                elif isinstance(t, Var):
-                    opens.append((t, ()))
-                else:
-                    opens.append((t, _key(term_keys, (t.functor, len(t.args)), t.args, bound)))
-                bound.update(term_vars(t))
-            self.rules.append((rule.head, body, body_keys, opens, closed))
-        self.terms: dict = {(): list(universe)}
-        for t in universe:
-            _add(self.terms, term_keys, (t.functor, len(t.args)), t.args, t)
+                body_vars.append(set(term_vars(*b.args)))
+                bound |= body_vars[-1]
+            # A condition shares no variable with the head or the core, so
+            # its variables in `bound` change no key or open argument here.
+            opens, head_vars = [], set()
+            for t in rule.head.args:
+                vs = set(term_vars(t))
+                if not bound.issuperset(vs):
+                    opens.append((t, () if isinstance(t, Var) else
+                                  _key(term_keys, (t.functor, len(t.args)), t.args, bound)))
+                bound |= vs
+                head_vars |= vs
+            (core, core_keys), *conds = _parts(head_vars, body, body_keys, body_vars)
+            self.rules.append(((rule.head, core, core_keys, opens),
+                               [(Atom("true"), atoms, keys, []) for atoms, keys in conds]))
+        self.terms: dict = {}
+        if any(rule_plan[3] for rule_plan, _ in self.rules):  # some head argument is open
+            self.terms[()] = list(universe)
+            for t in universe:
+                _add(self.terms, term_keys, (t.functor, len(t.args)), t.args, t)
 
     def index(self, atoms: Iterable[Atom]) -> dict:
         """An index of the given atoms, which must be universe-closed."""
@@ -300,19 +328,26 @@ class _Plan:
             _add(idx, self.atom_keys, (a.pred, a.arity), a.args, a)
         return idx
 
+    def holds(self, cond: tuple, idx: dict) -> bool:
+        """Whether the condition has a match in `idx`, stopping at the first."""
+        return next(self.fire(cond, [idx] * len(cond[1])), None) is not None
+
     def fire(self, rule_plan: tuple, sources: list) -> Iterator[Atom]:
-        """The rule's universe-closed head instances whose body atoms match
-        in `sources` (one index per body position).  Head arguments the
-        body leaves open are matched against universe terms next, so a
+        """The rule's universe-closed head instances whose core atoms match
+        in `sources` (one index per core position).  Head arguments the
+        core leaves open are matched against universe terms next, so a
         head-only variable takes only values that keep them closed."""
-        head, body, body_keys, opens, closed = rule_plan
+        head, body, body_keys, opens = rule_plan
         steps = [(match_atom, src, b, key) for src, b, key in zip(sources, body, body_keys)]
         steps += [(_match_term, self.terms, t, key) for t, key in opens]
         universe = self.universe
+        all_open = len(opens) == len(head.args)
 
-        # A rule with variables has a body atom or an open head argument,
-        # so there is at least one step.  `vals` holds the universe terms
-        # matched by the head steps so far.
+        def close(s: dict, vals: tuple) -> Optional[Atom]:  # `vals`: the open arguments
+            args = vals if all_open else tuple([universe.get(t) for t in apply(s, head).args])
+            return None if None in args else Atom(head.pred, args)
+
+        # `vals` holds the universe terms matched by the head steps so far.
         def match(i: int, s: dict, vals: tuple):
             matcher, idx, pattern, key = steps[i]
             for item in _lookup(idx, key, pattern, s):
@@ -322,13 +357,11 @@ class _Plan:
                 more = vals + (item,) if i >= len(body) else vals
                 if i + 1 < len(steps):
                     yield from match(i + 1, s2, more)
-                elif not closed:  # every head argument was open: `more` is the head
-                    yield Atom(head.pred, more)
-                else:
-                    h = apply(s2, head)
-                    if all(h.args[k] in universe for k in closed):
-                        yield h
+                elif (h := close(s2, more)) is not None:
+                    yield h
 
+        if not steps:  # a variable-free head over conditions only
+            return iter([h] if (h := close({}, ())) else [])
         return match(0, {}, ())
 
 
@@ -340,7 +373,8 @@ def tp_step(p: Program, i: Iterable[Atom], bound: GroundingBound = DEFAULT_BOUND
     idx = plan.index(a for a in i if _atom_closed(a, plan.universe))
     out: set = set()
     for head in chain((r.head for r in plan.ground_rules if r.body <= i),
-                      *(plan.fire(rp, [idx] * len(rp[1])) for rp in plan.rules)):
+                      *(plan.fire(rp, [idx] * len(rp[1])) for rp, conds in plan.rules
+                        if all(plan.holds(c, idx) for c in conds))):
         out.add(head)
         if len(out) > bound.max_atoms:
             raise GroundingOverflowError(bound.max_atoms)
@@ -351,14 +385,17 @@ def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
     """Least fixpoint of tp_step from the empty interpretation.
 
     Computed semi-naively over one index that grows by each round's
-    delta: a round fires only rules with at least one body atom matched
+    delta: a round fires only rules with at least one core atom matched
     against the atoms new in the previous round, which yields the same
-    fixpoint as naive iteration.  The budget is checked per new atom.
+    fixpoint as naive iteration.  A rule with conditions waits until each
+    has held once, fires its core once over the whole index, and from the
+    next round on semi-naively.  The budget is checked per new atom.
     """
     plan = _Plan(p, herbrand_universe(p, bound))
     model: set = set()
     new: dict = {}  # atom -> whether its arguments lie in the universe
     idx: dict = {}
+    waiting = [list(conds) for _, conds in plan.rules]  # the conditions not yet held
 
     def admit(heads: Iterable[Atom], known_closed: bool = True) -> None:
         for head in heads:
@@ -367,8 +404,8 @@ def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
                 if len(model) + len(new) > bound.max_atoms:
                     raise GroundingOverflowError(bound.max_atoms)
 
-    for rule_plan in plan.rules:  # bodiless rules with variables fire once
-        if not rule_plan[1]:
+    for (rule_plan, _), conds in zip(plan.rules, waiting):
+        if not rule_plan[1] and not conds:  # bodiless rules with variables fire once
             admit(plan.fire(rule_plan, []))
     while True:
         admit((r.head for r in plan.ground_rules if r.body <= model), known_closed=False)
@@ -379,8 +416,13 @@ def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
         delta_idx = plan.index(a for a, closed in delta.items() if closed)
         for key, atoms in delta_idx.items():
             idx.setdefault(key, []).extend(atoms)
-        for rule_plan in plan.rules:
+        for (rule_plan, _), conds in zip(plan.rules, waiting):
             n = len(rule_plan[1])
+            if conds:
+                conds[:] = [c for c in conds if not plan.holds(c, idx)]
+                if not conds:
+                    admit(plan.fire(rule_plan, [idx] * n))
+                continue
             for j in range(n):
                 admit(plan.fire(rule_plan, [delta_idx if k == j else idx for k in range(n)]))
 

@@ -62,6 +62,12 @@ def test_lm_counts_atoms_at_depth():
     assert out.splitlines() == ["nat(0)", "nat(s(0))", "nat(s(s(0)))"]
 
 
+def test_lm_of_nat_at_depth_300():
+    code, out, _ = run("lm", "corpus:nat", "--depth", "300")
+    assert code == OK
+    assert len(out.splitlines()) == 301
+
+
 def test_lm_of_empty_program_prints_nothing():
     code, out, _ = run("lm", "corpus:empty")
     assert code == OK

@@ -238,8 +238,12 @@ def test_concat_associativity():
 def test_tp_step_matches_composition_with_facts():
     rng = random.Random(1303)
     bound = GroundingBound(max_term_depth=1)
+    seen = Counter()
     for _ in range(CASES):
         p = rand_program(rng, max_rules=2, max_body=2, depth=1)
+        if rng.random() < 0.5:  # a rule with a condition that a head of p can meet
+            h = rng.choice(list(p)).head
+            p = p | Program([Rule(rand_atom(rng), {Atom(h.pred, (Var("V"), Var("W"))[:h.arity])})])
         universe = sorted(herbrand_universe(p, bound), key=str)
         n_atoms = rng.randint(0, 4) if universe else 0
         i = frozenset(rand_ground_atom(rng, universe) for _ in range(n_atoms))
@@ -247,6 +251,8 @@ def test_tp_step_matches_composition_with_facts():
         composed = compose(ground(p, bound), Program(Rule(a) for a in sorted(i, key=str)))
         assert all(r.is_fact for r in composed)
         assert stepped == frozenset(r.head for r in composed), render_program(p)
+        seen.update(_condition_kinds(p, bound, i, i | stepped))
+    assert all(seen[k] > CASES // 10 for k in ("at_once", "later", "never")), seen
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +288,25 @@ _OUTSIDE = {False: Compound("f", (Compound("f", (Compound("f", (Compound("a"),))
             True: cons(Compound("a"), cons(Compound("a"), cons(Compound("a"), NIL)))}
 
 
-def rand_open_term(rng, depth, lists, p_var=0.4):
+def rand_open_term(rng, depth, lists, p_var=0.4, names=("X", "Y", "U")):
     if rng.random() < p_var:
-        return Var(rng.choice(("X", "Y", "U")))
+        return Var(rng.choice(names))
     roll = rng.random()
     if roll < 0.4 or depth == 0:
         return Compound(rng.choice(("a", "b", "nil") if lists else ("a", "0")))
     if lists and roll < 0.75:
-        return cons(rand_open_term(rng, depth - 1, lists), rand_open_term(rng, depth - 1, lists))
-    return Compound("f", (rand_open_term(rng, depth - 1, lists),))
+        return cons(rand_open_term(rng, depth - 1, lists, names=names),
+                    rand_open_term(rng, depth - 1, lists, names=names))
+    return Compound("f", (rand_open_term(rng, depth - 1, lists, names=names),))
 
 
-def rand_open_program(rng, lists):
+def rand_open_program(rng, lists, conditions=False):
     """Rules whose heads often carry variables the body leaves open, nested
     in lists or f(...), plus variable-free rules over atoms outside any
-    of the suite's universes."""
+    of the suite's universes.  With `conditions`, some bodies get a
+    condition, an atom s(...) over variables no head has (V, W), which the
+    rules that derive s from p and r atoms can meet only from the second
+    round on."""
     def atom(depth=2, p_var=0.4):
         pred, arity = rng.choice((("p", 1), ("r", 2)))
         return Atom(pred, tuple(rand_open_term(rng, depth, lists, p_var) for _ in range(arity)))
@@ -307,7 +317,13 @@ def rand_open_program(rng, lists):
             outside = Atom("p", (_OUTSIDE[lists],))
             rules.append(rng.choice((Rule(outside), Rule(atom(0), {outside}))))
         else:
-            rules.append(Rule(atom(), frozenset(atom(1, 0.6) for _ in range(rng.randint(0, 2)))))
+            body = {atom(1, 0.6) for _ in range(rng.randint(0, 2))}
+            if conditions and rng.random() < 0.3:
+                body.add(Atom("s", (rand_open_term(rng, 1, lists, 0.7, ("V", "W")),)))
+            rules.append(Rule(atom(), frozenset(body)))
+    if any(a.pred == "s" for r in rules for a in r.body):
+        rules += [Rule(Atom("s", (Var("X"),)), {Atom("p", (Var("X"),))}),
+                  Rule(Atom("s", (Var("X"),)), {Atom("r", (Var("X"), Var("Y")))})]
     return Program(rules)
 
 
@@ -326,12 +342,40 @@ def _nested_head_only(rule):
                for t in rule.head.args)
 
 
+def _conditions(rule):
+    """The body parts that no chain of shared variables links to the head,
+    each a set of atoms; the head's part is marked by None."""
+    parts = [(set(atom_vars(rule.head)), {None})]
+    for a in rule.body:
+        vs = set(atom_vars(a))
+        joined = [q for q in parts if vs & q[0]]
+        parts = [q for q in parts if not vs & q[0]]
+        parts.append((vs.union(*(q[0] for q in joined)), {a}.union(*(q[1] for q in joined))))
+    return [atoms for _, atoms in parts if None not in atoms]
+
+
+def _condition_kinds(p, bound, first, last):
+    """The kinds of condition in p's rules with variables: "at_once" for one
+    with a universe-closed instance inside `first`, "later" for one with
+    such an instance only inside `last`, "never" for one with neither.
+    Instances come from `closed_instances`, not from a matcher."""
+    universe = herbrand_universe(p, bound)
+    subterms = ordered_subterms(universe)
+    kinds = set()
+    for rule in p:
+        for atoms in _conditions(rule) if rule_vars(rule) else ():
+            bodies = [r.body for r in closed_instances(Rule(Atom("c"), atoms), universe, subterms)]
+            kinds.add("at_once" if any(b <= first for b in bodies) else
+                      "later" if any(b <= last for b in bodies) else "never")
+    return kinds
+
+
 def test_least_model_matches_fixpoint_of_grounding():
     rng = random.Random(1414)
     seen = Counter()
     for i in range(CASES):
         lists = i % 2 == 0
-        p = rand_open_program(rng, lists)
+        p = rand_open_program(rng, lists, conditions=True)
         if lists:
             bound = GroundingBound(universe=list_universe(rng.choice(("a", "ab")), rng.randint(1, 2)))
         else:
@@ -343,7 +387,9 @@ def test_least_model_matches_fixpoint_of_grounding():
         seen["nested_head_only"] += any(_nested_head_only(r) for r in p)
         seen["outside"] += any(not all(t in universe for t in a.args) for a in model)
         seen["derived"] += model != {r.head for r in g if r.is_fact}
+        seen.update(_condition_kinds(p, bound, {r.head for r in g if r.is_fact}, model))
     assert all(seen[k] > CASES // 10 for k in ("nested_head_only", "outside", "derived")), seen
+    assert all(seen[k] > CASES // 10 for k in ("at_once", "later", "never")), seen
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,37 @@ def test_least_model_stops_at_its_budget(monkeypatch):
     assert matched <= 2 * 1001
 
 
+def test_least_model_checks_a_condition_once(monkeypatch):
+    # q(B) shares no variable with the head: one match of it is enough, and
+    # A ranges over the 40 constants once, not once per q atom.
+    facts = " ".join(f"q(c{i})." for i in range(40))
+    calls = {"term": 0, "atom": 0}
+    real_term, real_atom = semantics._match_term, semantics.match_atom
+
+    def counting_term(*args):
+        calls["term"] += 1
+        return real_term(*args)
+
+    def counting_atom(*args):
+        calls["atom"] += 1
+        return real_atom(*args)
+
+    monkeypatch.setattr(semantics, "_match_term", counting_term)
+    monkeypatch.setattr(semantics, "match_atom", counting_atom)
+    bound = GroundingBound(max_term_depth=0)
+    lm = least_model(pg(facts + " p(A) :- q(B)."), bound)
+    assert {a for a in lm if a.pred == "p"} == {parse_atom(f"p(c{i})") for i in range(40)}
+    assert calls["term"] <= 100 and calls["atom"] <= 40, calls
+    never = least_model(pg(facts + " p(A) :- q(B), r(B,B). r(c0,c1)."), bound)
+    assert not any(a.pred == "p" for a in never)
+
+
+def test_least_model_of_nat_at_depth_1000():
+    # Derived s(...) terms are the universe's own, so no comparison of two
+    # equal terms recurses through all 1000 levels.
+    assert len(least_model(NAT, GroundingBound(max_term_depth=1000))) == 1001
+
+
 def test_head_only_variables_range_over_universe():
     # U occurs in the head only; it takes every value keeping [U] in the universe
     p = pg("p(a). q([U]) :- p(a).")
