@@ -23,7 +23,6 @@ from .syntax import (
     atom_vars,
     body_order,
     is_ground,
-    pred_of,
     program_vars_ordered,
 )
 from .unify import (
@@ -205,12 +204,13 @@ def concat_atoms(a: Atom, b: Atom) -> Atom:
 
 
 def concat_rules(r1: Rule, r2: Rule) -> Optional[Rule]:
-    """Concatenate two rules with matching predicate signatures, or None.
+    """Concatenate two rules with the same head predicate and the same set
+    of body predicates, or None.  Arities are ignored (unranked convention).
 
     Heads are concatenated; the new body holds the concatenation of every
     same-predicate pair of body atoms.  No variables are renamed.
     """
-    if pred_of(r1) != pred_of(r2):
+    if r1.head.pred != r2.head.pred or {a.pred for a in r1.body} != {a.pred for a in r2.body}:
         return None
     head = concat_atoms(r1.head, r2.head)
     body = frozenset(

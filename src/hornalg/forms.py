@@ -8,8 +8,9 @@ form denotes a program transformation.
 Each operator is one entry of `_BINARY` or `_UNARY`, which maps its `.lpf`
 spelling to its operation.  A `Binary` or `Unary` node names its operator
 by that spelling, and the parser, the printer, the evaluator and every walk
-read the tables.  Variables, literals, powers, renames, substitutions and
-form calls are the only kinds handled one by one.
+read the tables.  Powers, renames and substitutions are `Unary` nodes whose
+`arg` holds the operator's own argument.  Variables, literals and form
+calls are the only kinds handled one by one.
 
 Text syntax (`.lpf` files), one definition per `form NAME(params) = expr;`,
 read with the `.lp` token table (`parser.tokenize`):
@@ -53,7 +54,6 @@ from .parser import _Parser, parse_program, tokenize
 from .syntax import (
     Program,
     Rule,
-    Term,
     Var,
     atom_vars,
     body_order,
@@ -88,26 +88,7 @@ class Binary:
 class Unary:
     op: str  # a key of `_UNARY`
     expr: object
-
-
-@dataclass(frozen=True, slots=True)
-class PowerOf:
-    expr: object
-    n: int
-
-
-@dataclass(frozen=True, slots=True)
-class RenamePred:
-    expr: object
-    old: str
-    new: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubstIn:
-    expr: object
-    var: str
-    term: Term
+    arg: tuple = ()  # the operator's own argument: (n,), (old, new) or (var, term)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,6 +184,10 @@ _UNARY = {
     "gnd": lambda p: semantics.ground(p),
     "body": body_program,
     "refresh": refresh_body_vars,
+    # Postfix operators, given the node's `arg` after the operand's value.
+    "^": lambda p, n: algebra.power(p, n),
+    "/": lambda p, old, new: p.rename_predicate(old, new),
+    ":=": lambda p, var, term: apply({Var(var): term}, p),
 }
 _LEAVES = (VarRef, Lit, FormCall)
 
@@ -247,18 +232,14 @@ def _fields(expr) -> tuple:
     captures variables by name, so program literals are told apart by
     their variable names."""
     kind = type(expr)
-    if kind is Binary or kind is Unary:
+    if kind is Binary:
         return (expr.op,)
+    if kind is Unary:
+        return (expr.op, *expr.arg)
     if kind is VarRef:
         return (expr.name,)
     if kind is Lit:
         return (expr.program.name_key(),)
-    if kind is PowerOf:
-        return (expr.n,)
-    if kind is RenamePred:
-        return (expr.old, expr.new)
-    if kind is SubstIn:
-        return (expr.var, render_term(expr.term))
     if kind is FormCall:
         return (expr.name, expr.args)
     raise TypeError(f"not a form expression: {kind.__name__}")
@@ -282,10 +263,10 @@ def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
         kind = type(e)
         if kind is Lit:
             lits.append(e.program)
-        elif kind is RenamePred:
-            preds.add(e.new)
-        elif kind is SubstIn:
-            functors.update(term_functors(e.term))
+        elif kind is Unary and e.op == "/":
+            preds.add(e.arg[1])
+        elif kind is Unary and e.op == ":=":
+            functors.update(term_functors(e.arg[1]))
         elif kind is FormCall:
             if table is None or e.name not in table:
                 raise FormEvalError(f"call of unknown form {e.name}")
@@ -314,10 +295,12 @@ class Evaluator:
     told apart by `name_key` and main predicate) by position, and computed
     the first time they are read.  A `Binary` or `Unary` node applies its
     table entry's operation to its operands' values once per distinct
-    operand `name_key`s over all environments: concatenation sees variable
-    names, so `{q(X).}` and `{q(Y).}` never share a result.  Any other node
-    goes through `_eval`.  Where a node fails, what it raised is kept, and
-    `eval` raises it again.
+    operand `name_key`s and `arg` over all environments: concatenation sees
+    variable names, so `{q(X).}` and `{q(Y).}` never share a result.  A
+    placeholder rename first reads its old name off the environment, so
+    it shares results with the plain rename it resolves to.  Variables,
+    literals and form calls go through `_eval`.  Where a node fails, what
+    it raised is kept, and `eval` raises it again.
     """
 
     def __init__(self, table: Optional[dict] = None):
@@ -330,11 +313,11 @@ class Evaluator:
         # `_met` keeps the objects, so their ids cannot be reused.
         self._ids: dict = {}
         self._met: list = []
-        # Per position: (node, operand positions, operation or None, the
-        # parameter a placeholder rename reads).
+        # Per position: (node, operand positions, operation or None, its
+        # `arg`, the parameter a placeholder rename reads).
         self._plan: list = []
         self._envs: dict = {}  # environment key -> (values, failures) by position
-        self._applied: dict = {}  # (operation, operand name_keys) -> (value, failure)
+        self._applied: dict = {}  # (operation, operand name_keys, arg) -> (value, failure)
         self._probes: dict = {}  # free variable names -> value functions of the probes
 
     def position(self, expr, placeholders: Optional[dict] = None) -> int:
@@ -346,13 +329,14 @@ class Evaluator:
             return i
         kind = type(expr)
         args = tuple([self.position(sub, placeholders) for sub in operands(expr)])
-        param = placeholders.get(expr.old) if placeholders and kind is RenamePred else None
+        unary = kind is Unary
+        param = placeholders.get(expr.arg[0]) if placeholders and unary and expr.op == "/" else None
         key = (kind, *_fields(expr), *args, param)
         i = self._at.get(key)
         if i is None:
-            op = _BINARY[expr.op] if kind is Binary else _UNARY[expr.op] if kind is Unary else None
+            op = _BINARY[expr.op] if kind is Binary else _UNARY[expr.op] if unary else None
             i = self._at[key] = len(self._plan)
-            self._plan.append((expr, args, op, param))
+            self._plan.append((expr, args, op, expr.arg if unary else (), param))
         self._ids[at] = i
         self._met.append(expr)
         return i
@@ -392,7 +376,7 @@ class Evaluator:
                 out = _UNREAD
             if out is not _UNREAD:
                 return out
-            node, args, op, param = plan[i]
+            node, args, op, arg, param = plan[i]
             out = failure = None
             xs = []
             for a in args:
@@ -401,21 +385,27 @@ class Evaluator:
                     break
                 xs.append(x)
             else:
-                if op is not None:
-                    key = (op, *[x.name_key() for x in xs])
-                    done = applied.get(key)
-                    if done is None:
-                        try:
-                            done = (op(*xs), None)
-                        except _FAILURES as e:
-                            done = (None, e)
-                        applied[key] = done
-                    out, failure = done
-                else:
-                    try:
-                        out = self._eval(node, xs, env, param)
-                    except _FAILURES as e:
-                        failure = e
+                try:
+                    if op is None:
+                        out = self._eval(node, env)
+                    else:
+                        if param is not None:
+                            b = env.get(param)
+                            if b is None or b.main_pred is None:
+                                raise FormEvalError(
+                                    f"placeholder {arg[0]} has no main predicate to resolve against")
+                            arg = (b.main_pred, arg[1])
+                        key = (op, *[x.name_key() for x in xs], *arg)
+                        done = applied.get(key)
+                        if done is None:
+                            try:
+                                done = (op(*xs, *arg), None)
+                            except _FAILURES as e:
+                                done = (None, e)
+                            applied[key] = done
+                        out, failure = done
+                except _FAILURES as e:
+                    failure = e
             vals[i] = out
             if out is None:
                 failures[i] = failure
@@ -423,9 +413,8 @@ class Evaluator:
 
         return value, failures
 
-    def _eval(self, expr, xs: list, env: dict, param: Optional[str]) -> Program:
-        """The value of a node that is no operator, given its operands'
-        values and, for a placeholder rename, the parameter it reads."""
+    def _eval(self, expr, env: dict) -> Program:
+        """The value of a variable, a literal or a form call in `env`."""
         kind = type(expr)
         if kind is VarRef:
             b = env.get(expr.name)
@@ -434,41 +423,25 @@ class Evaluator:
             return b.program
         if kind is Lit:
             return expr.program
-        if kind is PowerOf:
-            return algebra.power(xs[0], expr.n)
-        if kind is RenamePred:
-            old = expr.old
-            if param is not None:
-                b = env.get(param)
-                if b is None or b.main_pred is None:
-                    raise FormEvalError(
-                        f"placeholder {old} has no main predicate to resolve against"
-                    )
-                old = b.main_pred
-            return xs[0].rename_predicate(old, expr.new)
-        if kind is SubstIn:
-            return apply({Var(expr.var): expr.term}, xs[0])
-        if kind is FormCall:
-            fd = self.table.get(expr.name)
-            if fd is None:
-                raise FormEvalError(f"call of unknown form {expr.name}")
-            if len(expr.args) != len(fd.params):
-                raise FormEvalError(
-                    f"form {expr.name} takes {len(fd.params)} arguments, got {len(expr.args)}"
-                )
-            inner_env = {}
-            for spec, arg in zip(fd.params, expr.args):
-                b = env.get(arg)
-                if b is None:
-                    raise FormEvalError(f"unbound form variable {arg}")
-                inner_env[spec.name] = b
-            inner_ph = {
-                spec.pred_placeholder: spec.name
-                for spec in fd.params
-                if spec.pred_placeholder
-            }
-            return self.eval(fd.body, inner_env, inner_ph)
-        raise TypeError(f"not a form expression: {kind.__name__}")
+        fd = self.table.get(expr.name)
+        if fd is None:
+            raise FormEvalError(f"call of unknown form {expr.name}")
+        if len(expr.args) != len(fd.params):
+            raise FormEvalError(
+                f"form {expr.name} takes {len(fd.params)} arguments, got {len(expr.args)}"
+            )
+        inner_env = {}
+        for spec, arg in zip(fd.params, expr.args):
+            b = env.get(arg)
+            if b is None:
+                raise FormEvalError(f"unbound form variable {arg}")
+            inner_env[spec.name] = b
+        inner_ph = {
+            spec.pred_placeholder: spec.name
+            for spec in fd.params
+            if spec.pred_placeholder
+        }
+        return self.eval(fd.body, inner_env, inner_ph)
 
 
 def eval_form(table: dict, name: str, bindings: dict,
@@ -594,20 +567,17 @@ class _LpfParser(_Parser):
         while True:
             if self.at("CARET"):
                 self.i += 1
-                n = int(self.take("INT", "a power").text)
-                node = PowerOf(node, n)
+                node = Unary("^", node, (int(self.take("INT", "a power").text),))
             elif self.at("LBRACKET"):
                 self.i += 1
                 if self.at("IDENT"):
                     old = self.take("IDENT", "a predicate name").text
                     self.take("SLASH", "'/'")
-                    new = self.take("IDENT", "a predicate name").text
-                    node = RenamePred(node, old, new)
+                    node = Unary("/", node, (old, self.take("IDENT", "a predicate name").text))
                 else:
                     var = self.take("VAR", "a variable").text
                     self.take("ASSIGN", "':='")
-                    term = self.term()
-                    node = SubstIn(node, var, term)
+                    node = Unary(":=", node, (var, self.term()))
                 self.take("RBRACKET", "']'")
             else:
                 return node
@@ -669,17 +639,18 @@ def form_to_text(expr) -> str:
     if kind is Binary:
         return f"({form_to_text(expr.left)} {expr.op} {form_to_text(expr.right)})"
     if kind is Unary:
-        return f"{expr.op}({form_to_text(expr.expr)})"
+        inner, arg = form_to_text(expr.expr), expr.arg
+        if expr.op == "^":
+            return f"{inner}^{arg[0]}"
+        if expr.op == "/":
+            return f"{inner}[{arg[0]}/{arg[1]}]"
+        if expr.op == ":=":
+            return f"{inner}[{arg[0]} := {render_term(arg[1])}]"
+        return f"{expr.op}({inner})"
     if kind is VarRef:
         return expr.name
     if kind is Lit:
         return "{" + " ".join(expr.program.name_key()) + "}"
-    if kind is PowerOf:
-        return f"{form_to_text(expr.expr)}^{expr.n}"
-    if kind is RenamePred:
-        return f"{form_to_text(expr.expr)}[{expr.old}/{expr.new}]"
-    if kind is SubstIn:
-        return f"{form_to_text(expr.expr)}[{expr.var} := {render_term(expr.term)}]"
     if kind is FormCall:
         return f"{expr.name}({', '.join(expr.args)})"
     raise TypeError(f"not a form expression: {kind.__name__}")

@@ -531,9 +531,12 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
         for si in range(len(svecs)):
             sby = lookup(si)
+            f_at, g_at = sby.get(f_source), sby.get(g_source)
+            if not (f_at and g_at):
+                continue
             for ti, tval in enumerate(tvals):
-                fs = fitting(sby.get(f_source, ()), tval, f_target)
-                gs = fitting(sby.get(g_source, ()), tval, g_target)
+                fs = fitting(f_at, tval, f_target)
+                gs = fitting(g_at, tval, g_target)
                 # The form checks run last: they evaluate the forms on the probes.
                 fs = [i for i in fs if form_ok(i)] if gs else ()
                 gs = [i for i in gs if form_ok(i)] if fs else ()
@@ -551,13 +554,16 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
 
     # A pair (F, G) of a block is dropped when another block on its line,
     # with vectors pointwise inside its own, holds F and G too.
-    inside_s = [[a for a, sub in enumerate(svecs) if sub.issubset(v)] for v in svecs]
-    inside_t = [[b for b, sub in enumerate(tvecs) if sub.issubset(v)] for v in tvecs]
+    def inside(vecs: list):
+        """Per index, on first use, the indices of the vectors inside it."""
+        return cache(lambda i: [a for a, sub in enumerate(vecs) if sub.issubset(vecs[i])])
+
+    inside_s, inside_t = inside(svecs), inside(tvecs)
 
     @cache
     def lower(block: tuple) -> list:
         line, si, ti = block
-        return [blocks[low] for a in inside_s[si] for b in inside_t[ti]
+        return [blocks[low] for a in inside_s(si) for b in inside_t(ti)
                 if (low := (line, a, b)) != block and low in blocks]
 
     svec_text = [render_program(v) for v in svecs]

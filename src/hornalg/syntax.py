@@ -143,21 +143,6 @@ class Rule(_RuleCached):
         return f"Rule({render_rule(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class PredSignature:
-    """The head predicate of a rule paired with the set of its body predicates.
-
-    Arities are deliberately ignored (unranked convention).
-    """
-
-    head: str
-    body: frozenset
-
-
-def pred_of(rule: Rule) -> PredSignature:
-    return PredSignature(rule.head.pred, frozenset(a.pred for a in rule.body))
-
-
 # ---------------------------------------------------------------------------
 # Variable collection
 

@@ -207,6 +207,13 @@ def test_concat_rules_requires_same_predicate_shape():
     assert concat_rules(parse_rule("p(a) :- q(a)."), parse_rule("p(b) :- r(b).")) is None
 
 
+def test_concat_rules_ignores_arity():
+    # same head and body predicate names, different arities: they concatenate
+    r1 = parse_rule("p(X) :- q(X,Y).")
+    r2 = parse_rule("p(X,Y,Z) :- q(a).")
+    assert concat_rules(r1, r2) == parse_rule("p(X,X,Y,Z) :- q(X,Y,a).")
+
+
 def test_concat_shares_variable_names():
     r1 = parse_rule("plus([U|X]) :- plus(X).")
     r2 = parse_rule("plus([U|Z]) :- plus(Z).")

@@ -12,7 +12,6 @@ from hornalg.forms import (
     Evaluator,
     FormCall,
     Lit,
-    RenamePred,
     Unary,
     VarRef,
     body_program,
@@ -61,7 +60,7 @@ def test_postfix_rename_and_literals():
     t = table("form T(X) = X[q/plus] . {plus(Y,Y).};")
     body = t["T"].body
     assert body.op == "."
-    assert isinstance(body.left, RenamePred)
+    assert body.left.op == "/"
     assert isinstance(body.right, Lit)
     assert body.right.program == pg("plus(Y,Y).")
 
@@ -309,6 +308,21 @@ def test_memo_reuses_results_for_identical_bindings():
     assert first is second
 
 
+def test_memo_tells_operator_arguments_apart():
+    # Powers and renames of one operand go through one operation memo,
+    # which keys on each node's `arg`.
+    ev, x = Evaluator(), VarRef("X")
+    env = {"X": make_binding(pg("p(0). p(s(Y)) :- p(Y)."))}
+    values = {
+        (op, arg): ev.eval(Unary(op, x, arg), env)
+        for op, arg in (("^", (2,)), ("^", (3,)), ("/", ("p", "q")), ("/", ("p", "r")))
+    }
+    assert values["^", (2,)] == pg("p(0). p(s(0)). p(s(s(Y))) :- p(Y).")
+    assert values["^", (3,)] == pg("p(0). p(s(0)). p(s(s(0))). p(s(s(s(Y)))) :- p(Y).")
+    assert values["/", ("p", "q")] == pg("q(0). q(s(Y)) :- q(Y).")
+    assert values["/", ("p", "r")] == pg("r(0). r(s(Y)) :- r(Y).")
+
+
 def test_memo_tells_apart_the_bindings_placeholders_read():
     # The renamed literal has no variable, but its placeholder reads the
     # main predicate of X: each call of F must see its own binding.
@@ -331,7 +345,7 @@ def test_memo_tells_placeholder_renames_from_plain_ones():
     ev = Evaluator(t)
     assert eval_form(t, "F", {"X": by_p}, ev).strict_equals(pg("r(a). q(b)."))
     assert eval_form(t, "F", {"X": by_q}, ev).strict_equals(pg("p(a). r(b)."))
-    plain = ev.eval(RenamePred(VarRef("X"), "q", "r"), {"X": by_p})
+    plain = ev.eval(Unary("/", VarRef("X"), ("q", "r")), {"X": by_p})
     assert plain.strict_equals(pg("p(a). r(b)."))
 
 

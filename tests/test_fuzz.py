@@ -1,6 +1,8 @@
 """Fuzz smoke for the text front end: short texts over the token alphabet
 either parse or raise `EngineError`, and what parses renders back to text
-that parses to an equal program."""
+that parses to an equal program.  Random form trees over every operator
+print back to text that parses to the same tree, and evaluate to a program
+or raise `EngineError`."""
 
 import pytest
 
@@ -10,10 +12,22 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hornalg.errors import EngineError  # noqa: E402
-from hornalg.forms import parse_forms  # noqa: E402
-from hornalg.parser import parse_program, parse_query  # noqa: E402
+from hornalg.forms import (  # noqa: E402
+    _BINARY,
+    _PROBE_BINDINGS,
+    _UNARY,
+    Binary,
+    Evaluator,
+    Lit,
+    Unary,
+    VarRef,
+    expr_key,
+    form_to_text,
+    parse_forms,
+)
+from hornalg.parser import parse_atom, parse_program, parse_query  # noqa: E402
 from hornalg.proportion import parse_binding_spec  # noqa: E402
-from hornalg.syntax import render_program  # noqa: E402
+from hornalg.syntax import Program, render_program  # noqa: E402
 
 # A piece of every token kind, some whole phrases, and characters no token
 # starts with.
@@ -64,3 +78,35 @@ def test_binding_specs_parse_or_fail_cleanly(text):
     if binding is not None:
         program = binding.program
         assert parse_program(render_program(program)) == program
+
+
+# Form trees over X1 and small literals, with every operator of the tables;
+# an operator with an argument of its own draws one here.
+_TERMS = parse_atom("t(a, f(b), Z, g(X, c))").args
+_ARGS = {
+    "^": st.tuples(st.integers(0, 3)),
+    "/": st.tuples(st.sampled_from("pqr"), st.sampled_from("pqr")),
+    ":=": st.tuples(st.sampled_from("XYZ"), st.sampled_from(_TERMS)),
+}
+_LITERALS = tuple(Lit(parse_program(text)) for text in ("c.", "p(a).", "q(X) :- p(X)."))
+
+
+def _operators(children):
+    binary = st.builds(Binary, st.sampled_from(tuple(_BINARY)), children, children)
+    unary = st.sampled_from(tuple(_UNARY)).flatmap(
+        lambda op: st.builds(Unary, st.just(op), children, _ARGS.get(op, st.just(()))))
+    return binary | unary
+
+
+_trees = st.recursive(st.sampled_from((VarRef("X1"), *_LITERALS)), _operators, max_leaves=6)
+
+
+@_fuzz
+@given(_trees)
+def test_form_trees_print_parse_and_evaluate(expr):
+    again = parse_forms(f"form T(X1) = {form_to_text(expr)};")["T"].body
+    assert expr_key(again) == expr_key(expr)
+    ev = Evaluator()
+    for binding in _PROBE_BINDINGS:
+        value = _parses(lambda e: ev.eval(e, {"X1": binding}), expr)
+        assert value is None or isinstance(value, Program)

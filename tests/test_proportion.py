@@ -39,7 +39,7 @@ from hornalg.proportion import (
     solve_proportion,
     vector_pool,
 )
-from hornalg.syntax import render_program
+from hornalg.syntax import Program, render_program
 from test_properties import _rand_problem
 
 
@@ -315,6 +315,29 @@ def test_solver_finds_the_disjoint_answer():
     solutions = solve_proportion(problem)
     rendered = {render_program(sol.s) for sol in solutions}
     assert "c :- d.\nd." in rendered
+
+
+def _chain(pred: str, n: int = 20):
+    return pg(" ".join(f"{pred}{i} :- {pred}{i + 1}." for i in range(n)))
+
+
+def test_solver_skips_vectors_that_give_no_program(monkeypatch):
+    # Over disjoint predicates no form value on a source vector is P, Q or
+    # R, so no vector pair is tried, and no vector's contents are worked out.
+    calls = Counter()
+    issubset = Program.issubset
+
+    def counting(self, other):
+        calls["issubset"] += 1
+        return issubset(self, other)
+
+    monkeypatch.setattr(Program, "issubset", counting)
+    preds = {c: frozenset(f"{c}{i}" for i in range(21)) for c in "abc"}
+    source = DomainSig("S", preds["a"] | preds["b"], frozenset())
+    target = DomainSig("T", preds["c"], frozenset())
+    problem = ProportionProblem(_chain("a"), _chain("b"), _chain("c"), source, target)
+    assert solve_proportion(problem) == []
+    assert calls["issubset"] <= 300
 
 
 def test_solver_output_is_verified():

@@ -25,7 +25,6 @@ from hornalg.syntax import (
     canonical_rule,
     cons,
     is_ground,
-    pred_of,
     program_vars_ordered,
     render_atom,
     render_program,
@@ -74,14 +73,6 @@ def test_rule_body_is_a_set():
 def test_fact_predicate():
     assert parse_rule("p(a).").is_fact
     assert not parse_rule("p(a) :- q.").is_fact
-
-
-def test_pred_of_ignores_arity():
-    r1 = parse_rule("p(X) :- q(X,Y).")
-    r2 = parse_rule("p(X,Y,Z) :- q(a).")
-    assert pred_of(r1) == pred_of(r2)
-    assert pred_of(r1).head == "p"
-    assert pred_of(r1).body == frozenset({"q"})
 
 
 def test_vars_of_spans_head_and_body():
