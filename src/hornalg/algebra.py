@@ -3,10 +3,10 @@ concatenation, and checking of syntactic representations.
 
 Composition `compose(p, r)` resolves every body atom of every rule of p
 against a standardized-apart copy of some rule of r, in all possible
-ways; facts of p pass through untouched.  Concatenation `concatenate`
-zips same-predicate rules by appending argument lists; it deliberately
-performs NO renaming, so rules sharing a variable name link up — that
-sharing is the operation's expressive point.
+ways; facts of p pass through, so p ∘ I for facts I is one T_P step and
+`omega` iterates X ↦ p ∘ X over fact sets, one round per unit of its cap.
+`concatenate` zips same-predicate rules by appending argument lists with
+NO renaming: rules sharing a variable name link up, its expressive point.
 """
 
 from __future__ import annotations
@@ -112,27 +112,30 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             continue
 
         # Depth-first over assignments of rules to body atoms, threading a
-        # triangular substitution.
-        def assign(i: int, s: dict, bodies: tuple):
+        # triangular substitution and whether the resolvent stays ground.
+        def assign(i: int, s: dict, bodies: tuple, ground: bool):
             if i == len(goals):
                 theta = _resolve(s)
                 head = apply(theta, rho.head)
                 new_body = frozenset(apply(theta, a) for b in bodies for a in b)
-                out.append(Rule(head, new_body))
+                out.append(rule := Rule(head, new_body))
+                if ground:
+                    object.__setattr__(rule, "_ground", True)
+                    object.__setattr__(rule, "_vars", ())
                 if len(out) > cap:
                     raise CompositionOverflowError(cap)
                 return
             for idx, body in goal_cands[i]:
                 if body is not None:
-                    assign(i + 1, s, bodies + (body,))
+                    assign(i + 1, s, bodies + (body,), ground)
                     continue
                 cand = r_rules[idx]
                 copy = cand if is_ground(cand) else fresh_variant(cand, fresh)
                 s2 = _unify_atoms(goals[i], copy.head, s)
                 if s2 is not None:
-                    assign(i + 1, s2, bodies + (copy.body,))
+                    assign(i + 1, s2, bodies + (copy.body,), False)
 
-        assign(0, {}, ())
+        assign(0, {}, (), ground_rho)
     return Program(out)
 
 
@@ -188,8 +191,15 @@ def plus_closure(p: Program, cap: int = DEFAULT_CLOSURE_CAP, compose_cap: int = 
 
 
 def omega(p: Program, cap: int = DEFAULT_CLOSURE_CAP, compose_cap: int = DEFAULT_COMPOSE_CAP) -> Program:
-    """The facts derivable by iterated composition: plus_closure(p) ∘ ∅."""
-    return compose(plus_closure(p, cap=cap, compose_cap=compose_cap), Program(), cap=compose_cap)
+    """plus_closure(p) ∘ ∅, as the limit of X ↦ p ∘ X from ∅ (p^k ∘ ∅ =
+    p ∘ (p^(k-1) ∘ ∅)): no power is built.  Raises FixpointBudgetError,
+    with the facts so far, after `cap` rounds."""
+    facts = Program()
+    for _ in range(cap):
+        facts, prev = compose(p, facts, cap=compose_cap), facts
+        if facts == prev:
+            return facts
+    raise FixpointBudgetError(cap, facts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hornalg.algebra import (
 )
 from hornalg.errors import CompositionOverflowError, FixpointBudgetError
 from hornalg.parser import parse_atom, parse_program, parse_rule
-from hornalg.syntax import Compound, Program, Var, render_program
+from hornalg.syntax import Compound, Program, Var, render_program, render_rule
 from test_properties import reference_compose
 
 
@@ -110,6 +110,22 @@ def test_compose_keeps_a_body_only_variable_fresh_for_a_ground_goal():
     assert isinstance(body.args[1], Var) and body.args[1].name not in ("X", "Y")
 
 
+def test_compose_marks_ground_resolvents_before_keying(monkeypatch):
+    # a ground rule whose goals all take a ground body with no copy gives a
+    # ground resolvent; one copied rule in the assignment leaves it unmarked
+    marked, program = [], algebra.Program
+
+    def keyed(rules=()):  # the flags as compose leaves them, before any keying
+        marked.extend(render_rule(r) for r in rules if getattr(r, "_ground", False) and r._vars == ())
+        return program(rules)
+
+    monkeypatch.setattr(algebra, "Program", keyed)
+    p = pg("s :- q(a), t. s :- q(b). u(X) :- q(X).")
+    r = pg("q(a). q(X) :- w(X). t. q(b) :- v(Y).")
+    assert compose(p, r) == pg("s. s :- w(a). s :- w(b). s :- v(Y). u(a). u(X) :- w(X). u(b) :- v(Y).")
+    assert sorted(marked) == ["s :- w(a).", "s :- w(b).", "s."]
+
+
 def test_compose_matches_a_repeated_head_variable_consistently():
     r = pg("q(X,X) :- s(X).")
     assert compose(pg("p :- q(a,b)."), r) == Program()
@@ -176,10 +192,27 @@ def test_star_budget_error_carries_partial():
 
 
 def test_omega_diverges_with_star():
-    # this closure never stabilises, so omega inherits star's budget error
+    # p(f^k(a)) is a new fact in every round, so omega's own facts never
+    # stabilise and its cap is spent
     p = pg("p(a). p(f(X)) :- p(X). p(g(X)) :- q(X).")
     with pytest.raises(FixpointBudgetError):
         omega(p, cap=4)
+
+
+def test_omega_stops_where_powers_do_not():
+    # p^k holds p(X) :- p(f^k(X)) for every k, but no fact ever reaches p
+    p = pg("p(X) :- p(f(X)). q.")
+    assert omega(p) == pg("q.")
+    with pytest.raises(FixpointBudgetError):
+        star(p, cap=8)
+
+
+def test_omega_budget_error_carries_the_facts_so_far():
+    with pytest.raises(FixpointBudgetError) as info:
+        omega(pg("p(a). p(f(X)) :- p(X)."), cap=4)
+    # the facts of round 4, p^4 ∘ ∅, and no rule of a power
+    assert info.value.cap == 4
+    assert info.value.partial == pg("p(a). p(f(a)). p(f(f(a))). p(f(f(f(a)))).")
 
 
 def test_omega_on_finite_program():
