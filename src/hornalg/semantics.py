@@ -389,7 +389,9 @@ def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
     against the atoms new in the previous round, which yields the same
     fixpoint as naive iteration.  A rule with conditions waits until each
     has held once, fires its core once over the whole index, and from the
-    next round on semi-naively.  The budget is checked per new atom.
+    next round on semi-naively; a condition is tested again only in a
+    round that adds an atom of one of its predicates.  The budget is
+    checked per new atom.
     """
     plan = _Plan(p, herbrand_universe(p, bound))
     model: set = set()
@@ -419,7 +421,9 @@ def least_model(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> frozenset:
         for (rule_plan, _), conds in zip(plan.rules, waiting):
             n = len(rule_plan[1])
             if conds:
-                conds[:] = [c for c in conds if not plan.holds(c, idx)]
+                conds[:] = [c for c in conds
+                            if not (any((b.pred, b.arity) in delta_idx for b in c[1])
+                                    and plan.holds(c, idx))]
                 if not conds:
                     admit(plan.fire(rule_plan, [idx] * n))
                 continue

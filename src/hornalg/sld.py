@@ -3,7 +3,13 @@
 Search is determinized: leftmost atom selection, rules tried in canonical
 program order (a rule whose head clashes with the goal is not renamed),
 body goals put first in their rule's `body_order`, iterative deepening on
-the number of steps.  Deepening stops once a bound prunes nothing, so a
+the number of steps.  Each bound starts from the non-empty resolvents the
+last bound cut off, kept in depth-first order with their paths: while a
+level fits under `_FRONTIER_CAP` nodes each node is expanded once, and a
+level past the cap is dropped, so later bounds start again from the last
+level kept.  Memory stays bounded, no bound does more work than plain
+deepening, and the first proof found is still the leftmost of least
+length.  Deepening stops once a bound prunes nothing, so a
 finitely failed goal costs the same at any depth and gives None (`no`).
 A trace records every step; when the program was assembled as a labeled
 union, each step carries the label of the sub-program its rule came from.
@@ -31,6 +37,7 @@ from .syntax import (
 from .unify import FreshNames, apply, fresh_variant, mgu_atoms
 
 DEFAULT_MAX_DEPTH = 16
+_FRONTIER_CAP = 4096  # nodes a kept level may hold
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,12 +73,18 @@ def _clashes(s, t) -> bool:
                  or any(map(_clashes, s.args, t.args))))
 
 
-def _dfs(p: Program, q: Query, remaining: int, fresh: FreshNames,
-         labels: Optional[Mapping[str, str]], pruned: list) -> Optional[list]:
+def _dfs(p: Program, q: Query, path: tuple, remaining: int, fresh: FreshNames,
+         cut: list) -> Optional[tuple]:
+    """The path to the first empty resolvent within `remaining` steps below
+    q, or None.  A path is () at the root, else (parent path, rule, copy,
+    unifier, resolvent).  The non-empty resolvents the bound cuts off go to
+    `cut` as (resolvent, path) in depth-first order, until it holds one more
+    than `_FRONTIER_CAP`."""
     if q.is_empty:
-        return []
+        return path
     if remaining == 0:
-        pruned[0] = True
+        if len(cut) <= _FRONTIER_CAP:
+            cut.append((q, path))
         return None
     goal = q.goals[0]
     for rule in p:
@@ -83,26 +96,45 @@ def _dfs(p: Program, q: Query, remaining: int, fresh: FreshNames,
         if s is None:
             continue
         resolvent = Query(tuple(apply(s, g) for g in body_order(copy) + q.goals[1:]))
-        rest = _dfs(p, resolvent, remaining - 1, fresh, labels, pruned)
-        if rest is not None:
-            label = labels.get(canonical_key(rule), "") if labels else ""
-            step = DerivationStep(copy, s, label, resolvent)
-            return [step] + rest
+        found = _dfs(p, resolvent, (path, rule, copy, s, resolvent), remaining - 1, fresh, cut)
+        if found is not None:
+            return found
     return None
+
+
+def _steps(path: tuple, labels: Optional[Mapping[str, str]]) -> list:
+    """The derivation steps along a path, from the root on."""
+    steps = []
+    while path:
+        path, rule, copy, s, resolvent = path
+        label = labels.get(canonical_key(rule), "") if labels else ""
+        steps.append(DerivationStep(copy, s, label, resolvent))
+    return steps[::-1]
 
 
 def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
                      labels: Optional[Mapping[str, str]] = None) -> Optional[list]:
     """Iterative-deepening SLD search; returns the first (shortest) successful
-    derivation as a list of steps, or None within the depth budget."""
+    derivation as a list of steps, or None within the depth budget.
+
+    Bound k searches below the last level kept, at depth d <= k, for k - d
+    steps.  The nodes of a level are their parents' children in depth-first
+    order, so the proof found is the one plain deepening from the root finds.
+    """
     fresh = FreshNames(prefix="_S")
     fresh.reserve(v.name for v in program_vars_ordered(p))
     fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
+    level, depth = [(q, ())], 0
     for limit in range(max_depth + 1):
-        pruned = [False]
-        result = _dfs(p, q, limit, fresh, labels, pruned)
-        if result is not None or not pruned[0]:
-            return result
+        cut: list = []
+        for node, path in level:
+            found = _dfs(p, node, path, limit - depth, fresh, cut)
+            if found is not None:
+                return _steps(found, labels)
+        if not cut:
+            return None
+        if len(cut) <= _FRONTIER_CAP:
+            level, depth = cut, limit
     return None
 
 

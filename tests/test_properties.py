@@ -600,14 +600,18 @@ def _shown(steps, q):
     return None if steps is None else (render_trace(steps, q), answer_substitution(steps, q))
 
 
-def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
+def _check_sld_against_plain_deepening(monkeypatch, cap=None):
+    """Run the differential on CASES seeded programs and goals; return the
+    number of cases where a bound cut off more than `cap` nodes."""
     rng = random.Random(1606)
     seen = Counter()
     dfs, clashes = sld._dfs, sld._clashes
+    cuts = []  # the `cut` list of each bound of the current case, in order
 
-    def counted_dfs(p, q, remaining, fresh, labels, pruned):
-        seen["bounds"] += q is query
-        return dfs(p, q, remaining, fresh, labels, pruned)
+    def counted_dfs(p, q, path, remaining, fresh, cut):
+        if not cuts or cuts[-1] is not cut:
+            cuts.append(cut)
+        return dfs(p, q, path, remaining, fresh, cut)
 
     def counted_clashes(s, t):
         out = clashes(s, t)
@@ -616,21 +620,36 @@ def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
 
     monkeypatch.setattr(sld, "_dfs", counted_dfs)
     monkeypatch.setattr(sld, "_clashes", counted_clashes)
+    if cap is not None:
+        monkeypatch.setattr(sld, "_FRONTIER_CAP", cap)
     for i in range(CASES):
         lists = i % 2 == 0
         p = rand_open_program(rng, lists)
         query = Query(tuple(_rand_goal(rng, p, lists, 0.3 * (i % 3))
                             for _ in range(rng.randint(1, 2))))
         max_depth = rng.randint(0, 8)
-        seen["bounds"] = 0
+        cuts.clear()
         steps = sld.prove_with_trace(p, query, max_depth)
         expected = _reference_proof(p, query, max_depth)
         assert _shown(steps, query) == _shown(expected, query), (render_program(p), query)
         seen["proved"] += steps is not None
         seen["open_goal"] += steps is not None and bool(answer_substitution(steps, query))
-        seen["early_exit"] += steps is None and seen["bounds"] <= max_depth
+        seen["early_exit"] += steps is None and len(cuts) <= max_depth
+        seen["overflow"] += cap is not None and any(len(c) > cap for c in cuts)
     assert all(seen[k] > CASES // 10 for k in ("proved", "open_goal", "early_exit")), seen
     assert seen["clash"], seen
+    return seen["overflow"]
+
+
+def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
+    _check_sld_against_plain_deepening(monkeypatch)
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_sld_search_past_a_small_frontier_cap_matches_plain_deepening(monkeypatch, cap):
+    # A level past the cap is dropped and deepening restarts from the last
+    # level kept; the proofs must not change.
+    assert _check_sld_against_plain_deepening(monkeypatch, cap) > CASES // 20
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,23 @@ def test_least_model_checks_a_condition_once(monkeypatch):
     assert not any(a.pred == "p" for a in never)
 
 
+def test_least_model_tests_a_condition_only_after_its_atoms_change(monkeypatch):
+    # r(Y,Y) never holds; only the first round adds an r atom, so it is
+    # tested once, not once in each of the 11 rounds of the nat chain.
+    calls = []
+    real_holds = semantics._Plan.holds
+
+    def counting_holds(plan, cond, idx):
+        calls.append(cond)
+        return real_holds(plan, cond, idx)
+
+    monkeypatch.setattr(semantics._Plan, "holds", counting_holds)
+    p = pg("nat(0). nat(s(X)) :- nat(X). p(X) :- nat(X), r(Y,Y). r(0,s(0)).")
+    lm = least_model(p, GroundingBound(max_term_depth=10))
+    assert {a.pred for a in lm} == {"nat", "r"} and len(lm) == 12
+    assert len(calls) == 1
+
+
 def test_least_model_of_nat_at_depth_1000():
     # Derived s(...) terms are the universe's own, so no comparison of two
     # equal terms recurses through all 1000 levels.

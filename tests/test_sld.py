@@ -179,6 +179,41 @@ def test_goal_clashing_with_every_head_makes_no_copies(monkeypatch):
     assert calls == []
 
 
+def test_each_level_is_expanded_once(monkeypatch):
+    # Plain deepening makes 1 + 2 + ... + 11 = 66 copies: bound k renames a
+    # rule at each of its k steps.
+    calls = _count_copies(monkeypatch)
+    goal = parse_atom("nat(" + "s(" * 10 + "0" + ")" * 10 + ")")
+    assert proves(corpus.program("nat"), goal)
+    assert len(calls) <= 11
+
+
+def test_a_level_past_the_cap_is_not_kept(monkeypatch):
+    # Level k holds 3^k nodes; only levels 0-2 fit under a cap of 16, and
+    # the x, y, z loops never fail finitely, so every bound up to 8 runs.
+    branching = parse_program("a :- a, x. a :- a, y. a :- a, z. x :- x. y :- y. z :- z.")
+    calls = _count_copies(monkeypatch)
+    dfs, cuts, kept, nesting = sld._dfs, [], [], [0]
+
+    def counted_dfs(p, q, path, remaining, fresh, cut):
+        if not cuts or cuts[-1] is not cut:  # a new bound
+            cuts.append(cut)
+            kept.append(0)
+        kept[-1] += nesting[0] == 0  # a node of the level the bound starts from
+        nesting[0] += 1
+        try:
+            return dfs(p, q, path, remaining, fresh, cut)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(sld, "_dfs", counted_dfs)
+    monkeypatch.setattr(sld, "_FRONTIER_CAP", 16)
+    assert not proves(branching, parse_atom("a"), max_depth=8)
+    assert kept == [1, 1, 3, 9, 9, 9, 9, 9, 9]
+    assert max(len(c) for c in cuts) == 17
+    assert len(calls) <= 14_748  # plain deepening's copies
+
+
 def test_copies_keep_the_rule_body_order():
     rule = parse_rule("pair(X,Y) :- e(X), e(Y).")
     names = FreshNames(prefix="_S")
