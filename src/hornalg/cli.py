@@ -243,6 +243,9 @@ def cmd_prop_solve(args) -> int:
 
 def cmd_golden(args) -> int:
     results = corpus.run_golden_suite(only=args.only)
+    if not results:
+        print(f"error: no golden case matches {args.only!r}", file=sys.stderr)
+        return USAGE_ERROR
     lines = []
     ok_count = 0
     for res in results:

@@ -1,5 +1,5 @@
-"""Bundled example programs, forms, and proportion problems, plus a table
-of golden command-line cases over them.
+"""Bundled example programs, forms, and proportion problems, plus the
+golden command-line cases over them.
 
 Data files live under ``hornalg/data``: `programs/*.lp` are logic
 programs, `forms/*.lpf` are form definitions, `proportions/*.prop` are
@@ -7,11 +7,9 @@ proportion problems, and `golden/*.lp` hold expected values that are not
 themselves corpus programs.  Anywhere the command line takes a file, the
 pseudo-path `corpus:<name>` names a bundled file.
 
-Each golden case records a complete CLI invocation and the bundled file
-its output must match.  Two cases are documented mismatches: the identity
-they would naturally state does not hold, so they pin the actual computed
-value instead and fail if it ever drifts — or if the stated identity
-silently starts to hold.
+`golden/cases.txt` lists the golden cases, in the `key: value` lines of
+`.prop` files: each is a complete CLI invocation and the bundled program
+its output must match (`GoldenCase`).
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Optional
 from . import forms
 from .errors import FormEvalError, ParseError, printable
 from .forms import Binding, Evaluator, make_binding, parse_forms
-from .parser import parse_program
+from .parser import key_value_lines, parse_program
 from .proportion import ProblemSpec, parse_proportion_file
 from .syntax import Program, render_program
 
@@ -111,11 +109,12 @@ def problem_spec(name: str) -> ProblemSpec:
 
 
 def names(kind: str = "programs") -> list:
-    """Stem names of the bundled files of one kind."""
+    """Stem names of the bundled files of one kind: those of the data
+    folder `kind` that carry its suffix."""
     folder = resources.files("hornalg").joinpath("data").joinpath(kind)
-    return sorted(
-        entry.name.rsplit(".", 1)[0] for entry in folder.iterdir() if entry.is_file()
-    )
+    suffix = _FOLDERS[kind][1]
+    return sorted(entry.name[:-len(suffix)] for entry in folder.iterdir()
+                  if entry.is_file() and entry.name.endswith(suffix))
 
 
 def evaluator() -> Evaluator:
@@ -175,150 +174,51 @@ class GoldenCase:
     pinned_actual: Optional[str] = None
 
 
+CASES = "golden/cases.txt"
+
+
 def golden_cases() -> tuple:
-    F = ("form-eval", "corpus:standard.lpf")
-    return (
-        GoldenCase(
-            "compose_nat_steps",
-            "composing the step rule of the naturals with itself skips two",
-            ("compose", "corpus:nat_proper", "corpus:nat_proper"),
-            "golden/nat_double_step.lp",
-        ),
-        GoldenCase(
-            "compose_plus_empty",
-            "composing with the empty program keeps exactly the facts",
-            ("compose", "corpus:plus", "corpus:empty"),
-            "golden/plus_facts.lp",
-        ),
-        GoldenCase(
-            "reverse_q1",
-            "reversing the bridge flips each rule around its body atom",
-            ("reverse", "corpus:q1"),
-            "programs/q1rev.lp",
-        ),
-        GoldenCase(
-            "bridge_q1_pluslist",
-            "the bridge turns list addition into addition on numbers",
-            ("compose", "corpus:q1", "corpus:pluslist"),
-            "programs/plus.lp",
-        ),
-        GoldenCase(
-            "bridge_q1_reversed",
-            "the reversed bridge turns addition back into list addition",
-            ("compose", "corpus:q1rev", "corpus:plus"),
-            "programs/pluslist.lp",
-        ),
-        GoldenCase(
-            "bridge_q1_structured",
-            "the plain bridge does not absorb the three-rule list addition; "
-            "the composition keeps an extra base case",
-            ("compose", "corpus:q1", "corpus:pluslist_prime"),
-            "programs/plus.lp",
-            pinned_actual="golden/q1_pluslist_prime_actual.lp",
-        ),
-        GoldenCase(
-            "bridge_q2_forward",
-            "the three-rule bridge composes with addition to nothing: its "
-            "bodies expect number constructors that no list head provides",
-            ("compose", "corpus:q2", "corpus:plus"),
-            "programs/pluslist_prime.lp",
-            pinned_actual="programs/empty.lp",
-        ),
-        GoldenCase(
-            "bridge_q1_alt",
-            "grounding the base body lets the bridge absorb the three-rule "
-            "list addition",
-            ("compose", "corpus:q1_alt", "corpus:pluslist_prime"),
-            "programs/plus.lp",
-        ),
-        GoldenCase(
-            "bridge_q2_alt",
-            "the flipped three-rule bridge turns addition into the "
-            "three-rule list addition",
-            ("compose", "corpus:q2_alt", "corpus:plus"),
-            "programs/pluslist_prime.lp",
-        ),
-        GoldenCase(
-            "member_chain",
-            "membership factors through list addition",
-            ("compose", "corpus:member_q", "corpus:pluslist", "corpus:member_s"),
-            "programs/member.lp",
-        ),
-        GoldenCase(
-            "concat_length",
-            "concatenating the one-argument list and number programs gives "
-            "the length relation",
-            ("concat", "corpus:list_as_length", "corpus:nat_as_length"),
-            "programs/length.lp",
-        ),
-        GoldenCase(
-            "concat_ground_sum",
-            "concatenating three one-fact programs builds a three-argument fact",
-            ("concat", "corpus:ground_p0", "corpus:ground_ps0", "corpus:ground_ps0"),
-            "golden/one_arg3.lp",
-        ),
-        GoldenCase(
-            "form_plus_nat",
-            "the addition form over the naturals",
-            F + ("Plus", "--bind", "X=corpus:nat(X)"),
-            "programs/plus.lp",
-        ),
-        GoldenCase(
-            "form_plus_list",
-            "the addition form over lists copies the head element",
-            F + ("Plus", "--bind", "X=corpus:list"),
-            "programs/plus_list_inst.lp",
-        ),
-        GoldenCase(
-            "form_plus_tree_shared",
-            "the addition form over trees with identified subtrees",
-            F + ("Plus", "--bind", "X=corpus:tree(U,X,X)"),
-            "golden/plus_tree_shared.lp",
-        ),
-        GoldenCase(
-            "form_plus_tree_full",
-            "the addition form over trees with independent subtrees pairs "
-            "every subtree with every result slot",
-            F + ("Plus", "--bind", "X=corpus:tree(U,X1,X2)"),
-            "golden/plus_tree_full.lp",
-        ),
-        GoldenCase(
-            "form_even_nat",
-            "keeping the facts and doubling the step of the renamed naturals",
-            F + ("Even", "--bind", "X=corpus:nat[nat/even]"),
-            "programs/even.lp",
-        ),
-        GoldenCase(
-            "form_even_reverse",
-            "the doubling form over list reversal handles two elements per step",
-            F + ("Even", "--bind", "X=corpus:reverse"),
-            "programs/even_reverse.lp",
-        ),
-        GoldenCase(
-            "form_g_nat",
-            "the single-sum form over the naturals states one plus one",
-            F + ("G", "--bind", "X=corpus:nat"),
-            "programs/one_plus_one.lp",
-        ),
-        GoldenCase(
-            "form_g_list",
-            "the single-sum form over lists states a one-element sum",
-            F + ("G", "--bind", "X=corpus:list"),
-            "programs/single_sum.lp",
-        ),
-        GoldenCase(
-            "form_times_nat",
-            "the multiplication form over the naturals",
-            F + ("Times", "--bind", "X=corpus:nat"),
-            "programs/times_nat.lp",
-        ),
-        GoldenCase(
-            "form_times_list",
-            "the multiplication form over lists",
-            F + ("Times", "--bind", "X=corpus:list"),
-            "golden/times_list.lp",
-        ),
-    )
+    """The bundled golden cases, in file order."""
+    key = ("golden",)
+    if key not in _cache:
+        _cache[key] = parse_golden_cases(data_text(CASES))
+    return _cache[key]
+
+
+def parse_golden_cases(text: str) -> tuple:
+    """Golden cases from text in the format of `golden/cases.txt`; each
+    error is a ParseError at its line of that file."""
+
+    def fail(lineno: int, message: str) -> ParseError:
+        return ParseError(message, source=CASES, line=lineno)
+
+    cases: dict = {}  # name -> (the line of its name:, its other fields)
+    fields: dict = {}
+    for lineno, key, value in key_value_lines(text, fail):
+        if key == "name":
+            if value in cases:
+                raise fail(lineno, f"duplicate case {value}")
+            fields = {}
+            cases[value] = (lineno, fields)
+        elif key not in ("note", "run", "expect", "pinned"):
+            raise fail(lineno, f"unknown key {key}")
+        elif not cases:
+            raise fail(lineno, f"{key}: comes before the first name:")
+        elif key in fields:
+            raise fail(lineno, f"duplicate key {key}")
+        else:
+            if key in ("expect", "pinned"):
+                try:
+                    data_text(_normalize(value, "programs"))
+                except ParseError:
+                    raise fail(lineno, f"{key}: names no bundled entry {value}") from None
+            fields[key] = value
+    for name, (lineno, fields) in cases.items():
+        for required in ("note", "run", "expect"):
+            if required not in fields:
+                raise fail(lineno, f"case {name} has no {required}:")
+    return tuple(GoldenCase(name, f["note"], tuple(f["run"].split()), f["expect"], f.get("pinned"))
+                 for name, (_, f) in cases.items())
 
 
 @dataclass(frozen=True)

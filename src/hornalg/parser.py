@@ -4,6 +4,8 @@ One token table serves `.lp` programs and queries, `.lpf` forms
 (`forms._LpfParser`) and the `[main]`, `[old/new]` and `(V1,...,Vk)`
 parts of binding specs (`proportion.parse_binding_spec`).  The kinds only
 forms use (`{...}` `:=` `^` `/` `;` `=`) come last; this grammar rejects them.
+`key_value_lines` splits the line-based files: `.prop` problems and the
+golden case file.
 
 Grammar (UTF-8, `%` starts a line comment):
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .errors import ParseError
 from .syntax import NIL, Atom, Compound, Program, Rule, Term, Var, cons
@@ -196,6 +199,20 @@ class _Parser:
         for item in reversed(items):
             out = cons(item, out)
         return out
+
+
+def key_value_lines(text: str, fail: Callable[[int, str], Exception]
+                    ) -> Iterator[tuple[int, str, str]]:
+    """`(line number, lower-cased key, value)` for each `key: value` line;
+    `%` starts a comment.  A line with no colon raises `fail(line, message)`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise fail(lineno, "expected `key: value`")
+        key, value = (part.strip() for part in line.split(":", 1))
+        yield lineno, key.lower(), value
 
 
 def parse_program(text: str, source: str = "<string>") -> Program:

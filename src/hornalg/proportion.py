@@ -42,7 +42,7 @@ from .forms import (
     make_binding,
     rebuild,
 )
-from .parser import _Parser, tokenize
+from .parser import _Parser, key_value_lines, tokenize
 from .syntax import Program, Rule, Var, render_atom, render_program
 
 # ---------------------------------------------------------------------------
@@ -650,23 +650,20 @@ def parse_proportion_file(text: str, load_program: Callable[[str], Program],
     `form-g:` with repeated `pvec:`/`rvec:` entries give a witness.
     """
     source = printable(source)  # it names a file in every message
+
+    def fail(lineno: int, message: str) -> ProportionError:
+        return ProportionError(f"{source}:{lineno}: {message}")
+
     single: dict = {}
     multi: dict = {"pvec": [], "rvec": [], "forms": []}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ProportionError(f"{source}:{lineno}: expected `key: value`")
-        key, value = (part.strip() for part in line.split(":", 1))
-        key = key.lower()
+    for lineno, key, value in key_value_lines(text, fail):
         if key in multi:
             if key == "forms":
                 multi[key].extend(value.split())
             else:
                 multi[key].append(value)
         elif key in single:
-            raise ProportionError(f"{source}:{lineno}: duplicate key {key}")
+            raise fail(lineno, f"duplicate key {key}")
         else:
             single[key] = value
 

@@ -405,6 +405,23 @@ def test_golden_only_filter():
     assert len(out.splitlines()) == 2
 
 
+def test_golden_filter_matching_nothing_is_usage_error():
+    for extra in ((), ("--format", "json")):
+        code, out, err = run("golden", "--only", "nosuch", *extra)
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err == "error: no golden case matches 'nosuch'\n"
+
+
+def test_golden_bad_case_file_is_input_error(monkeypatch):
+    from hornalg import corpus
+
+    monkeypatch.setattr(corpus, "_cache", {})
+    monkeypatch.setattr(corpus, "data_text", lambda rel: "name: probe\nbogus: 1\n")
+    code, out, err = run("golden")
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err == "error: golden/cases.txt:2:0: unknown key bogus\n"
+
+
 def test_corpus_listing():
     code, out, _ = run("corpus")
     assert code == OK

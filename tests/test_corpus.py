@@ -1,5 +1,8 @@
 """The bundled corpus: loading, listing, and the golden suite."""
 
+import glob
+from pathlib import Path
+
 import pytest
 
 from hornalg import corpus
@@ -55,6 +58,24 @@ def test_entries_carry_kind_and_path():
     assert by_name["ex43_joint"].kind == "proportion"
 
 
+def test_every_listed_entry_reads():
+    for entry in corpus.corpus_entries():
+        assert corpus.data_text(entry.path), entry
+    assert "cases" not in corpus.names("golden")
+
+
+def test_package_data_ships_every_data_file():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    package = root / "src" / "hornalg"
+    patterns = config["tool"]["setuptools"]["package-data"]["hornalg"]
+    shipped = {Path(package, hit) for pattern in patterns
+               for hit in glob.glob(pattern, root_dir=package, recursive=True)}
+    files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert files and files <= shipped, sorted(str(f) for f in files - shipped)
+
+
 def test_eval_form_helper_coerces_programs():
     out = corpus.eval_form("Plus", corpus.program("nat"))
     assert isinstance(out, Program)
@@ -95,6 +116,39 @@ def test_documented_mismatches_are_marked():
     results = {r.name: r for r in corpus.run_golden_suite()}
     assert results["bridge_q1_structured"].documented_mismatch
     assert results["bridge_q2_forward"].documented_mismatch
+
+
+_CASE = ("name: probe\nnote: a note\nrun: compose corpus:plus corpus:empty\n"
+         "expect: golden/plus_facts.lp\n")
+
+
+def test_case_file_reader_reads_every_field():
+    text = "% a comment\n\n" + _CASE + "pinned: programs/empty.lp  % trailing\n" + \
+        _CASE.replace("probe", "other")
+    first, second = corpus.parse_golden_cases(text)
+    assert first == corpus.GoldenCase("probe", "a note",
+                                      ("compose", "corpus:plus", "corpus:empty"),
+                                      "golden/plus_facts.lp", "programs/empty.lp")
+    assert second.name == "other" and second.pinned_actual is None
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_CASE + "expected: programs/plus.lp\n", 5, "unknown key expected"),
+    ("note: orphan\n" + _CASE, 1, "note: comes before the first name:"),
+    (_CASE + "run: reverse corpus:q1\n", 5, "duplicate key run"),
+    (_CASE + _CASE, 5, "duplicate case probe"),
+    (_CASE + "name: second\nnote: n\nexpect: programs/plus.lp\n", 5, "case second has no run:"),
+    (_CASE.replace("plus_facts", "no_such"), 4,
+     "expect: names no bundled entry golden/no_such.lp"),
+    (_CASE + "pinned: ../programs/plus.lp\n", 5,
+     "pinned: names no bundled entry ../programs/plus.lp"),
+    (_CASE + "no colon\n", 5, "expected `key: value`"),
+])
+def test_case_file_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as info:
+        corpus.parse_golden_cases(text)
+    assert (info.value.source, info.value.line) == ("golden/cases.txt", line)
+    assert str(info.value) == f"golden/cases.txt:{line}:0: {message}"
 
 
 def test_data_text_round_trip():
