@@ -20,7 +20,6 @@ from .syntax import (
     Program,
     Rule,
     Var,
-    atom_vars,
     body_order,
     is_ground,
     program_vars_ordered,
@@ -31,7 +30,6 @@ from .unify import (
     _unify_atoms,
     apply,
     fresh_variant,
-    match_atom,
 )
 
 DEFAULT_COMPOSE_CAP = 100_000
@@ -54,15 +52,12 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
 
     # A goal is offered only the rules whose head can resolve it: those of its
     # predicate and arity, of which a ground goal takes a ground rule only
-    # when the rule's head equals it.  Candidates keep r's order.  A ground
-    # goal needs no copy of a rule whose variables all occur in its head: one-
-    # way matching instantiates the rule, its body is ground and the
-    # substitution stays as it is.  Each other rule with variables is copied
-    # apart and unified, so fresh names are needed only when r holds such a rule.
+    # when the rule's head equals it, with no copy.  Candidates keep r's
+    # order.  Each rule with variables is copied apart and unified, so fresh
+    # names are needed only when r holds such a rule.
     by_sig: dict[tuple, list] = {}  # the options of an open goal
     open_by_sig: dict[tuple, list[int]] = {}
     ground_by_head: dict[Atom, list[int]] = {}
-    head_bound: set[int] = set()  # open rules with no body-only variable
     for idx, cand in enumerate(r_rules):
         sig = (cand.head.pred, len(cand.head.args))
         by_sig.setdefault(sig, []).append((idx, None))
@@ -70,30 +65,21 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             ground_by_head.setdefault(cand.head, []).append(idx)
         else:
             open_by_sig.setdefault(sig, []).append(idx)
-            head_vars = set(atom_vars(cand.head))
-            if all(v in head_vars for a in cand.body for v in atom_vars(a)):
-                head_bound.add(idx)
     if open_by_sig:
         fresh = FreshNames(prefix="_C")
         fresh.reserve(v.name for v in program_vars_ordered(p))
         fresh.reserve(v.name for v in program_vars_ordered(r))
 
-    # Each goal's options, in r's order: (rule index, instance body) for a
-    # rule that resolves a ground goal with no copy, (rule index, None) for
-    # one to copy apart and unify.  A ground goal's options are found once.
+    # Each goal's options, in r's order: (rule index, body) for a ground rule
+    # whose head is the goal, (rule index, None) for one to copy apart and
+    # unify.  A ground goal's options are found once.
     by_goal: dict[Atom, list] = {}
 
     def ground_options(goal: Atom) -> list:
         if goal not in by_goal:
             sig = (goal.pred, len(goal.args))
-            options = []
-            for idx in sorted([*ground_by_head.get(goal, ()), *open_by_sig.get(sig, ())]):
-                cand = r_rules[idx]
-                if idx not in head_bound:  # a ground rule's head is the goal
-                    options.append((idx, cand.body if is_ground(cand) else None))
-                elif (m := match_atom(cand.head, goal)) is not None:
-                    options.append((idx, apply(m, cand).body))
-            by_goal[goal] = options
+            cands = sorted([*ground_by_head.get(goal, ()), *open_by_sig.get(sig, ())])
+            by_goal[goal] = [(idx, r_rules[idx].body if is_ground(r_rules[idx]) else None) for idx in cands]
         return by_goal[goal]
 
     for rho in p:

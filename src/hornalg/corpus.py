@@ -194,14 +194,12 @@ def parse_golden_cases(text: str) -> tuple:
 
     cases: dict = {}  # name -> (the line of its name:, its other fields)
     fields: dict = {}
-    for lineno, key, value in key_value_lines(text, fail):
+    for lineno, key, value in key_value_lines(text, ("name", "note", "run", "expect", "pinned"), fail):
         if key == "name":
             if value in cases:
                 raise fail(lineno, f"duplicate case {value}")
             fields = {}
             cases[value] = (lineno, fields)
-        elif key not in ("note", "run", "expect", "pinned"):
-            raise fail(lineno, f"unknown key {key}")
         elif not cases:
             raise fail(lineno, f"{key}: comes before the first name:")
         elif key in fields:

@@ -245,12 +245,6 @@ def _fields(expr) -> tuple:
     raise TypeError(f"not a form expression: {kind.__name__}")
 
 
-def expr_key(expr) -> tuple:
-    """A hashable identity for a form expression: its kind, its own fields
-    and its operands' keys."""
-    return (type(expr).__name__, *_fields(expr), *map(expr_key, operands(expr)))
-
-
 def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
     """All fixed material a form forces into its outputs: the inline
     program literals, the predicates introduced by renames, and the functors
@@ -266,7 +260,7 @@ def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
         elif kind is Unary and e.op == "/":
             preds.add(e.arg[1])
         elif kind is Unary and e.op == ":=":
-            functors.update(term_functors(e.arg[1]))
+            functors.update(f for f, _ in term_functors(e.arg[1]))
         elif kind is FormCall:
             if table is None or e.name not in table:
                 raise FormEvalError(f"call of unknown form {e.name}")
@@ -289,30 +283,31 @@ _UNREAD = object()  # a position whose value is not computed yet
 class Evaluator:
     """Evaluates form expressions against bindings, by position.
 
-    Each distinct expression (by `expr_key`, and for a placeholder rename
-    by the parameter it reads) gets a position the first time it is met,
-    after its operands.  Values are kept per environment (the bindings,
-    told apart by `name_key` and main predicate) by position, and computed
-    the first time they are read.  A `Binary` or `Unary` node applies its
-    table entry's operation to its operands' values once per distinct
-    operand `name_key`s and `arg` over all environments: concatenation sees
-    variable names, so `{q(X).}` and `{q(Y).}` never share a result.  A
-    placeholder rename first reads its old name off the environment, so
-    it shares results with the plain rename it resolves to.  Variables,
-    literals and form calls go through `_eval`.  Where a node fails, what
-    it raised is kept, and `eval` raises it again.
+    Each distinct expression (by kind, `_fields` and operands, and for a
+    placeholder rename by the parameter it reads) gets a position the first
+    time it is met, after its operands.  Values are kept per environment
+    (the bindings, told apart by `name_key` and main predicate) by
+    position, and computed the first time they are read.  A `Binary` or
+    `Unary` node applies its table entry's operation to its operands'
+    values once per distinct operand `name_key`s and `arg` over all
+    environments: concatenation sees variable names, so `{q(X).}` and
+    `{q(Y).}` never share a result.  A placeholder rename first reads its
+    old name off the environment, so it shares results with the plain
+    rename it resolves to.  Variables, literals and form calls go through
+    `_eval`.  Where a node fails, what it raised is kept, and `eval`
+    raises it again.
     """
 
     def __init__(self, table: Optional[dict] = None):
         self.table = table or {}
-        # Node key -> position.  A node's key holds its operands' positions,
-        # so keys are equal exactly where `expr_key`s are; a rename whose
-        # old name is a placeholder adds the parameter it reads.
+        # Node key -> position.  A node's key holds its kind, `_fields` and
+        # operands' positions, so keys are equal exactly where the nodes
+        # are; a rename whose old name is a placeholder adds the parameter
+        # it reads.
         self._at: dict = {}
-        # The position of each expression object met, by id and placeholders;
-        # `_met` keeps the objects, so their ids cannot be reused.
+        # The position of each node that made one, by id and placeholders;
+        # `_plan` keeps those nodes, so their ids cannot be reused.
         self._ids: dict = {}
-        self._met: list = []
         # Per position: (node, operand positions, operation or None, its
         # `arg`, the parameter a placeholder rename reads).
         self._plan: list = []
@@ -337,8 +332,7 @@ class Evaluator:
             op = _BINARY[expr.op] if kind is Binary else _UNARY[expr.op] if unary else None
             i = self._at[key] = len(self._plan)
             self._plan.append((expr, args, op, expr.arg if unary else (), param))
-        self._ids[at] = i
-        self._met.append(expr)
+            self._ids[at] = i
         return i
 
     def values(self, env: dict) -> Callable[[int], Optional[Program]]:
@@ -633,7 +627,7 @@ def parse_forms(text: str, source: str = "<string>") -> dict:
 
 def form_to_text(expr) -> str:
     """`.lpf` text of a form.  A literal prints its `name_key`, the rules
-    with their own variable names, so forms that `expr_key` tells apart
+    with their own variable names, so literals that `_fields` tells apart
     print apart."""
     kind = type(expr)
     if kind is Binary:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .errors import ParseError
 from .syntax import NIL, Atom, Compound, Program, Rule, Term, Var, cons
@@ -201,10 +201,11 @@ class _Parser:
         return out
 
 
-def key_value_lines(text: str, fail: Callable[[int, str], Exception]
+def key_value_lines(text: str, keys: Collection[str], fail: Callable[[int, str], Exception]
                     ) -> Iterator[tuple[int, str, str]]:
     """`(line number, lower-cased key, value)` for each `key: value` line;
-    `%` starts a comment.  A line with no colon raises `fail(line, message)`."""
+    `%` starts a comment.  A line with no colon, or with a key not in
+    `keys`, raises `fail(line, message)`."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
         if not line:
@@ -212,7 +213,10 @@ def key_value_lines(text: str, fail: Callable[[int, str], Exception]
         if ":" not in line:
             raise fail(lineno, "expected `key: value`")
         key, value = (part.strip() for part in line.split(":", 1))
-        yield lineno, key.lower(), value
+        key = key.lower()
+        if key not in keys:
+            raise fail(lineno, f"unknown key {key}")
+        yield lineno, key, value
 
 
 def parse_program(text: str, source: str = "<string>") -> Program:

@@ -638,6 +638,10 @@ class ProblemSpec:
     table: dict
 
 
+_PROP_KEYS = frozenset("p q r s source-name source-preds source-functors target-name target-preds"
+                       " target-functors forms line form-f form-g pvec rvec".split())
+
+
 def parse_proportion_file(text: str, load_program: Callable[[str], Program],
                           load_forms: Callable[[str], dict],
                           source: str = "<string>") -> ProblemSpec:
@@ -647,7 +651,8 @@ def parse_proportion_file(text: str, load_program: Callable[[str], Program],
     syntax; `s: ?` leaves the fourth program unknown); `source-name`,
     `source-preds`, `source-functors` and the `target-*` triple give the
     domains; optional `forms:` names form files, and `line:`, `form-f:`,
-    `form-g:` with repeated `pvec:`/`rvec:` entries give a witness.
+    `form-g:` with repeated `pvec:`/`rvec:` entries give a witness.  Any
+    other key is an error.
     """
     source = printable(source)  # it names a file in every message
 
@@ -656,7 +661,7 @@ def parse_proportion_file(text: str, load_program: Callable[[str], Program],
 
     single: dict = {}
     multi: dict = {"pvec": [], "rvec": [], "forms": []}
-    for lineno, key, value in key_value_lines(text, fail):
+    for lineno, key, value in key_value_lines(text, _PROP_KEYS, fail):
         if key in multi:
             if key == "forms":
                 multi[key].extend(value.split())

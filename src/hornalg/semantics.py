@@ -46,6 +46,7 @@ from .syntax import (
     render_atom,
     render_term,
     rule_vars,
+    term_functors,
     term_vars,
 )
 from .unify import _apply_term, _match_term, apply, match_atom
@@ -81,16 +82,8 @@ def herbrand_universe(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> froz
     if bound.universe is not None:
         return frozenset(bound.universe)
     arities: dict[str, set] = {}
-
-    def collect(t: Term):
-        if isinstance(t, Compound):
-            arities.setdefault(t.functor, set()).add(len(t.args))
-            for a in t.args:
-                collect(a)
-
-    for atom in p.all_atoms():
-        for t in atom.args:
-            collect(t)
+    for f, n in term_functors(*(t for a in p.all_atoms() for t in a.args)):
+        arities.setdefault(f, set()).add(n)
     for c in bound.constants:
         arities.setdefault(c, set()).add(0)
 

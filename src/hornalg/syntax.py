@@ -163,13 +163,13 @@ def atom_vars(a: Atom) -> Iterator[Var]:
 
 
 def term_functors(*terms: Term) -> frozenset:
-    """Function symbol names (unranked) occurring in the terms."""
+    """(name, arity) pairs of the function symbols occurring in the terms."""
     out = set()
     stack = list(terms)
     while stack:
         t = stack.pop()
         if isinstance(t, Compound):
-            out.add(t.functor)
+            out.add((t.functor, len(t.args)))
             stack.extend(t.args)
     return frozenset(out)
 
@@ -255,7 +255,7 @@ def render_rule(r: Rule) -> str:
 # ---------------------------------------------------------------------------
 # Canonical renaming
 #
-# canonical_rule maps every rule to the unique representative of its variant
+# canonical_key is the text of the unique representative of a rule's variant
 # class: variables named A, B, C, ... by first occurrence, head first; body
 # atoms sorted by shape (skeleton, local pattern), same-shape atoms in the
 # order that renders least.  Their renderings differ only in names and never
@@ -337,31 +337,25 @@ def _least_order(groups: list, mapping: dict, memo: dict) -> list:
 
 
 @lru_cache(maxsize=65536)
-def _canonicalize(rule: Rule) -> tuple:
-    if is_ground(rule):  # its own representative: no names to give, atoms in shape order
-        body = rule.body
-        if len(body) > 1:
-            body = sorted(body, key=lambda a: (_shape(a)[0], render_atom(a)))
-        text = render_atom(rule.head) + (" :- " + ", ".join(map(render_atom, body)) if body else "")
-        return rule, text + "."
-    mapping: dict = {}
-    head = _rename(rule.head, mapping)
-    by_shape: dict = {}
-    for a in rule.body:
-        by_shape.setdefault(_shape(a), []).append(a)
-    atoms = _least_order([by_shape[k] for k in sorted(by_shape)], mapping, {})
-    text = render_atom(head) + (" :- " + ", ".join(map(render_atom, atoms)) if atoms else "") + "."
-    return Rule(head, frozenset(atoms)), text
-
-
-def canonical_rule(rule: Rule) -> Rule:
-    """The canonical representative of the rule's variant class."""
-    return _canonicalize(rule)[0]
+def _canonicalize(rule: Rule) -> str:
+    if is_ground(rule):  # no names to give, atoms in shape order
+        atoms = rule.body
+        if len(atoms) > 1:
+            atoms = sorted(atoms, key=lambda a: (_shape(a)[0], render_atom(a)))
+        head = rule.head
+    else:
+        mapping: dict = {}
+        head = _rename(rule.head, mapping)
+        by_shape: dict = {}
+        for a in rule.body:
+            by_shape.setdefault(_shape(a), []).append(a)
+        atoms = _least_order([by_shape[k] for k in sorted(by_shape)], mapping, {})
+    return render_atom(head) + (" :- " + ", ".join(map(render_atom, atoms)) if atoms else "") + "."
 
 
 def canonical_key(rule: Rule) -> str:
     """Canonical rendering of the rule; equal strings iff the rules are variants."""
-    return _canonicalize(rule)[1]
+    return _canonicalize(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +466,7 @@ class Program:
 
     def functors(self) -> frozenset:
         """Function symbol names (unranked) occurring anywhere in the program."""
-        return term_functors(*(t for a in self.all_atoms() for t in a.args))
+        return frozenset(f for f, _ in term_functors(*(t for a in self.all_atoms() for t in a.args)))
 
     # -- elementary operations ----------------------------------------------
 

@@ -11,7 +11,7 @@ from itertools import permutations, product
 from math import factorial
 
 from hornalg.parser import parse_rule
-from hornalg.syntax import (Atom, Compound, Program, Rule, Var, canonical_key, canonical_rule,
+from hornalg.syntax import (Atom, Compound, Program, Rule, Var, canonical_key,
                             cons, render_atom, rule_vars)
 from hornalg.unify import apply
 
@@ -182,7 +182,6 @@ def test_variants_past_seven_factorial_orders_share_one_key():
         for _ in range(2):
             twin = renamed(rule, rng)
             assert canonical_key(twin) == key, name
-            assert canonical_rule(twin) == canonical_rule(rule), name
             assert len(Program([rule, twin])) == 1, name
 
 
@@ -230,4 +229,4 @@ def test_long_body_of_distinct_predicates_is_keyed_without_recursion():
     r1 = rule_of(body, head=["X0"])
     r2 = renamed(r1, random.Random(3))
     assert canonical_key(r1) == canonical_key(r2)
-    assert len(canonical_rule(r1).body) == n
+    assert len(canonical_key(r1).split(" :- ")[1].split(", ")) == n

@@ -538,6 +538,16 @@ def test_a_nul_byte_in_a_named_path_is_an_input_error(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_an_unknown_problem_file_key_is_an_input_error(tmp_path):
+    problem = tmp_path / "typo.prop"
+    problem.write_text("p: corpus:ex43_p\nq: corpus:ex43_q\nr: corpus:ex43_r\n"
+                       "source-pred: a b\nfrobnicate: 1\n")
+    for command in ("prop-solve", "prop-check"):
+        code, out, err = run(command, str(problem))
+        assert code == INPUT_ERROR and out == ""
+        assert err == f"error: {problem}:4: unknown key source-pred\n"
+
+
 def test_a_corpus_name_cannot_leave_the_data_folder(tmp_path):
     (tmp_path / "x.lp").write_text("p(a).\n")
     programs = resources.files("hornalg").joinpath("data").joinpath("programs")

@@ -1,5 +1,7 @@
 """The form DSL: parsing, binding, evaluation, and the bundled form tables."""
 
+import sys
+
 import pytest
 
 from hornalg import corpus, semantics
@@ -16,7 +18,6 @@ from hornalg.forms import (
     VarRef,
     body_program,
     eval_form,
-    expr_key,
     form_to_text,
     free_vars,
     is_nonconstant,
@@ -335,6 +336,27 @@ def test_memo_tells_apart_the_bindings_placeholders_read():
             assert out.strict_equals(pg("nat(a). r(a).")), render_program(out)
 
 
+def test_evaluator_keeps_no_node_equal_to_one_it_has():
+    # a node equal to one met before takes that one's position; the
+    # evaluator holds no reference to it
+    ev = Evaluator(corpus.forms_table())
+    env = {"X": make_binding(corpus.program("nat"))}
+    first = ev.eval(FormCall("Even", ("X",)), env)
+    again = FormCall("Even", ("X",))
+    held = sys.getrefcount(again)
+    assert ev.eval(again, env) is first
+    assert sys.getrefcount(again) == held
+
+
+def test_shared_evaluator_stops_growing_on_repeated_calls():
+    nat = corpus.program("nat")
+    corpus.eval_form("Even", nat)
+    ids = len(corpus.evaluator()._ids)
+    for _ in range(1000):
+        corpus.eval_form("Even", nat)
+    assert len(corpus.evaluator()._ids) == ids
+
+
 def test_memo_tells_placeholder_renames_from_plain_ones():
     # Inside F, `q` stands for the main predicate of X's binding; outside
     # any form it is the predicate q.  Bindings of one program with two main
@@ -452,7 +474,8 @@ def test_node_kind_through_every_walk(kind):
     assert {e.op for e in tops if isinstance(e, (Binary, Unary))} == set(_BINARY) | set(_UNARY)
 
     again = _kind_form(header, form_to_text(expr))["T"].body
-    assert expr_key(again) == expr_key(expr)
+    ev = Evaluator()
+    assert ev.position(again) == ev.position(expr)
 
     out = eval_form(t, "T", {"X1": _KIND_BINDING})
     assert out.strict_equals(pg(value)), render_program(out)
@@ -464,4 +487,4 @@ def test_node_kind_through_every_walk(kind):
     assert got_functors == set(functors)
 
     shifted = _kind_form(header.replace("X1", "X2"), body.replace("X1", "X2"))["T"].body
-    assert expr_key(_shift_expr(expr, 1)) == expr_key(shifted)
+    assert ev.position(_shift_expr(expr, 1)) == ev.position(shifted)

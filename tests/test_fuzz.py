@@ -2,7 +2,13 @@
 either parse or raise `EngineError`, and what parses renders back to text
 that parses to an equal program.  Random form trees over every operator
 print back to text that parses to the same tree, and evaluate to a program
-or raise `EngineError`."""
+or raise `EngineError`.  Every subcommand that reads files exits with one
+of the CLI's codes on such texts."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from hornalg.cli import main  # noqa: E402
 from hornalg.errors import EngineError  # noqa: E402
 from hornalg.forms import (  # noqa: E402
     _BINARY,
@@ -21,7 +28,6 @@ from hornalg.forms import (  # noqa: E402
     Lit,
     Unary,
     VarRef,
-    expr_key,
     form_to_text,
     parse_forms,
 )
@@ -105,8 +111,43 @@ _trees = st.recursive(st.sampled_from((VarRef("X1"), *_LITERALS)), _operators, m
 @given(_trees)
 def test_form_trees_print_parse_and_evaluate(expr):
     again = parse_forms(f"form T(X1) = {form_to_text(expr)};")["T"].body
-    assert expr_key(again) == expr_key(expr)
     ev = Evaluator()
+    assert ev.position(again) == ev.position(expr)
     for binding in _PROBE_BINDINGS:
         value = _parses(lambda e: ev.eval(e, {"X1": binding}), expr)
         assert value is None or isinstance(value, Program)
+
+
+# Each subcommand over files holding fuzzed texts: `a`, `forms` and `raw`
+# hold the first text, `b` and the query goal the second, and `problem`
+# poses a proportion over `a` and `b`.
+_COMMANDS = (
+    ("compose", "{a}", "{b}"),
+    ("concat", "{a}", "{b}"),
+    ("reverse", "{a}"),
+    ("lm", "{a}", "--depth", "1"),
+    ("query", "{a}", "{goal}", "--depth", "4"),
+    ("form-eval", "{forms}", "F", "--bind", "X={a}"),
+    ("prop-check", "{raw}"),
+    ("prop-check", "{problem}"),
+    ("prop-solve", "{raw}", "--budget", "1"),
+    ("prop-solve", "{problem}", "--budget", "1"),
+)
+_FILES = {"a": ".lp", "b": ".lp", "forms": ".lpf", "raw": ".prop", "problem": ".prop"}
+_PROBLEM = "p: {a}\nq: {b}\nr: {a}\n" + "".join(
+    f"{side}-{kind}: p q s nat o facts 0 7\n" for side in ("source", "target") for kind in ("preds", "functors"))
+
+
+@_fuzz
+@given(_texts, _texts)
+def test_cli_subcommands_exit_with_a_code_on_fuzzed_files(first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {key: str(Path(tmp, key + suffix)) for key, suffix in _FILES.items()}
+        texts = {"a": first, "b": second, "forms": first, "raw": first, "problem": _PROBLEM.format(**paths)}
+        for key, text in texts.items():
+            Path(paths[key]).write_text(text, encoding="utf-8")
+        for command in _COMMANDS:
+            argv = [arg.format(goal=second, **paths) for arg in command]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in range(5), (argv, first, second)

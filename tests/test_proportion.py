@@ -15,7 +15,6 @@ from hornalg.forms import (
     Lit,
     Unary,
     VarRef,
-    expr_key,
     form_to_text,
     make_binding,
     parse_forms,
@@ -387,7 +386,7 @@ def test_solver_output_verifies_when_programs_are_variants(p, q, r):
         assert check_proportion(problem, w, s=sol.s, evaluator=Evaluator()).ok
         # the pool keeps {q(X).} and {q(Y).} apart, so witnesses are told
         # apart by name, not up to variants
-        keys.add((w.line, expr_key(w.f), expr_key(w.g),
+        keys.add((w.line, form_to_text(w.f), form_to_text(w.g),
                   w.pvec[0].program.name_key(), w.rvec[0].program.name_key()))
     assert len(keys) == len(solutions)
 
@@ -659,6 +658,7 @@ _CORE = ("p: corpus:ex43_p\nq: corpus:ex43_q\nr: corpus:ex43_r\n"
      "unknown form Nope"),
     ("forms: corpus:ex43.lpf\nline: fgfg\nform-f: Id\nform-g: Id\n",
      "form Id needs 1 arguments, vectors have 0"),
+    ("source-pred: a b\n", "<string>:6: unknown key source-pred"),
 ])
 def test_problem_file_errors_are_proportion_errors(extra, message):
     with pytest.raises(ProportionError, match=message):
