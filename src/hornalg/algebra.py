@@ -98,30 +98,27 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
             continue
 
         # Depth-first over assignments of rules to body atoms, threading a
-        # triangular substitution and whether the resolvent stays ground.
-        def assign(i: int, s: dict, bodies: tuple, ground: bool):
+        # triangular substitution; a resolvent's atoms tell if it is ground.
+        def assign(i: int, s: dict, bodies: tuple):
             if i == len(goals):
                 theta = _resolve(s)
                 head = apply(theta, rho.head)
                 new_body = frozenset(apply(theta, a) for b in bodies for a in b)
-                out.append(rule := Rule(head, new_body))
-                if ground:
-                    object.__setattr__(rule, "_ground", True)
-                    object.__setattr__(rule, "_vars", ())
+                out.append(Rule(head, new_body))
                 if len(out) > cap:
                     raise CompositionOverflowError(cap)
                 return
             for idx, body in goal_cands[i]:
                 if body is not None:
-                    assign(i + 1, s, bodies + (body,), ground)
+                    assign(i + 1, s, bodies + (body,))
                     continue
                 cand = r_rules[idx]
                 copy = cand if is_ground(cand) else fresh_variant(cand, fresh)
                 s2 = _unify_atoms(goals[i], copy.head, s)
                 if s2 is not None:
-                    assign(i + 1, s2, bodies + (copy.body,), False)
+                    assign(i + 1, s2, bodies + (copy.body,))
 
-        assign(0, {}, (), ground_rho)
+        assign(0, {}, ())
     return Program(out)
 
 

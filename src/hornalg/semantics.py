@@ -159,7 +159,7 @@ def closed_instances(rule: Rule, universe: frozenset, subterms: list) -> Iterato
     the rule's variables; a variable-free rule is its own only instance.
     The variables are bound depth first, one iterator each on a stack, and
     a branch is cut once an argument whose last variable is bound lies
-    outside the universe.  Instances come already marked ground."""
+    outside the universe."""
     rvars = rule_vars(rule)
     if not rvars:
         yield rule
@@ -194,10 +194,7 @@ def closed_instances(rule: Rule, universe: frozenset, subterms: list) -> Iterato
             stack.append(iter(subterms))
             continue
         head, *body = [Atom(a.pred, tuple([inst[t] for t in a.args])) for a in atoms]
-        r = Rule(head, frozenset(body))
-        object.__setattr__(r, "_ground", True)
-        object.__setattr__(r, "_vars", ())
-        yield r
+        yield Rule(head, frozenset(body))
 
 
 def ground(p: Program, bound: GroundingBound = DEFAULT_BOUND) -> Program:

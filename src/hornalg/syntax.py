@@ -9,10 +9,10 @@ preserved, because the concatenation operation is sensitive to them.
 Predicate and function symbols are *unranked*: identity is by name only,
 and the same name may occur at several arities within one program.
 
-Variables, compounds and atoms compute their dataclass hash once, and a
-rule its variables, its body order and whether it is ground, on first
-use.  The caches are slots but not fields, so `==`, `repr`, pickling and
-copying never see them.
+Variables, compounds and atoms compute their dataclass hash and whether
+they are ground when they are built, and a rule its variables and its
+body order on first use.  These are slots but not fields, so `==`,
+`repr`, pickling and copying never see them.
 """
 
 from __future__ import annotations
@@ -30,23 +30,17 @@ from typing import Iterable, Iterator, Union
 
 
 class _Cached:
-    __slots__ = ("_hash",)  # None until the first hash
+    __slots__ = ("_hash", "_ground")
 
 
 def _hash_once(cls):
-    """Keep each object's dataclass hash in its `_hash` slot.  The new
-    `__init__` stores through the slot descriptors, faster than the frozen
-    dataclass's `object.__setattr__`; unpickling and copying call it too,
-    so no hash comes from another process, where strings hash otherwise."""
-    by_fields, set_hash = cls.__hash__, _Cached._hash.__set__
+    """Keep each object's dataclass hash in its `_hash` slot and whether no
+    variable occurs in it in `_ground`, both set by the new `__init__`
+    through the slot descriptors, faster than the frozen dataclass's
+    `object.__setattr__`; unpickling and copying call it too, so no hash
+    comes from another process, where strings hash otherwise."""
+    set_hash, set_ground = _Cached._hash.__set__, _Cached._ground.__set__
     set_symbol, *set_rest = [cls.__dict__[f.name].__set__ for f in fields(cls)]
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = by_fields(self)
-            set_hash(self, h)
-        return h
 
     if set_rest:  # Compound and Atom: (symbol, args=())
         (set_args,) = set_rest
@@ -54,13 +48,20 @@ def _hash_once(cls):
         def __init__(self, symbol: str, args: tuple = ()):
             set_symbol(self, symbol)
             set_args(self, args)
-            set_hash(self, None)
+            set_hash(self, hash((symbol, args)))
+            for a in args:
+                if not a._ground:
+                    set_ground(self, False)
+                    break
+            else:
+                set_ground(self, True)
     else:  # Var: (symbol)
         def __init__(self, symbol: str):
             set_symbol(self, symbol)
-            set_hash(self, None)
+            set_hash(self, hash((symbol,)))
+            set_ground(self, False)
 
-    cls.__init__, cls.__hash__ = __init__, __hash__
+    cls.__init__, cls.__hash__ = __init__, lambda self: self._hash
     cls.__setstate__ = lambda self, state: __init__(self, *state)
     return cls
 
@@ -118,7 +119,7 @@ class Atom(_Cached):
 
 
 class _RuleCached:
-    __slots__ = ("_vars", "_order", "_ground")  # unset until first use
+    __slots__ = ("_vars", "_order")  # unset until first use
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +155,7 @@ def term_vars(*terms: Term) -> Iterator[Var]:
         t = stack.pop()
         if isinstance(t, Var):
             yield t
-        elif t.args:
+        elif not t._ground:
             stack.extend(t.args[::-1])
 
 
@@ -190,26 +191,17 @@ def rule_vars(r: Rule) -> tuple:
     try:
         return r._vars
     except AttributeError:
-        atoms = [r.head, *body_order(r)]
+        atoms = [] if is_ground(r) else [r.head, *body_order(r)]
         object.__setattr__(r, "_vars", tuple(dict.fromkeys(v for a in atoms for v in atom_vars(a))))
         return r._vars
 
 
 def is_ground(obj) -> bool:
-    """No variable occurs in a term, an atom or a rule; the walk stops at
-    the first.  A rule is walked once, as stored, its body unsorted, and a
-    ground one keeps `()` as its variables."""
+    """No variable occurs in a term, an atom or a rule: the flags its
+    atoms and terms were built with, read with no walk and no sort."""
     if isinstance(obj, Rule):
-        try:
-            return obj._ground
-        except AttributeError:
-            terms = [t for a in (obj.head, *obj.body) for t in a.args]
-            ground = next(term_vars(*terms), None) is None
-            object.__setattr__(obj, "_ground", ground)
-            if ground:
-                object.__setattr__(obj, "_vars", ())
-            return ground
-    return next(term_vars(*obj.args) if isinstance(obj, Atom) else term_vars(obj), None) is None
+        return obj.head._ground and all(a._ground for a in obj.body)
+    return obj._ground
 
 
 # ---------------------------------------------------------------------------
@@ -219,29 +211,35 @@ _LIST_FUNCTOR = "cons"
 _NIL_FUNCTOR = "nil"
 
 
-def render_term(t: Term) -> str:
+def render_term(t: Term, names: dict | None = None) -> str:
+    """The term's text, with `names[v]` for a variable if `names` is given;
+    lists and chains of one-argument functors render in a loop."""
     if isinstance(t, Var):
-        return t.name
-    if t.functor == _NIL_FUNCTOR and not t.args:
-        return "[]"
+        return t.name if names is None else names[t]
+    if not t.args:
+        return "[]" if t.functor == _NIL_FUNCTOR else t.functor
+    if len(t.args) == 1:
+        opened = []
+        while isinstance(t, Compound) and len(t.args) == 1:
+            opened.append(t.functor + "(")
+            t = t.args[0]
+        return "".join(opened) + render_term(t, names) + ")" * len(opened)
     if t.functor == _LIST_FUNCTOR and len(t.args) == 2:
         items = []
         cur: Term = t
         while isinstance(cur, Compound) and cur.functor == _LIST_FUNCTOR and len(cur.args) == 2:
-            items.append(render_term(cur.args[0]))
+            items.append(render_term(cur.args[0], names))
             cur = cur.args[1]
         if isinstance(cur, Compound) and cur.functor == _NIL_FUNCTOR and not cur.args:
             return "[" + ",".join(items) + "]"
-        return "[" + ",".join(items) + "|" + render_term(cur) + "]"
-    if not t.args:
-        return t.functor
-    return t.functor + "(" + ",".join(render_term(a) for a in t.args) + ")"
+        return "[" + ",".join(items) + "|" + render_term(cur, names) + "]"
+    return t.functor + "(" + ",".join([render_term(a, names) for a in t.args]) + ")"
 
 
-def render_atom(a: Atom) -> str:
+def render_atom(a: Atom, names: dict | None = None) -> str:
     if not a.args:
         return a.pred
-    return a.pred + "(" + ",".join(render_term(t) for t in a.args) + ")"
+    return a.pred + "(" + ",".join([render_term(t, names) for t in a.args]) + ")"
 
 
 def render_rule(r: Rule) -> str:
@@ -283,79 +281,74 @@ def _shape(a: Atom) -> tuple:
     return a.pred + "(" + ",".join(skeleton) + ")", a.pred + "(" + ",".join(pattern) + ")"
 
 
-def _rename(x, mapping: dict):
-    """`x` renamed by `mapping`, which names new variables A, ..., Z, _226, ..."""
-    if isinstance(x, Var):
-        if x not in mapping:
-            n = len(mapping)
-            mapping[x] = Var(string.ascii_uppercase[n] if n < 26 else f"_{len(str(n))}{n}")
-        return mapping[x]
-    if not x.args:
-        return x
-    args = tuple(_rename(t, mapping) for t in x.args)
-    return Atom(x.pred, args) if isinstance(x, Atom) else Compound(x.functor, args)
+class _Names(dict):
+    """Canonical variable names, each given at its first lookup: A, ..., Z, _226, ..."""
+
+    def __missing__(self, v: Var) -> str:
+        n = len(self)
+        name = self[v] = string.ascii_uppercase[n] if n < 26 else f"_{len(str(n))}{n}"
+        return name
 
 
-def _leaders(left: list, later: list, mapping: dict) -> list:
-    """The atoms of `left` that render least under `mapping`; of those whose
+def _leaders(left: list, later: list, names: _Names) -> list:
+    """The atoms of `left` that render least under `names`; of those whose
     unnamed variables no other atom of `left` or `later` has, only one."""
-    size, ranked = len(mapping), []
+    size, ranked = len(names), []
     for a in left:  # name each atom's new variables only while it renders
-        ranked.append((render_atom(_rename(a, mapping)), a))
-        while len(mapping) > size:
-            mapping.popitem()
+        ranked.append((render_atom(a, names), a))
+        while len(names) > size:
+            names.popitem()
     least = min(t for t, _ in ranked)
     tied = [a for t, a in ranked if t == least]
     if len(tied) == 1:
         return tied
     owners = Counter(v for a in chain(left, *later) for v in set(atom_vars(a)))
-    shared = {a: any(owners[v] > 1 for v in atom_vars(a) if v not in mapping) for a in tied}
+    shared = {a: any(owners[v] > 1 for v in atom_vars(a) if v not in names) for a in tied}
     return [a for a in tied if shared[a]] + [a for a in tied if not shared[a]][:1]
 
 
-def _least_order(groups: list, mapping: dict, memo: dict) -> list:
-    """The atoms of the shape `groups` renamed under `mapping` in the order that renders least."""
-    atoms = []
+def _least_order(groups: list, names: _Names, memo: dict) -> list:
+    """The texts of the shape `groups`' atoms under `names`, in the order that renders least."""
+    texts = []
     for gi, left in enumerate(groups):
         left, later = list(left), groups[gi + 1:]
         while left:
-            tied = _leaders(left, later, mapping) if len(left) > 1 else left[:1]
+            tied = _leaders(left, later, names) if len(left) > 1 else left[:1]
             if len(tied) > 1:
-                live = {(v, mapping[v]) for a in chain(left, *later) for v in atom_vars(a) if v in mapping}
+                live = {(v, names[v]) for a in chain(left, *later) for v in atom_vars(a) if v in names}
                 key = (frozenset(left), frozenset(live))  # the atoms left fix the names given
                 if key not in memo:
                     options = []
                     for a in tied:
-                        named = dict(mapping)
+                        named = _Names(names)
                         rest = [[b for b in left if b is not a], *later]
-                        options.append([_rename(a, named), *_least_order(rest, named, memo)])
-                    memo[key] = min(options, key=lambda o: list(map(render_atom, o)))
-                return atoms + memo[key]
+                        options.append([render_atom(a, named), *_least_order(rest, named, memo)])
+                    memo[key] = min(options)
+                return texts + memo[key]
             left.remove(tied[0])
-            atoms.append(_rename(tied[0], mapping))
-    return atoms
+            texts.append(render_atom(tied[0], names))
+    return texts
 
 
 @lru_cache(maxsize=65536)
 def _canonicalize(rule: Rule) -> str:
+    """Canonical rendering of the rule; equal strings iff the rules are variants."""
     if is_ground(rule):  # no names to give, atoms in shape order
         atoms = rule.body
         if len(atoms) > 1:
             atoms = sorted(atoms, key=lambda a: (_shape(a)[0], render_atom(a)))
-        head = rule.head
+        head, texts = render_atom(rule.head), list(map(render_atom, atoms))
     else:
-        mapping: dict = {}
-        head = _rename(rule.head, mapping)
+        names = _Names()
+        head = render_atom(rule.head, names)
         by_shape: dict = {}
         for a in rule.body:
             by_shape.setdefault(_shape(a), []).append(a)
-        atoms = _least_order([by_shape[k] for k in sorted(by_shape)], mapping, {})
-    return render_atom(head) + (" :- " + ", ".join(map(render_atom, atoms)) if atoms else "") + "."
+        texts = _least_order([by_shape[k] for k in sorted(by_shape)], names, {})
+    return head + (" :- " + ", ".join(texts) if texts else "") + "."
 
 
-def canonical_key(rule: Rule) -> str:
-    """Canonical rendering of the rule; equal strings iff the rules are variants."""
-    return _canonicalize(rule)
+canonical_key = _canonicalize
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,13 @@ from .syntax import Atom, Compound, Program, Rule, Term, Var, body_order, rule_v
 def _apply_term(s: dict, t: Term) -> Term:
     if type(t) is Var:
         return s.get(t, t)
-    if not t.args:
+    if t._ground:
         return t
     return Compound(t.functor, tuple([_apply_term(s, a) for a in t.args]))
 
 
 def _apply_atom(s: dict, a: Atom) -> Atom:
-    if not a.args:
+    if a._ground:
         return a
     return Atom(a.pred, tuple([_apply_term(s, t) for t in a.args]))
 
@@ -70,7 +70,7 @@ def _occurs(v: Var, t: Term, s: dict) -> bool:
     t = _walk(t, s)
     if isinstance(t, Var):
         return t == v
-    return any(_occurs(v, a, s) for a in t.args)
+    return not t._ground and any(_occurs(v, a, s) for a in t.args)
 
 
 def _unify(t1: Term, t2: Term, s: dict) -> Optional[dict]:
@@ -103,7 +103,7 @@ def _deep_walk(t: Term, s: dict) -> Term:
     t = _walk(t, s)
     if isinstance(t, Var):
         return t
-    if not t.args:
+    if t._ground:
         return t
     return Compound(t.functor, tuple(_deep_walk(a, s) for a in t.args))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hornalg import algebra, corpus
+from hornalg import corpus
 from hornalg.algebra import (
     DecompositionWitness,
     check_representation,
@@ -18,7 +18,7 @@ from hornalg.algebra import (
 )
 from hornalg.errors import CompositionOverflowError, FixpointBudgetError
 from hornalg.parser import parse_atom, parse_program, parse_rule
-from hornalg.syntax import Compound, Program, Var, render_program, render_rule
+from hornalg.syntax import Compound, Program, Var, is_ground, render_program, render_rule
 from test_properties import reference_compose
 
 
@@ -107,20 +107,14 @@ def test_compose_keeps_a_body_only_variable_fresh_for_a_ground_goal():
     assert isinstance(body.args[1], Var) and body.args[1].name not in ("X", "Y")
 
 
-def test_compose_marks_ground_resolvents_before_keying(monkeypatch):
-    # a ground rule whose goals all take a ground body with no copy gives a
-    # ground resolvent; one copied rule in the assignment leaves it unmarked
-    marked, program = [], algebra.Program
-
-    def keyed(rules=()):  # the flags as compose leaves them, before any keying
-        marked.extend(render_rule(r) for r in rules if getattr(r, "_ground", False) and r._vars == ())
-        return program(rules)
-
-    monkeypatch.setattr(algebra, "Program", keyed)
+def test_compose_resolvents_know_whether_they_are_ground():
+    # a resolvent is ground from its atoms alone, whether its goals took a
+    # ground body with no copy or a copied rule whose variables got bound
     p = pg("s :- q(a), t. s :- q(b). u(X) :- q(X).")
     r = pg("q(a). q(X) :- w(X). t. q(b) :- v(Y).")
-    assert compose(p, r) == pg("s. s :- w(a). s :- w(b). s :- v(Y). u(a). u(X) :- w(X). u(b) :- v(Y).")
-    assert sorted(marked) == ["s."]
+    out = compose(p, r)
+    assert out == pg("s. s :- w(a). s :- w(b). s :- v(Y). u(a). u(X) :- w(X). u(b) :- v(Y).")
+    assert sorted(render_rule(x) for x in out if is_ground(x)) == ["s :- w(a).", "s :- w(b).", "s.", "u(a)."]
 
 
 def test_compose_matches_a_repeated_head_variable_consistently():

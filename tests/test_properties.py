@@ -1,9 +1,11 @@
 """Randomized law checks.  Each suite runs at least 500 pinned-seed cases."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -41,9 +43,9 @@ from hornalg.semantics import (
 )
 from hornalg.sld import DerivationStep, Query, answer_substitution, proves, render_trace
 from hornalg.syntax import (NIL, Atom, Compound, Program, Rule, Var, atom_vars, body_order,
-                            cons, program_vars_ordered, render_atom, render_program,
-                            rule_vars, term_vars)
-from hornalg.unify import FreshNames, apply, mgu_atoms
+                            cons, is_ground, program_vars_ordered, render_atom,
+                            render_program, rule_vars, term_vars)
+from hornalg.unify import FreshNames, apply, fresh_variant, mgu_atoms
 
 CASES = 500
 
@@ -471,7 +473,7 @@ def test_closed_instances_match_the_filtered_product():
         got = list(closed_instances(rule, universe, subterms))
         assert got == list(_reference_instances(rule, universe, subterms)), repr(rule)
         if rule_vars(rule):
-            assert all(inst._ground is True and inst._vars == () for inst in got)
+            assert all(is_ground(inst) and rule_vars(inst) == () for inst in got)
         seen["instances"] += bool(got)
         seen["none"] += not got
         seen["not_subterm_closed"] += len(subterms) > len(universe)
@@ -993,3 +995,63 @@ def test_syntax_caches_agree_with_structure():
                 assert all(hash(t) == hash(_structural(t)) for u in a.args for t in _subterms(u))
             assert rule_vars(rule) == _first_occurrence(rule) == rule_vars(twin)
             assert body_order(rule) == tuple(sorted(rule.body, key=render_atom))
+
+
+def _walked_ground(x):
+    """No variable occurs in x, by a recursive walk that reads no flag."""
+    if isinstance(x, Var):
+        return False
+    if isinstance(x, Rule):
+        return all(map(_walked_ground, (x.head, *x.body)))
+    return all(map(_walked_ground, x.args))
+
+
+def test_groundness_and_hashes_are_fixed_where_terms_are_built():
+    rng = random.Random(3141)
+    fresh = FreshNames(prefix="_T")
+    s = {Var("X"): Compound("a"), Var("Y"): cons(Var("U"), NIL)}
+    seen = Counter()
+    for i in range(CASES):
+        lists = i % 2 == 0
+        p, q = rand_open_program(rng, lists), rand_open_program(rng, lists)
+        bound = (GroundingBound(universe=list_universe("ab", 1)) if lists
+                 else GroundingBound(max_term_depth=1, constants=frozenset({"0", "a"})))
+        universe = herbrand_universe(p, bound)
+        made = {
+            "parser": list(parse_program(render_program(p))),
+            "apply": [apply(s, r) for r in p],
+            "fresh_variant": [fresh_variant(r, fresh) for r in p],
+            "closed_instances": [inst for r in p for inst in islice(
+                closed_instances(r, universe, ordered_subterms(universe)), 5)],
+        }
+        copies = [fresh_variant(r, fresh) for r in q]
+        unifiers = [mgu_atoms(a.head, b.head) for a in p for b in copies]
+        made["mgu_atoms"] = [Atom("t", tuple(u.values())) for u in unifiers if u]
+        try:
+            made["compose"] = list(compose(p, q)) + list(compose(p, p))
+        except CompositionOverflowError:
+            made["compose"] = []
+        made["pickle"] = [pickle.loads(pickle.dumps(r)) for r in p]
+        made["deepcopy"] = [copy.deepcopy(r) for r in p]
+        for source, rules in made.items():
+            for rule in rules:
+                if isinstance(rule, Rule):
+                    assert is_ground(rule) == _walked_ground(rule), (source, rule)
+                    if is_ground(rule):
+                        assert apply(s, rule) == rule
+                    atoms = (rule.head, *rule.body)
+                else:
+                    atoms = (rule,)
+                for a in atoms:
+                    for x in (a, *(t for u in a.args for t in _subterms(u))):
+                        ground = _walked_ground(x)
+                        assert is_ground(x) == ground, (source, x)
+                        if isinstance(x, Var):
+                            assert hash(x) == hash((x.name,))
+                            continue
+                        assert hash(x) == hash((x.pred if isinstance(x, Atom) else x.functor, x.args))
+                        if ground:
+                            assert apply(s, x) is x, (source, x)
+                        seen[source, ground] += bool(x.args)
+    for source in made:  # each source built ground and open terms with arguments
+        assert seen[source, True] and (seen[source, False] or source == "closed_instances"), source
