@@ -417,7 +417,11 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
     """Candidate forms over one variable X1: atoms of the problem that both
     domains allow (as single-fact literals), closed under the unary
     operations and — with a primary left operand — the binary ones, up to
-    the depth budget.  Generation stops at `budget.max_forms` forms."""
+    the depth budget.  Generation stops at `budget.max_forms` forms.
+
+    Every pool form passes `fixed_material_offences`, which the solver does
+    not run: each literal lies in the domain intersection, and no operation
+    of `_UNARY_OPS` or `_BINARY` renames or substitutes."""
     inter = problem.source.intersection(problem.target)
     atoms = {}
     for prog in (problem.p, problem.q, problem.r):
@@ -474,19 +478,35 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     source, target = problem.source, problem.target
     inter = source.intersection(target)
 
-    # A candidate is verified by the form checks of `check_proportion`, run
-    # once per pool form.  The domain checks hold by construction.  Source
-    # vectors are rule sets of P | Q, which lie in the source domain, and
-    # target vectors rule sets of R, which lies in the target; the ffgg line
-    # is tried only when P, Q and R lie in the intersection, which its
-    # vectors must.  S is a form's value on a target vector: a form that
-    # passes `form_ok` holds fixed material from the intersection only, and
-    # no operation gives a symbol that is neither in its operands nor fixed
-    # material, so S lies in the target vector's domain, and so in the target.
+    # A candidate is verified by the form checks of `check_proportion`.
+    # Every pool form passes the fixed material check (see `form_pool`), so
+    # only non-constancy is run, once per form a candidate needs.  The
+    # domain checks hold by construction.  Source vectors are rule sets of
+    # P | Q, which lie in the source domain, and target vectors rule sets of
+    # R, which lies in the target; the ffgg line is tried only when P, Q and
+    # R lie in the intersection, which its vectors must.  S is a form's value
+    # on a target vector: a pool form holds fixed material from the
+    # intersection only, and no operation gives a symbol that is neither in
+    # its operands nor fixed material, so S lies in the target vector's
+    # domain, and so in the target.
     @cache
     def form_ok(i: int) -> bool:
-        return (not fixed_material_offences((forms[i],), inter, ev.table)
-                and is_nonconstant(forms[i], ev))
+        return is_nonconstant(forms[i], ev)
+
+    # By the same bound, a form's value on a vector can be a program only
+    # when the program's symbols outside the intersection are the vector's.
+    # A vector that cannot reach what a line needs from it holds no
+    # candidate there, and its values are never worked out.
+    @cache
+    def alien(p: Program) -> tuple:
+        return p.predicates() - inter.preds, p.functors() - inter.functors
+
+    def reach(vec: Program, want: Optional[Program]) -> bool:
+        """Whether a pool form may give `want` (None: S, anything) on `vec`."""
+        if want is None:
+            return True
+        (wp, wf), (vp, vf) = alien(want), alien(vec)
+        return wp <= vp and wf <= vf
 
     def fitting(positions, value, want: Optional[Program]) -> list:
         """The positions whose value on the target vector is `want`, or,
@@ -497,8 +517,8 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
 
     # Each vector's values by position, from the evaluator.  A target
     # vector is read only where a source lookup points; a source vector is
-    # read everywhere, to find the positions giving P, Q or R, the only
-    # values the lines look up.
+    # read wherever it reaches what a line needs, to find the positions
+    # giving P, Q or R, the only values the lines look up.
     tvals = [ev.values(_vec_env((make_binding(tv),))) for tv in tvecs]
 
     @cache
@@ -529,12 +549,17 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         # None stands for S.
         gives = {form + vec: known.get(prog) for prog, form, vec in _LINE_EQUATIONS[line]}
         f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
-        for si in range(len(svecs)):
+        treach = [reach(tv, f_target) and reach(tv, g_target) for tv in tvecs]
+        for si, sv in enumerate(svecs):
+            if not (reach(sv, f_source) and reach(sv, g_source)):
+                continue
             sby = lookup(si)
             f_at, g_at = sby.get(f_source), sby.get(g_source)
             if not (f_at and g_at):
                 continue
             for ti, tval in enumerate(tvals):
+                if not treach[ti]:
+                    continue
                 fs = fitting(f_at, tval, f_target)
                 gs = fitting(g_at, tval, g_target)
                 # The form checks run last: they evaluate the forms on the probes.

@@ -281,6 +281,16 @@ def _shape(a: Atom) -> tuple:
     return a.pred + "(" + ",".join(skeleton) + ")", a.pred + "(" + ",".join(pattern) + ")"
 
 
+def _ground_skeleton(a: Atom) -> str:
+    """`_shape(a)[0]` of a ground atom, from a walk that works out no pattern."""
+    def walk(t: Term) -> str:
+        if not t.args:
+            return "[]" if t.functor == _NIL_FUNCTOR else t.functor
+        return t.functor + "(" + ",".join([walk(x) for x in t.args]) + ")"
+
+    return a.pred + "(" + ",".join([walk(t) for t in a.args]) + ")"
+
+
 class _Names(dict):
     """Canonical variable names, each given at its first lookup: A, ..., Z, _226, ..."""
 
@@ -334,10 +344,9 @@ def _least_order(groups: list, names: _Names, memo: dict) -> list:
 def _canonicalize(rule: Rule) -> str:
     """Canonical rendering of the rule; equal strings iff the rules are variants."""
     if is_ground(rule):  # no names to give, atoms in shape order
-        atoms = rule.body
-        if len(atoms) > 1:
-            atoms = sorted(atoms, key=lambda a: (_shape(a)[0], render_atom(a)))
-        head, texts = render_atom(rule.head), list(map(render_atom, atoms))
+        head, atoms = render_atom(rule.head), rule.body
+        texts = list(map(render_atom, atoms)) if len(atoms) < 2 else [
+            text for _, text in sorted((_ground_skeleton(a), render_atom(a)) for a in atoms)]
     else:
         names = _Names()
         head = render_atom(rule.head, names)

@@ -10,6 +10,7 @@ import time
 from itertools import permutations, product
 from math import factorial
 
+from hornalg import syntax
 from hornalg.parser import parse_rule
 from hornalg.syntax import (Atom, Compound, Program, Rule, Var, canonical_key,
                             cons, render_atom, rule_vars)
@@ -172,6 +173,15 @@ def test_key_is_the_least_enumerated_rendering():
         assert canonical_key(ground) == enumerated_key(ground), ground
         unlike += sorted(ground.body, key=_shape) != sorted(ground.body, key=render_atom)
     assert tied > CASES * 0.4 and unlike > CASES * 0.1
+
+
+def test_ground_skeleton_is_the_shape_skeleton():
+    # Ground keys sort body atoms by a walk that works out no pattern; it
+    # must give `_shape`'s skeleton, lists as `cons(...)` and nil as `[]`.
+    rng = random.Random(8)
+    atoms = [a for _ in range(CASES) for r in [rand_ground_rule(rng)] for a in (r.head, *r.body)]
+    assert all(syntax._ground_skeleton(a) == syntax._shape(a)[0] for a in atoms)
+    assert any("cons(" in syntax._ground_skeleton(a) for a in atoms)
 
 
 def test_variants_past_seven_factorial_orders_share_one_key():

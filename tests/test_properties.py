@@ -27,6 +27,7 @@ from hornalg.proportion import (
     ProportionWitness,
     SolveBudget,
     check_proportion,
+    fixed_material_offences,
     form_pool,
     solve_proportion,
     vector_pool,
@@ -808,6 +809,49 @@ def test_solver_matches_oracle_on_overlapping_domains():
         assert _solver_set(problem, budget) == oracle_set, render_program(problem.p)
     for code in ("f_nonconstant", "g_nonconstant", "pvec_in_domain", "ffgg_intersection"):
         assert rejections[code] > 0, code
+
+
+def _check_vector_bound(problem, budget, table=None) -> int:
+    """Checks the symbol bound the solver skips vectors by, over the public
+    pools and the evaluator: every pool form passes the fixed material
+    check, and no non-constant form gives P, Q or R on a vector whose
+    symbols outside the domain intersection miss some of that program's.
+    Returns how many (vector, program) pairs the bound rules out."""
+    inter = problem.source.intersection(problem.target)
+    ev = Evaluator(table)
+    forms = form_pool(problem, budget)
+    assert fixed_material_offences(forms, inter, ev.table) == []
+    nonconstant = [(ev.position(fm), fm) for fm in forms if is_nonconstant(fm, ev)]
+    vecs = vector_pool((problem.p | problem.q).rules, budget) + vector_pool(problem.r.rules, budget)
+    ruled_out = 0
+    for vec in vecs:
+        value = ev.values({"X1": make_binding(vec)})
+        for want in (problem.p, problem.q, problem.r):
+            if (want.predicates() <= vec.predicates() | inter.preds
+                    and want.functors() <= vec.functors() | inter.functors):
+                continue
+            ruled_out += 1
+            for i, fm in nonconstant:
+                assert value(i) != want, (form_to_text(fm), render_program(vec))
+    return ruled_out
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_solver_vector_bound_is_exact_on_bundled_problems(depth):
+    ruled_out = 0
+    for name in corpus.names("proportions"):
+        spec = corpus.problem_spec(name)
+        ruled_out += _check_vector_bound(spec.problem, SolveBudget(max_form_depth=depth), spec.table)
+    assert ruled_out > 0
+
+
+@pytest.mark.parametrize("target_preds", [("c", "d"), ("b", "c")])
+def test_solver_vector_bound_is_exact_on_random_problems(target_preds):
+    rng = random.Random(2626)
+    budget = SolveBudget(max_form_depth=2, max_vector_rules=2)
+    ruled_out = sum(_check_vector_bound(_rand_problem(rng, target_preds), budget)
+                    for _ in range(300))
+    assert ruled_out > 0
 
 
 def _ranked(kept, witnesses_per_s, max_solutions):
