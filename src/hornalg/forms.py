@@ -32,11 +32,12 @@ read with the `.lp` token table (`parser.tokenize`):
 
 A parameter may declare a main-predicate placeholder and a variable-tuple
 placeholder: `form Plus(X[q](Xs)) = ...`.  Within that form's body, the
-identifier `q` in a rename stands for the main predicate of whatever
-program gets bound to X.  The tuple is checked and has no effect: the
-caller's binding may substitute the bound program's variables via a
-call-site tuple either way (which permits identifying two variables by
-repeating a name).
+identifier `q` as the old name of a rename stands for the main predicate
+of whatever program gets bound to X: the parser keeps X as a third entry
+of the rename's `arg`, so the body means the same wherever it is
+evaluated.  The tuple is checked and has no effect: the caller's binding
+may substitute the bound program's variables via a call-site tuple either
+way (which permits identifying two variables by repeating a name).
 
 `refresh(E)` renames every variable that occurs in a proper-rule body of
 E's value to fresh Z1, Z2, ... consistently across the whole program;
@@ -45,7 +46,7 @@ variables occurring only in heads (or only in facts) are left alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import algebra, semantics
@@ -88,7 +89,9 @@ class Binary:
 class Unary:
     op: str  # a key of `_UNARY`
     expr: object
-    arg: tuple = ()  # the operator's own argument: (n,), (old, new) or (var, term)
+    # The operator's own argument: (n,), (old, new), (var, term), or, for a
+    # rename of a placeholder, (placeholder, new, the parameter it stands for).
+    arg: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,14 +203,6 @@ def operands(expr) -> tuple:
     return () if kind in _LEAVES else (expr.expr,)
 
 
-def rebuild(expr, fn):
-    """`expr` with `fn` applied to each of its operands."""
-    kind = type(expr)
-    if kind is Binary:
-        return Binary(expr.op, fn(expr.left), fn(expr.right))
-    return expr if kind in _LEAVES else replace(expr, expr=fn(expr.expr))
-
-
 # ---------------------------------------------------------------------------
 # Walks
 
@@ -223,7 +218,20 @@ def free_vars(expr) -> frozenset:
         return frozenset()
     if kind is FormCall:
         return frozenset(expr.args)
-    return free_vars(expr.expr)
+    return free_vars(expr.expr) | frozenset(expr.arg[2:] if expr.op == "/" else ())
+
+
+def rename_params(expr, rename: Callable[[str], str]):
+    """`expr` with each parameter name `n` it reads renamed to `rename(n)`."""
+    kind = type(expr)
+    if kind is Binary:
+        return Binary(expr.op, rename_params(expr.left, rename), rename_params(expr.right, rename))
+    if kind is Unary:
+        arg = (*expr.arg[:2], *map(rename, expr.arg[2:])) if expr.op == "/" else expr.arg
+        return Unary(expr.op, rename_params(expr.expr, rename), arg)
+    if kind is VarRef:
+        return VarRef(rename(expr.name))
+    return expr if kind is Lit else FormCall(expr.name, tuple(map(rename, expr.args)))
 
 
 def _fields(expr) -> tuple:
@@ -283,56 +291,59 @@ _UNREAD = object()  # a position whose value is not computed yet
 class Evaluator:
     """Evaluates form expressions against bindings, by position.
 
-    Each distinct expression (by kind, `_fields` and operands, and for a
-    placeholder rename by the parameter it reads) gets a position the first
-    time it is met, after its operands.  Values are kept per environment
-    (the bindings, told apart by `name_key` and main predicate) by
-    position, and computed the first time they are read.  A `Binary` or
-    `Unary` node applies its table entry's operation to its operands'
-    values once per distinct operand `name_key`s and `arg` over all
-    environments: concatenation sees variable names, so `{q(X).}` and
-    `{q(Y).}` never share a result.  A placeholder rename first reads its
-    old name off the environment, so it shares results with the plain
-    rename it resolves to.  Variables, literals and form calls go through
-    `_eval`.  Where a node fails, what it raised is kept, and `eval`
-    raises it again.
+    Each distinct expression (by kind, `_fields` and operands) gets a
+    position the first time it is met, after its operands; a call of a form
+    shares the position of the form's body (see `position`).  Values are
+    kept per environment (the bindings, told apart by `name_key` and main
+    predicate) by position, and computed the first time they are read.  A
+    `Binary` or `Unary` node applies its table entry's operation to its
+    operands' values once per distinct operand `name_key`s and `arg` over
+    all environments: concatenation sees variable names, so `{q(X).}` and
+    `{q(Y).}` never share a result.  A placeholder rename takes its old
+    name from its parameter's main predicate, and shares results with the
+    plain rename it resolves to.  Variables, literals and calls of no such
+    form go through `_eval`.  Where a node fails, what it raised is kept,
+    and `eval` raises it again.
     """
 
     def __init__(self, table: Optional[dict] = None):
         self.table = table or {}
         # Node key -> position.  A node's key holds its kind, `_fields` and
-        # operands' positions, so keys are equal exactly where the nodes
-        # are; a rename whose old name is a placeholder adds the parameter
-        # it reads.
+        # operands' positions, so keys are equal exactly where the nodes are.
         self._at: dict = {}
-        # The position of each node that made one, by id and placeholders;
-        # `_plan` keeps those nodes, so their ids cannot be reused.
+        # The position of each node that made one, by id; `_plan` keeps
+        # those nodes, so their ids cannot be reused.
         self._ids: dict = {}
         # Per position: (node, operand positions, operation or None, its
-        # `arg`, the parameter a placeholder rename reads).
+        # `arg` without the parameter a placeholder rename reads, and that
+        # parameter or None).
         self._plan: list = []
         self._envs: dict = {}  # environment key -> (values, failures) by position
         self._applied: dict = {}  # (operation, operand name_keys, arg) -> (value, failure)
         self._probes: dict = {}  # free variable names -> value functions of the probes
 
-    def position(self, expr, placeholders: Optional[dict] = None) -> int:
-        """The position of `expr` inside a form whose placeholders stand for
-        the parameters `placeholders` maps them to."""
-        at = (id(expr), *sorted(placeholders.items())) if placeholders else id(expr)
-        i = self._ids.get(at)
+    def position(self, expr) -> int:
+        """The position of `expr`.  A call of a form of the table with as
+        many arguments as the form has parameters takes the position of the
+        form's body with the call's arguments renamed in."""
+        i = self._ids.get(id(expr))
         if i is not None:
             return i
         kind = type(expr)
-        args = tuple([self.position(sub, placeholders) for sub in operands(expr)])
-        unary = kind is Unary
-        param = placeholders.get(expr.arg[0]) if placeholders and unary and expr.op == "/" else None
-        key = (kind, *_fields(expr), *args, param)
+        fd = self.table.get(expr.name) if kind is FormCall else None
+        if fd is not None and len(fd.params) == len(expr.args):
+            names = dict(zip([spec.name for spec in fd.params], expr.args))
+            return self.position(rename_params(fd.body, lambda n: names.get(n, n)))
+        args = tuple([self.position(sub) for sub in operands(expr)])
+        key = (kind, *_fields(expr), *args)
         i = self._at.get(key)
         if i is None:
+            unary = kind is Unary
             op = _BINARY[expr.op] if kind is Binary else _UNARY[expr.op] if unary else None
+            arg = expr.arg if unary else ()
             i = self._at[key] = len(self._plan)
-            self._plan.append((expr, args, op, expr.arg if unary else (), param))
-            self._ids[at] = i
+            self._plan.append((expr, args, op, arg[:2], arg[2] if len(arg) == 3 else None))
+            self._ids[id(expr)] = i
         return i
 
     def values(self, env: dict) -> Callable[[int], Optional[Program]]:
@@ -340,8 +351,8 @@ class Evaluator:
         where it fails to evaluate."""
         return self._env(env)[0]
 
-    def eval(self, expr, env: Optional[dict] = None, placeholders: Optional[dict] = None) -> Program:
-        i = self.position(expr, placeholders)
+    def eval(self, expr, env: Optional[dict] = None) -> Program:
+        i = self.position(expr)
         value, failures = self._env(env or {})
         out = value(i)
         if out is None:
@@ -408,7 +419,8 @@ class Evaluator:
         return value, failures
 
     def _eval(self, expr, env: dict) -> Program:
-        """The value of a variable, a literal or a form call in `env`."""
+        """The value of a variable or a literal in `env`, or the failure of a
+        call that names no form of its arity."""
         kind = type(expr)
         if kind is VarRef:
             b = env.get(expr.name)
@@ -417,25 +429,10 @@ class Evaluator:
             return b.program
         if kind is Lit:
             return expr.program
-        fd = self.table.get(expr.name)
+        fd = self.table.get(expr.name)  # `position` expanded every call it could
         if fd is None:
             raise FormEvalError(f"call of unknown form {expr.name}")
-        if len(expr.args) != len(fd.params):
-            raise FormEvalError(
-                f"form {expr.name} takes {len(fd.params)} arguments, got {len(expr.args)}"
-            )
-        inner_env = {}
-        for spec, arg in zip(fd.params, expr.args):
-            b = env.get(arg)
-            if b is None:
-                raise FormEvalError(f"unbound form variable {arg}")
-            inner_env[spec.name] = b
-        inner_ph = {
-            spec.pred_placeholder: spec.name
-            for spec in fd.params
-            if spec.pred_placeholder
-        }
-        return self.eval(fd.body, inner_env, inner_ph)
+        raise FormEvalError(f"form {expr.name} takes {len(fd.params)} arguments, got {len(expr.args)}")
 
 
 def eval_form(table: dict, name: str, bindings: dict,
@@ -444,15 +441,14 @@ def eval_form(table: dict, name: str, bindings: dict,
     fd = table.get(name)
     if fd is None:
         raise FormEvalError(f"unknown form {name}")
-    ev = evaluator or Evaluator(table)
-    call = FormCall(fd.name, tuple(s.name for s in fd.params))
-    missing = [s.name for s in fd.params if s.name not in bindings]
+    params = [s.name for s in fd.params]
+    missing = [n for n in params if n not in bindings]
     if missing:
         raise FormEvalError(f"missing bindings for {', '.join(missing)}")
-    extra = sorted(bindings.keys() - set(call.args))
+    extra = sorted(bindings.keys() - set(params))
     if extra:
         raise FormEvalError(f"form {name} has no parameter {', '.join(extra)}")
-    return ev.eval(call, dict(bindings), {})
+    return (evaluator or Evaluator(table)).eval(fd.body, dict(bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +495,7 @@ class _LpfParser(_Parser):
     def __init__(self, tokens: list, source: str):
         super().__init__(tokens, source)
         self.table: dict = {}
+        self.placeholders: dict = {}  # placeholder -> its parameter, in the form being read
 
     def parse_file(self) -> dict:
         while self.peek() is not None:
@@ -520,6 +517,7 @@ class _LpfParser(_Parser):
         if twice:
             raise self.error_at(kw, f"form {name} declares {', '.join(twice)} twice")
         self.take("EQUALS", "'='")
+        self.placeholders = {s.pred_placeholder: s.name for s in params if s.pred_placeholder}
         body = self.expr()
         self.take("SEMI", "';'")
         fv = free_vars(body)
@@ -567,7 +565,9 @@ class _LpfParser(_Parser):
                 if self.at("IDENT"):
                     old = self.take("IDENT", "a predicate name").text
                     self.take("SLASH", "'/'")
-                    node = Unary("/", node, (old, self.take("IDENT", "a predicate name").text))
+                    new = self.take("IDENT", "a predicate name").text
+                    param = self.placeholders.get(old)
+                    node = Unary("/", node, (old, new, param) if param else (old, new))
                 else:
                     var = self.take("VAR", "a variable").text
                     self.take("ASSIGN", "':='")

@@ -40,7 +40,7 @@ from .forms import (
     is_nonconstant,
     literal_requirements,
     make_binding,
-    rebuild,
+    rename_params,
 )
 from .parser import _Parser, key_value_lines, tokenize
 from .syntax import Program, Rule, Var, render_atom, render_program
@@ -254,7 +254,7 @@ def _identity_items(problem: ProportionProblem, witness: ProportionWitness,
         code = f"{prog_key}_identity"
         label = f"{form_key.upper()} on the {side[vec_key]} vector"
         try:
-            got = ev.eval(forms[form_key], envs[vec_key], {})
+            got = ev.eval(forms[form_key], envs[vec_key])
         except (FormEvalError, BudgetError) as e:
             items.append(CheckItem(code, False, f"{label} failed to evaluate: {e}"))
             continue
@@ -324,11 +324,7 @@ def _shift_expr(expr, offset: int):
             raise ProportionError(f"cannot shift non-positional variable {name}")
         return f"X{int(m.group(1)) + offset}"
 
-    if isinstance(expr, VarRef):
-        return VarRef(shift_name(expr.name))
-    if isinstance(expr, FormCall):
-        return FormCall(expr.name, tuple(shift_name(a) for a in expr.args))
-    return rebuild(expr, lambda e: _shift_expr(e, offset))
+    return rename_params(expr, shift_name)
 
 
 # The three standard rearrangements of P : Q :: R : S, each with the
@@ -515,11 +511,13 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
             return [i for i in positions if value(i) is not None]
         return [i for i in positions if value(i) == want]
 
-    # Each vector's values by position, from the evaluator.  A target
-    # vector is read only where a source lookup points; a source vector is
-    # read wherever it reaches what a line needs, to find the positions
-    # giving P, Q or R, the only values the lines look up.
-    tvals = [ev.values(_vec_env((make_binding(tv),))) for tv in tvecs]
+    # Each vector's values by position, from the evaluator, made on first
+    # use.  A target vector is read only where a source lookup points; a
+    # source vector is read wherever it reaches what a line needs, to find
+    # the positions giving P, Q or R, the only values the lines look up.
+    @cache
+    def tval(ti: int) -> Callable:
+        return ev.values(_vec_env((make_binding(tvecs[ti]),)))
 
     @cache
     def lookup(si: int) -> dict:
@@ -549,7 +547,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         # None stands for S.
         gives = {form + vec: known.get(prog) for prog, form, vec in _LINE_EQUATIONS[line]}
         f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
-        treach = [reach(tv, f_target) and reach(tv, g_target) for tv in tvecs]
+        treach = [ti for ti, tv in enumerate(tvecs) if reach(tv, f_target) and reach(tv, g_target)]
         for si, sv in enumerate(svecs):
             if not (reach(sv, f_source) and reach(sv, g_source)):
                 continue
@@ -557,11 +555,10 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
             f_at, g_at = sby.get(f_source), sby.get(g_source)
             if not (f_at and g_at):
                 continue
-            for ti, tval in enumerate(tvals):
-                if not treach[ti]:
-                    continue
-                fs = fitting(f_at, tval, f_target)
-                gs = fitting(g_at, tval, g_target)
+            for ti in treach:
+                value = tval(ti)
+                fs = fitting(f_at, value, f_target)
+                gs = fitting(g_at, value, g_target)
                 # The form checks run last: they evaluate the forms on the probes.
                 fs = [i for i in fs if form_ok(i)] if gs else ()
                 gs = [i for i in gs if form_ok(i)] if fs else ()
@@ -572,7 +569,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
                 blocks[block] = (frozenset(fs), frozenset(gs))
                 split: dict = {}
                 for i in fs if f_gives_s[line] else gs:
-                    split.setdefault(tval(i), []).append(i)
+                    split.setdefault(value(i), []).append(i)
                 for s, part in split.items():
                     by_s.setdefault(s, []).append(
                         (block, part, gs) if f_gives_s[line] else (block, fs, part))
@@ -612,7 +609,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         merged = merge(*[row(block, f, gs) for block, fs, gs in by_s[s] for f in fs])
         out.extend(islice((c for c in merged if not any(
             c[2] in fs and c[3] in gs for fs, gs in lower(c[1]))), budget.witnesses_per_s))
-    return [ProportionSolution(tvals[ti](f if f_gives_s[line] else g), ProportionWitness(
+    return [ProportionSolution(tval(ti)(f if f_gives_s[line] else g), ProportionWitness(
                 forms[f], forms[g], (make_binding(svecs[si]),), (make_binding(tvecs[ti]),), line))
             for _, (line, si, ti), f, g in out[: budget.max_solutions]]
 

@@ -12,6 +12,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from hornalg.cli import EXHAUSTED, INPUT_ERROR, NOT_VERIFIED, OK, USAGE_ERROR, main
 
 
@@ -304,6 +306,26 @@ def test_prop_check_json():
     assert payload["verified"] is True
     assert payload["line"] == "fgfg"
     assert len(payload["items"]) == 10
+
+
+# (exit code, sha256 prefix of the text output) of `prop-check` on each
+# bundled problem, plain and with --strict-eq.  The witnesses of
+# nat_plus_list and one_plus_one call forms that rename placeholders.
+_PROP_CHECK_PINS = {
+    "even_reverse": ((OK, "079b41717002c636"), (NOT_VERIFIED, "60a94ce174b5b775")),
+    "ex43_disjoint": ((NOT_VERIFIED, "223dee13cfe50b8a"), (NOT_VERIFIED, "223dee13cfe50b8a")),
+    "ex43_joint": ((OK, "f290eca7442dc455"), (OK, "f290eca7442dc455")),
+    "nat_plus_list": ((OK, "852d8d14f87d7620"), (NOT_VERIFIED, "1098541e01239438")),
+    "one_plus_one": ((OK, "6787862647e7c1c7"), (NOT_VERIFIED, "4fd22e8064fa0393")),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("name", sorted(_PROP_CHECK_PINS))
+def test_prop_check_output_is_pinned(name, strict):
+    code, out, _ = run("prop-check", f"corpus:{name}", *(["--strict-eq"] if strict else []))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == _PROP_CHECK_PINS[name][strict]
+    assert len(out.splitlines()) == 11
 
 
 def test_prop_solve_finds_answer():

@@ -336,6 +336,42 @@ def test_memo_tells_apart_the_bindings_placeholders_read():
             assert out.strict_equals(pg("nat(a). r(a).")), render_program(out)
 
 
+def test_calls_of_one_form_share_the_environment_of_the_caller():
+    # F's body is expanded in place with each call's argument, so G is
+    # evaluated in the one environment eval_form makes.
+    t = table("form F(X[q]) = {nat(a).}[q/r];\nform G(X, Y) = F(X) | F(Y);")
+    ev = Evaluator(t)
+    eval_form(t, "G", {"X": make_binding(pg("nat(0).")), "Y": make_binding(pg("list(nil)."))}, ev)
+    assert len(ev._envs) == 1
+
+
+def test_calls_read_only_the_arguments_the_form_reads():
+    t = table("form T(X, Z) = X;")
+    nat = make_binding(pg("nat(0)."))
+    assert Evaluator(t).eval(FormCall("T", ("X", "Z")), {"X": nat}) == nat.program
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except FormEvalError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("file", ["standard", "ex43"])
+def test_a_form_body_means_what_a_call_of_the_form_means(file):
+    # A placeholder rename reads the parameter the parser bound it to, so a
+    # body evaluated on its own gives what the call gives.
+    t = corpus.forms_table(file)
+    for name, fd in t.items():
+        for prog in ("nat", "list", "plus", "even"):
+            env = {spec.name: make_binding(corpus.program(prog)) for spec in fd.params}
+            body = _outcome(lambda: Evaluator(t).eval(fd.body, env))
+            call = _outcome(lambda: eval_form(t, name, env))
+            assert type(body) is type(call), (name, prog)
+            assert body == call if isinstance(call, str) else body.strict_equals(call), (name, prog)
+
+
 def test_evaluator_keeps_no_node_equal_to_one_it_has():
     # a node equal to one met before takes that one's position; the
     # evaluator holds no reference to it
@@ -358,9 +394,10 @@ def test_shared_evaluator_stops_growing_on_repeated_calls():
 
 
 def test_memo_tells_placeholder_renames_from_plain_ones():
-    # Inside F, `q` stands for the main predicate of X's binding; outside
-    # any form it is the predicate q.  Bindings of one program with two main
-    # predicates are two environments.
+    # The parser binds F's `q` to X, so it stands for the main predicate of
+    # X's binding; a rename built without a parameter renames the predicate
+    # q.  Bindings of one program with two main predicates are two
+    # environments.
     t = table("form F(X[q]) = X[q/r];")
     prog = pg("p(a). q(b).")
     by_p, by_q = make_binding(prog, main_pred="p"), make_binding(prog, main_pred="q")

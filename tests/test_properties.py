@@ -706,7 +706,7 @@ def _oracle_solutions(problem, budget, rejections=None):
         out = []
         for fm in forms:
             try:
-                out.append(ev.eval(fm, {"X1": make_binding(prog)}, {}))
+                out.append(ev.eval(fm, {"X1": make_binding(prog)}))
             except (FormEvalError, BudgetError):
                 out.append(None)
         return out

@@ -355,8 +355,10 @@ def test_solver_evaluates_no_form_on_the_disjoint_chain(monkeypatch):
     source = DomainSig("S", preds["a"] | preds["b"], frozenset())
     target = DomainSig("T", preds["c"], frozenset())
     problem = ProportionProblem(_chain("a", n), _chain("b", n), _chain("c", n), source, target)
-    assert solve_proportion(problem) == []
+    ev = Evaluator()
+    assert solve_proportion(problem, evaluator=ev) == []
     assert calls["eval"] == 0
+    assert not ev._envs  # no vector's environment is made
 
 
 def test_solver_output_is_verified():
