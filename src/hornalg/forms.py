@@ -325,19 +325,22 @@ class Evaluator:
     def position(self, expr) -> int:
         """The position of `expr`.  A call of a form of the table with as
         many arguments as the form has parameters takes the position of the
-        form's body with the call's arguments renamed in."""
+        form's body with the call's arguments renamed in; it is filed under
+        its own key, so each distinct call renames the body once."""
         i = self._ids.get(id(expr))
         if i is not None:
             return i
         kind = type(expr)
-        fd = self.table.get(expr.name) if kind is FormCall else None
-        if fd is not None and len(fd.params) == len(expr.args):
-            names = dict(zip([spec.name for spec in fd.params], expr.args))
-            return self.position(rename_params(fd.body, lambda n: names.get(n, n)))
         args = tuple([self.position(sub) for sub in operands(expr)])
         key = (kind, *_fields(expr), *args)
         i = self._at.get(key)
-        if i is None:
+        if i is not None:
+            return i
+        fd = self.table.get(expr.name) if kind is FormCall else None
+        if fd is not None and len(fd.params) == len(expr.args):
+            names = dict(zip([spec.name for spec in fd.params], expr.args))
+            i = self._at[key] = self.position(rename_params(fd.body, lambda n: names.get(n, n)))
+        else:
             unary = kind is Unary
             op = _BINARY[expr.op] if kind is Binary else _UNARY[expr.op] if unary else None
             arg = expr.arg if unary else ()

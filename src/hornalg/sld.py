@@ -2,15 +2,15 @@
 
 Search is determinized: leftmost atom selection, rules tried in canonical
 program order (a rule whose head clashes with the goal is not renamed),
-body goals put first in their rule's `body_order`, iterative deepening on
-the number of steps.  Each bound starts from the non-empty resolvents the
-last bound cut off, kept in depth-first order with their paths: while a
-level fits under `_FRONTIER_CAP` nodes each node is expanded once, and a
-level past the cap is dropped, so later bounds start again from the last
-level kept.  Memory stays bounded, no bound does more work than plain
-deepening, and the first proof found is still the leftmost of least
-length.  Deepening stops once a bound prunes nothing, so a
-finitely failed goal costs the same at any depth and gives None (`no`).
+body goals put first in their rule's `body_order`.  It is breadth first:
+level d holds the non-empty resolvents d steps below the query, children
+in their parents' order, so the first empty resolvent met ends the
+leftmost proof of least length, the one iterative deepening finds.  A
+level that holds no resolvent ends the search, so a finitely failed goal
+costs the same at any depth and gives None (`no`).  `max_depth` bounds
+the levels expanded and `_FRONTIER_CAP` their width: expanding a level
+wider than the cap raises `BudgetError`, so a query expands at most
+`max_depth` levels of at most `_FRONTIER_CAP` resolvents each.
 A trace records every step; when the program was assembled as a labeled
 union, each step carries the label of the sub-program its rule came from.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .errors import BudgetError
 from .semantics import GroundingBound, closed_instances, herbrand_universe, ordered_subterms
 from .syntax import (
     Atom,
@@ -37,7 +38,7 @@ from .syntax import (
 from .unify import FreshNames, apply, fresh_variant, mgu_atoms
 
 DEFAULT_MAX_DEPTH = 16
-_FRONTIER_CAP = 4096  # nodes a kept level may hold
+_FRONTIER_CAP = 4096  # resolvents a level may hold and still be expanded
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,37 +74,9 @@ def _clashes(s, t) -> bool:
                  or any(map(_clashes, s.args, t.args))))
 
 
-def _dfs(p: Program, q: Query, path: tuple, remaining: int, fresh: FreshNames,
-         cut: list) -> Optional[tuple]:
-    """The path to the first empty resolvent within `remaining` steps below
-    q, or None.  A path is () at the root, else (parent path, rule, copy,
-    unifier, resolvent).  The non-empty resolvents the bound cuts off go to
-    `cut` as (resolvent, path) in depth-first order, until it holds one more
-    than `_FRONTIER_CAP`."""
-    if q.is_empty:
-        return path
-    if remaining == 0:
-        if len(cut) <= _FRONTIER_CAP:
-            cut.append((q, path))
-        return None
-    goal = q.goals[0]
-    for rule in p:
-        if (rule.head.pred != goal.pred or rule.head.arity != goal.arity
-                or any(map(_clashes, goal.args, rule.head.args))):
-            continue
-        copy = fresh_variant(rule, fresh)
-        s = mgu_atoms(goal, copy.head)
-        if s is None:
-            continue
-        resolvent = Query(tuple(apply(s, g) for g in body_order(copy) + q.goals[1:]))
-        found = _dfs(p, resolvent, (path, rule, copy, s, resolvent), remaining - 1, fresh, cut)
-        if found is not None:
-            return found
-    return None
-
-
 def _steps(path: tuple, labels: Optional[Mapping[str, str]]) -> list:
-    """The derivation steps along a path, from the root on."""
+    """The derivation steps along a path, from the root on.  A path is ()
+    at the root, else (parent path, rule, copy, unifier, resolvent)."""
     steps = []
     while path:
         path, rule, copy, s, resolvent = path
@@ -114,31 +87,47 @@ def _steps(path: tuple, labels: Optional[Mapping[str, str]]) -> list:
 
 def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
                      labels: Optional[Mapping[str, str]] = None) -> Optional[list]:
-    """Iterative-deepening SLD search; returns the first (shortest) successful
-    derivation as a list of steps, or None within the depth budget.
-
-    Bound k searches below the last level kept, at depth d <= k, for k - d
-    steps.  The nodes of a level are their parents' children in depth-first
-    order, so the proof found is the one plain deepening from the root finds.
-    """
+    """Breadth-first SLD search; returns the first (shortest, then leftmost)
+    successful derivation as a list of steps, or None within `max_depth`
+    steps.  Expanding a level of more than `_FRONTIER_CAP` resolvents
+    raises `BudgetError`; a level at `max_depth` is never expanded."""
     fresh = FreshNames(prefix="_S")
     fresh.reserve(v.name for v in program_vars_ordered(p))
     fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
-    level, depth = [(q, ())], 0
-    for limit in range(max_depth + 1):
-        cut: list = []
+    if q.is_empty:
+        return []
+    level, width = [(q, ())], 1
+    for depth in range(max_depth):
+        if width > _FRONTIER_CAP:
+            raise BudgetError(f"SLD level {depth} holds {width} resolvents, "
+                              f"more than the frontier cap of {_FRONTIER_CAP}")
+        children, width = [], 0
         for node, path in level:
-            found = _dfs(p, node, path, limit - depth, fresh, cut)
-            if found is not None:
-                return _steps(found, labels)
-        if not cut:
+            goal = node.goals[0]
+            for rule in p:
+                if (rule.head.pred != goal.pred or rule.head.arity != goal.arity
+                        or any(map(_clashes, goal.args, rule.head.args))):
+                    continue
+                copy = fresh_variant(rule, fresh)
+                s = mgu_atoms(goal, copy.head)
+                if s is None:
+                    continue
+                resolvent = Query(tuple(apply(s, g) for g in body_order(copy) + node.goals[1:]))
+                child = (path, rule, copy, s, resolvent)
+                if resolvent.is_empty:
+                    return _steps(child, labels)
+                width += 1
+                if width <= _FRONTIER_CAP:
+                    children.append((resolvent, child))
+        if not children:
             return None
-        if len(cut) <= _FRONTIER_CAP:
-            level, depth = cut, limit
+        level = children
     return None
 
 
 def proves(p: Program, a: Atom, max_depth: int = DEFAULT_MAX_DEPTH) -> bool:
+    """True when `prove_with_trace` finds a proof of `a`; raises its
+    `BudgetError` when a level wider than the frontier cap is expanded."""
     return prove_with_trace(p, Query((a,)), max_depth) is not None
 
 
@@ -209,7 +198,9 @@ def find_rule_counterinstance(p: Program, rule: Rule,
                               bound: GroundingBound = RULE_CHECK_BOUND,
                               max_depth: int = DEFAULT_MAX_DEPTH) -> Optional[Rule]:
     """A bounded ground instance whose body atoms are all provable while its
-    head is not, or None when every checked instance passes."""
+    head is not, or None when every checked instance passes.  Raises
+    `BudgetError` when a proof search expands a level wider than the
+    frontier cap."""
     universe = herbrand_universe(p | Program([rule]), bound)
     for inst in closed_instances(rule, universe, ordered_subterms(universe)):
         if all(proves(p, b, max_depth) for b in sorted(inst.body, key=render_atom)):
@@ -221,5 +212,6 @@ def find_rule_counterinstance(p: Program, rule: Rule,
 def proves_rule(p: Program, rule: Rule, bound: GroundingBound = RULE_CHECK_BOUND,
                 max_depth: int = DEFAULT_MAX_DEPTH) -> bool:
     """True when, over the bounded instances of the rule, provability of the
-    whole body always comes with provability of the head."""
+    whole body always comes with provability of the head.  Raises
+    `BudgetError` as `find_rule_counterinstance` does."""
     return find_rule_counterinstance(p, rule, bound, max_depth) is None

@@ -191,6 +191,18 @@ def test_query_depth_budget():
     assert code == EXHAUSTED
 
 
+def test_query_past_the_frontier_cap_is_exhausted(tmp_path):
+    # Level k holds 3^k resolvents, so level 8 is the first past the cap of
+    # 4096: it is expanded at the default depth and is the last one at 8.
+    path = tmp_path / "branch.lp"
+    path.write_text("a :- a, x. a :- a, y. a :- a, z. x :- x. y :- y. z :- z.\n")
+    code, out, err = run("query", str(path), "a")
+    assert (code, out) == (EXHAUSTED, "")
+    assert err == ("budget exhausted: SLD level 8 holds 6561 resolvents, "
+                   "more than the frontier cap of 4096\n")
+    assert run("query", str(path), "a", "--depth", "8") == (EXHAUSTED, "no\n", "")
+
+
 def test_query_goal_order_ignores_fresh_names(tmp_path):
     # body goals go in the rule's own order, whatever names the renaming draws
     rules = "pair(X,Y) :- e(X), e(Y).\ne(a).\ne(b).\n"

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hornalg import corpus, semantics
+from hornalg import corpus, forms, semantics
 from hornalg.errors import BudgetError, FormEvalError, ParseError
 from hornalg.forms import (
     _BINARY,
@@ -382,6 +382,24 @@ def test_evaluator_keeps_no_node_equal_to_one_it_has():
     held = sys.getrefcount(again)
     assert ev.eval(again, env) is first
     assert sys.getrefcount(again) == held
+
+
+def test_a_call_renames_the_form_body_once(monkeypatch):
+    # an expanded call is filed under its name and arguments, so meeting
+    # the same call again renames nothing
+    renamed, rename_params = [], forms.rename_params
+
+    def counted(expr, rename):
+        renamed.append(expr)
+        return rename_params(expr, rename)
+
+    monkeypatch.setattr(forms, "rename_params", counted)
+    ev = Evaluator(corpus.forms_table())
+    first = ev.position(FormCall("G", ("X1",)))
+    assert renamed
+    renamed.clear()
+    assert ev.position(FormCall("G", ("X1",))) == first
+    assert renamed == []
 
 
 def test_shared_evaluator_stops_growing_on_repeated_calls():

@@ -1,11 +1,12 @@
 """Randomized law checks.  Each suite runs at least 500 pinned-seed cases."""
 
+import contextlib
 import copy
 import pickle
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -44,7 +45,7 @@ from hornalg.semantics import (
 )
 from hornalg.sld import DerivationStep, Query, answer_substitution, proves, render_trace
 from hornalg.syntax import (NIL, Atom, Compound, Program, Rule, Var, atom_vars, body_order,
-                            cons, is_ground, program_vars_ordered, render_atom,
+                            canonical_key, cons, is_ground, program_vars_ordered, render_atom,
                             render_program, rule_vars, term_vars)
 from hornalg.unify import FreshNames, apply, fresh_variant, mgu_atoms
 
@@ -541,17 +542,14 @@ def test_sld_and_least_model_agree():
 
 
 # ---------------------------------------------------------------------------
-# 5b. SLD search with its clash test and early exit gives the proofs of
-# plain iterative deepening
+# 5b. breadth-first SLD search with its clash test and early exit gives the
+# proofs of plain iterative deepening
 
 
-def _reference_dfs(p, q, remaining, fresh):
-    """Depth-bounded SLD with no clash test: every rule of the goal's
-    predicate is renamed and unified; its body goes first in `body_order`."""
-    if q.is_empty:
-        return []
-    if remaining == 0:
-        return None
+def _reference_steps(p, q, fresh):
+    """The steps below q, rule by rule, with no clash test: every rule of
+    the goal's predicate is renamed and unified; its body goes first in
+    `body_order`."""
     goal = q.goals[0]
     for rule in p:
         if rule.head.pred != goal.pred or rule.head.arity != goal.arity:
@@ -562,23 +560,51 @@ def _reference_dfs(p, q, remaining, fresh):
             continue
         inserted = tuple(apply(renaming, a) for a in body_order(rule))
         resolvent = Query(tuple(apply(s, g) for g in inserted + q.goals[1:]))
-        rest = _reference_dfs(p, resolvent, remaining - 1, fresh)
+        yield DerivationStep(apply(renaming, rule), s, "", resolvent)
+
+
+def _reference_dfs(p, q, remaining, fresh):
+    """Depth-bounded SLD over `_reference_steps`."""
+    if q.is_empty:
+        return []
+    if remaining == 0:
+        return None
+    for step in _reference_steps(p, q, fresh):
+        rest = _reference_dfs(p, step.resolvent, remaining - 1, fresh)
         if rest is not None:
-            return [DerivationStep(apply(renaming, rule), s, "", resolvent)] + rest
+            return [step] + rest
     return None
+
+
+def _reference_names(p, q):
+    fresh = FreshNames(prefix="_S")
+    fresh.reserve(v.name for v in program_vars_ordered(p))
+    fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
+    return fresh
 
 
 def _reference_proof(p, q, max_depth):
     """Plain iterative deepening: every bound up to `max_depth` is run
     until one gives a proof."""
-    fresh = FreshNames(prefix="_S")
-    fresh.reserve(v.name for v in program_vars_ordered(p))
-    fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
+    fresh = _reference_names(p, q)
     for limit in range(max_depth + 1):
         steps = _reference_dfs(p, q, limit, fresh)
         if steps is not None:
             return steps
     return None
+
+
+def _reference_too_wide(p, q, levels, cap):
+    """Whether one of the first `levels` levels below q, counted by a plain
+    breadth-first walk over `_reference_steps`, holds more than `cap`
+    non-empty resolvents."""
+    fresh, level = _reference_names(p, q), [q]
+    for _ in range(levels):
+        if len(level) > cap:
+            return True
+        level = [st.resolvent for node in level for st in _reference_steps(p, node, fresh)
+                 if not st.resolvent.is_empty]
+    return False
 
 
 def _rand_goal(rng, p, lists, p_var):
@@ -594,56 +620,98 @@ def _shown(steps, q):
     return None if steps is None else (render_trace(steps, q), answer_substitution(steps, q))
 
 
-def _check_sld_against_plain_deepening(monkeypatch, cap=None):
-    """Run the differential on CASES seeded programs and goals; return the
-    number of cases where a bound cut off more than `cap` nodes."""
+def _sld_cases():
+    """CASES seeded (program, query, max_depth) triples."""
     rng = random.Random(1606)
-    seen = Counter()
-    dfs, clashes = sld._dfs, sld._clashes
-    cuts = []  # the `cut` list of each bound of the current case, in order
+    for i in range(CASES):
+        lists = i % 2 == 0
+        p = rand_open_program(rng, lists)
+        query = Query(tuple(_rand_goal(rng, p, lists, 0.3 * (i % 3))
+                            for _ in range(rng.randint(1, 2))))
+        yield p, query, rng.randint(0, 8)
 
-    def counted_dfs(p, q, path, remaining, fresh, cut):
-        if not cuts or cuts[-1] is not cut:
-            cuts.append(cut)
-        return dfs(p, q, path, remaining, fresh, cut)
+
+def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
+    # A failed search that makes as many copies at max_depth + 3 as at
+    # max_depth has exited early: some level within the bound was empty.
+    seen = Counter()
+    clashes, copies = sld._clashes, []
 
     def counted_clashes(s, t):
         out = clashes(s, t)
         seen["clash"] += out
         return out
 
-    monkeypatch.setattr(sld, "_dfs", counted_dfs)
+    def counted_copy(rule, fresh):
+        copies.append(rule)
+        return fresh_variant(rule, fresh)
+
     monkeypatch.setattr(sld, "_clashes", counted_clashes)
-    if cap is not None:
-        monkeypatch.setattr(sld, "_FRONTIER_CAP", cap)
-    for i in range(CASES):
-        lists = i % 2 == 0
-        p = rand_open_program(rng, lists)
-        query = Query(tuple(_rand_goal(rng, p, lists, 0.3 * (i % 3))
-                            for _ in range(rng.randint(1, 2))))
-        max_depth = rng.randint(0, 8)
-        cuts.clear()
+    monkeypatch.setattr(sld, "fresh_variant", counted_copy)
+    for p, query, max_depth in _sld_cases():
+        copies.clear()
         steps = sld.prove_with_trace(p, query, max_depth)
         expected = _reference_proof(p, query, max_depth)
         assert _shown(steps, query) == _shown(expected, query), (render_program(p), query)
         seen["proved"] += steps is not None
         seen["open_goal"] += steps is not None and bool(answer_substitution(steps, query))
-        seen["early_exit"] += steps is None and len(cuts) <= max_depth
-        seen["overflow"] += cap is not None and any(len(c) > cap for c in cuts)
+        if steps is None:
+            made = len(copies)
+            copies.clear()
+            with contextlib.suppress(BudgetError):  # a wide level is no early exit
+                sld.prove_with_trace(p, query, max_depth + 3)
+            seen["early_exit"] += len(copies) == made
     assert all(seen[k] > CASES // 10 for k in ("proved", "open_goal", "early_exit")), seen
     assert seen["clash"], seen
-    return seen["overflow"]
-
-
-def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
-    _check_sld_against_plain_deepening(monkeypatch)
 
 
 @pytest.mark.parametrize("cap", [1, 3])
-def test_sld_search_past_a_small_frontier_cap_matches_plain_deepening(monkeypatch, cap):
-    # A level past the cap is dropped and deepening restarts from the last
-    # level kept; the proofs must not change.
-    assert _check_sld_against_plain_deepening(monkeypatch, cap) > CASES // 20
+def test_sld_search_raises_exactly_past_a_small_frontier_cap(monkeypatch, cap):
+    # The levels expanded are those above the proof and within the bound;
+    # the search raises where one of them is wider than the cap.
+    monkeypatch.setattr(sld, "_FRONTIER_CAP", cap)
+    seen = Counter()
+    for p, query, max_depth in _sld_cases():
+        expected = _reference_proof(p, query, max_depth)
+        levels = max_depth if expected is None else len(expected)
+        if _reference_too_wide(p, query, levels, cap):
+            with pytest.raises(BudgetError, match=f"more than the frontier cap of {cap}$"):
+                sld.prove_with_trace(p, query, max_depth)
+            seen["raised"] += 1
+        else:
+            steps = sld.prove_with_trace(p, query, max_depth)
+            assert _shown(steps, query) == _shown(expected, query), (render_program(p), query)
+            seen["proved"] += steps is not None
+    assert seen["raised"] > CASES // 20 and seen["proved"] > CASES // 20, seen
+
+
+def _small_programs():
+    """Every program of one rule, and of two rules one of which is a fact,
+    over p/1 and q/1 with arguments a, X, Y, f(a), f(X) and f(Y) and bodies
+    of at most two atoms, rules told apart by `canonical_key`.  A program
+    with no fact proves nothing, since each step leaves a goal, so the two
+    rules with bodies are left out."""
+    args = [Compound("a"), Var("X"), Var("Y")]
+    args += [Compound("f", (t,)) for t in args]
+    atoms = [Atom(pred, (t,)) for pred in ("p", "q") for t in args]
+    bodies = [()] + [(a,) for a in atoms] + list(combinations(atoms, 2))
+    rules = {}
+    for head, body in product(atoms, bodies):
+        rule = Rule(head, frozenset(body))
+        rules.setdefault(canonical_key(rule), rule)
+    pairs = [[r, s] for r, s in combinations(rules.values(), 2) if not (r.body and s.body)]
+    return [Program(rs) for rs in [[r] for r in rules.values()] + pairs]
+
+
+def test_sld_search_matches_plain_deepening_on_every_small_program():
+    programs = _small_programs()
+    goals = [Query((Atom("p", (t,)),)) for t in (Var("X"), Compound("f", (Compound("a"),)))]
+    proved = 0
+    for p, q in product(programs, goals):
+        steps = sld.prove_with_trace(p, q, 4)
+        assert _shown(steps, q) == _shown(_reference_proof(p, q, 4), q), (render_program(p), q)
+        proved += steps is not None
+    assert (len(programs), proved) == (4500, 3838)
 
 
 # ---------------------------------------------------------------------------

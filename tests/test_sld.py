@@ -1,6 +1,9 @@
 import unittest
 
+import pytest
+
 from hornalg import corpus, sld
+from hornalg.errors import BudgetError
 from hornalg.parser import parse_atom, parse_program, parse_query, parse_rule
 from hornalg.semantics import GroundingBound
 from hornalg.sld import (
@@ -188,30 +191,19 @@ def test_each_level_is_expanded_once(monkeypatch):
     assert len(calls) <= 11
 
 
-def test_a_level_past_the_cap_is_not_kept(monkeypatch):
-    # Level k holds 3^k nodes; only levels 0-2 fit under a cap of 16, and
-    # the x, y, z loops never fail finitely, so every bound up to 8 runs.
+def test_expanding_a_level_past_the_cap_raises(monkeypatch):
+    # Level k holds 3^k resolvents and the x, y, z loops never fail
+    # finitely.  Under a cap of 16, levels 0-2 are expanded (3 + 9 + 27
+    # copies) and level 3, 27 wide, is not.
     branching = parse_program("a :- a, x. a :- a, y. a :- a, z. x :- x. y :- y. z :- z.")
     calls = _count_copies(monkeypatch)
-    dfs, cuts, kept, nesting = sld._dfs, [], [], [0]
-
-    def counted_dfs(p, q, path, remaining, fresh, cut):
-        if not cuts or cuts[-1] is not cut:  # a new bound
-            cuts.append(cut)
-            kept.append(0)
-        kept[-1] += nesting[0] == 0  # a node of the level the bound starts from
-        nesting[0] += 1
-        try:
-            return dfs(p, q, path, remaining, fresh, cut)
-        finally:
-            nesting[0] -= 1
-
-    monkeypatch.setattr(sld, "_dfs", counted_dfs)
     monkeypatch.setattr(sld, "_FRONTIER_CAP", 16)
-    assert not proves(branching, parse_atom("a"), max_depth=8)
-    assert kept == [1, 1, 3, 9, 9, 9, 9, 9, 9]
-    assert max(len(c) for c in cuts) == 17
-    assert len(calls) <= 14_748  # plain deepening's copies
+    with pytest.raises(BudgetError, match="level 3 holds 27 resolvents, more than .* cap of 16"):
+        proves(branching, parse_atom("a"), max_depth=8)
+    assert len(calls) == 39
+    calls.clear()
+    assert not proves(branching, parse_atom("a"), max_depth=3)  # the wide last level
+    assert len(calls) == 39
 
 
 def test_copies_keep_the_rule_body_order():
