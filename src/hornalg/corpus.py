@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import forms
 from .errors import FormEvalError, ParseError, printable
-from .forms import Binding, Evaluator, make_binding, parse_forms
+from .forms import Binding, make_binding, parse_forms
 from .parser import key_value_lines, parse_program
 from .proportion import ProblemSpec, parse_proportion_file
 from .syntax import Program, render_program
@@ -117,14 +117,6 @@ def names(kind: str = "programs") -> list:
                   if entry.is_file() and entry.name.endswith(suffix))
 
 
-def evaluator() -> Evaluator:
-    """A shared evaluator over the bundled form definitions."""
-    key = ("evaluator",)
-    if key not in _cache:
-        _cache[key] = Evaluator(forms_table())
-    return _cache[key]
-
-
 def eval_form(form_name: str, *bindings) -> Program:
     """Apply a bundled form to its arguments in order; raw programs are
     wrapped in default bindings."""
@@ -132,9 +124,9 @@ def eval_form(form_name: str, *bindings) -> Program:
     params = table[form_name].params if form_name in table else ()
     if params and len(bindings) != len(params):
         raise FormEvalError(f"form {form_name} takes {len(params)} arguments, got {len(bindings)}")
-    named = {spec.name: b if isinstance(b, Binding) else make_binding(b)
-             for spec, b in zip(params, bindings)}
-    return forms.eval_form(table, form_name, named, evaluator())
+    named = {param: b if isinstance(b, Binding) else make_binding(b)
+             for param, b in zip(params, bindings)}
+    return forms.eval_form(table, form_name, named)
 
 
 # ---------------------------------------------------------------------------

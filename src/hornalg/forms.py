@@ -101,15 +101,9 @@ class FormCall:
 
 
 @dataclass(frozen=True, slots=True)
-class ParamSpec:
-    name: str
-    pred_placeholder: Optional[str] = None
-
-
-@dataclass(frozen=True, slots=True)
 class FormDef:
     name: str
-    params: tuple  # of ParamSpec
+    params: tuple  # of parameter names
     body: object
 
 
@@ -338,7 +332,7 @@ class Evaluator:
             return i
         fd = self.table.get(expr.name) if kind is FormCall else None
         if fd is not None and len(fd.params) == len(expr.args):
-            names = dict(zip([spec.name for spec in fd.params], expr.args))
+            names = dict(zip(fd.params, expr.args))
             i = self._at[key] = self.position(rename_params(fd.body, lambda n: names.get(n, n)))
         else:
             unary = kind is Unary
@@ -444,11 +438,10 @@ def eval_form(table: dict, name: str, bindings: dict,
     fd = table.get(name)
     if fd is None:
         raise FormEvalError(f"unknown form {name}")
-    params = [s.name for s in fd.params]
-    missing = [n for n in params if n not in bindings]
+    missing = [n for n in fd.params if n not in bindings]
     if missing:
         raise FormEvalError(f"missing bindings for {', '.join(missing)}")
-    extra = sorted(bindings.keys() - set(params))
+    extra = sorted(bindings.keys() - set(fd.params))
     if extra:
         raise FormEvalError(f"form {name} has no parameter {', '.join(extra)}")
     return (evaluator or Evaluator(table)).eval(fd.body, dict(bindings))
@@ -515,33 +508,32 @@ class _LpfParser(_Parser):
         self.take("LPAREN", "'('")
         params = self.commas(self.param)
         self.take("RPAREN", "')'")
-        declared = [n for s in params for n in (s.name, s.pred_placeholder) if n]
+        declared = [n for param in params for n in param if n]
         twice = sorted({n for n in declared if declared.count(n) > 1})
         if twice:
             raise self.error_at(kw, f"form {name} declares {', '.join(twice)} twice")
         self.take("EQUALS", "'='")
-        self.placeholders = {s.pred_placeholder: s.name for s in params if s.pred_placeholder}
+        self.placeholders = {pred: param for param, pred in params if pred}
         body = self.expr()
         self.take("SEMI", "';'")
-        fv = free_vars(body)
-        unknown = fv - {s.name for s in params}
+        names = tuple(param for param, _ in params)
+        unknown = free_vars(body) - set(names)
         if unknown:
             raise self.error_at(
                 kw, f"form {name} uses undeclared variables {', '.join(sorted(unknown))}")
-        self.table[name] = FormDef(name, tuple(params), body)
+        self.table[name] = FormDef(name, names, body)
 
-    def param(self) -> ParamSpec:
+    def param(self) -> tuple:
+        """A parameter's name and its predicate placeholder, or None."""
         name = self.take("VAR", "a parameter name").text
         pred = None
-        if self.at("LBRACKET"):
-            self.i += 1
+        if self.accept("LBRACKET"):
             pred = self.take("IDENT", "a predicate placeholder").text
             self.take("RBRACKET", "']'")
-        if self.at("LPAREN"):  # a variable tuple, checked and not kept
-            self.i += 1
+        if self.accept("LPAREN"):  # a variable tuple, checked and not kept
             self.commas(lambda: self.take("VAR", "a tuple placeholder"))
             self.take("RPAREN", "')'")
-        return ParamSpec(name, pred)
+        return name, pred
 
     # -- expressions ----------------------------------------------------
 
@@ -560,11 +552,9 @@ class _LpfParser(_Parser):
     def postfix(self):
         node = self.primary()
         while True:
-            if self.at("CARET"):
-                self.i += 1
+            if self.accept("CARET"):
                 node = Unary("^", node, (int(self.take("INT", "a power").text),))
-            elif self.at("LBRACKET"):
-                self.i += 1
+            elif self.accept("LBRACKET"):
                 if self.at("IDENT"):
                     old = self.take("IDENT", "a predicate name").text
                     self.take("SLASH", "'/'")
@@ -601,10 +591,9 @@ class _LpfParser(_Parser):
             return Unary(tok.text, inner)
         if tok.kind == "VAR":
             self.i += 1
-            if self.at("LPAREN"):
+            if self.accept("LPAREN"):
                 if tok.text not in self.table:
                     raise self.error_at(tok, f"call of undefined form {tok.text}")
-                self.i += 1
                 args = self.commas(lambda: self.take("VAR", "a parameter reference").text)
                 self.take("RPAREN", "')'")
                 want = len(self.table[tok.text].params)

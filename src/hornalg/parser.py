@@ -124,11 +124,18 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok.kind == kind
 
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is of `kind`; say whether it was."""
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            return False
+        self.i += 1
+        return True
+
     def commas(self, item) -> list:
         """`item ("," item)*`, each read by calling `item()`."""
         out = [item()]
-        while self.at("COMMA"):
-            self.i += 1
+        while self.accept("COMMA"):
             out.append(item())
         return out
 
@@ -144,8 +151,7 @@ class _Parser:
     def rule(self) -> Rule:
         head = self.atom()
         body: list[Atom] = []
-        if self.at("IMPLIES"):
-            self.i += 1
+        if self.accept("IMPLIES"):
             body = self.commas(self.atom)
         return Rule(head, frozenset(body))
 
@@ -186,13 +192,11 @@ class _Parser:
 
     def list_term(self) -> Term:
         self.take("LBRACKET", "'['")
-        if self.at("RBRACKET"):
-            self.i += 1
+        if self.accept("RBRACKET"):
             return NIL
         items = self.commas(self.term)
         tail: Term = NIL
-        if self.at("BAR"):
-            self.i += 1
+        if self.accept("BAR"):
             tail = self.term()
         self.take("RBRACKET", "']'")
         out = tail
@@ -227,8 +231,7 @@ def _parse_whole(text: str, source: str, what: str, parse):
     """`parse` of a fresh parser over `text`, which may end in one '.'."""
     p = _Parser(tokenize(text, source), source)
     out = parse(p)
-    if p.at("DOT"):
-        p.i += 1
+    p.accept("DOT")
     if p.peek() is not None:
         raise p.error(f"trailing input after {what}")
     return out

@@ -272,7 +272,10 @@ def _identity_items(problem: ProportionProblem, witness: ProportionWitness,
 def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
                      s: Optional[Program] = None, *, strict: bool = False,
                      evaluator: Optional[Evaluator] = None) -> CheckReport:
-    """Verify a witness for P : Q :: R : S, item by item."""
+    """Verify a witness for P : Q :: R : S, item by item.  A witness that
+    calls named forms needs their table, which reaches the checker only
+    through `evaluator` (`Evaluator(spec.table)` for a parsed problem);
+    without one, such a call raises `ProportionError`."""
     s_prog = s if s is not None else problem.s
     if s_prog is None:
         raise ProportionError("no candidate for the fourth program")
@@ -313,18 +316,10 @@ def check_proportion(problem: ProportionProblem, witness: ProportionWitness,
 # ---------------------------------------------------------------------------
 # Derived rearrangements
 
-_XVAR_RE = re.compile(r"^X([0-9]+)$")
-
-
 def _shift_expr(expr, offset: int):
-    """Rename every variable X{i} in a form expression to X{i+offset}."""
-    def shift_name(name: str) -> str:
-        m = _XVAR_RE.match(name)
-        if m is None:
-            raise ProportionError(f"cannot shift non-positional variable {name}")
-        return f"X{int(m.group(1)) + offset}"
-
-    return rename_params(expr, shift_name)
+    """Rename every variable X{i} in a form expression to X{i+offset}; a
+    witness's forms read no other name."""
+    return rename_params(expr, lambda n: f"X{int(n[1:]) + offset}")
 
 
 # The three standard rearrangements of P : Q :: R : S, each with the
@@ -442,23 +437,17 @@ def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
 
 def vector_pool(rules: tuple, budget: SolveBudget) -> list:
     """Programs formed from subsets of the given rules, smallest first."""
-    out: list = []
-    seen = set()
-    for size in range(0, min(budget.max_vector_rules, len(rules)) + 1):
-        for combo in combinations(rules, size):
-            prog = Program(combo)
-            if prog not in seen:
-                seen.add(prog)
-                out.append(prog)
-    return out
+    return [Program(combo) for size in range(min(budget.max_vector_rules, len(rules)) + 1)
+            for combo in combinations(rules, size)]
 
 
 def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] = None,
                      evaluator: Optional[Evaluator] = None) -> list:
     """All verified candidates for the fourth program within the budget,
-    with witnesses.  Per (line, F, G) only vector pairs not pointwise
-    enlargeable to another verified pair are kept; results are in a
-    canonical order and capped at `budget.max_solutions`."""
+    with witnesses.  Per (line, F, G) a verified vector pair is dropped
+    when another verified pair has both its vectors inside this pair's, so
+    only the smallest pairs are kept; results are in a canonical order and
+    capped at `budget.max_solutions`."""
     budget = budget or SolveBudget()
     ev = evaluator or Evaluator()
     # The first form of each evaluator position, or one candidate would be
@@ -634,16 +623,13 @@ def parse_binding_spec(text: str, load: Callable[[str], Program]) -> Binding:
     try:
         # The path is blanked, so columns count from the start of `text`.
         p = _Parser(tokenize(" " * cut + text[cut:], source), source)
-        if p.at("LBRACKET"):
-            p.i += 1
+        if p.accept("LBRACKET"):
             main = p.take("IDENT", "a predicate name").text
-            if p.at("SLASH"):
-                p.i += 1
+            if p.accept("SLASH"):
                 program = program.rename_predicate(main, p.take("IDENT", "a predicate name").text)
                 main = None
             p.take("RBRACKET", "']'")
-        if p.at("LPAREN"):
-            p.i += 1
+        if p.accept("LPAREN"):
             names = p.commas(lambda: p.take("VAR", "a variable").text)
             p.take("RPAREN", "')'")
         if p.peek() is not None:

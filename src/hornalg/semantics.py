@@ -51,8 +51,6 @@ from .syntax import (
 )
 from .unify import _apply_term, _match_term, apply, match_atom
 
-Interpretation = frozenset  # of ground Atom
-
 DEFAULT_TERM_DEPTH = 6
 DEFAULT_MAX_ATOMS = 200_000
 

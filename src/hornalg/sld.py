@@ -203,7 +203,7 @@ def find_rule_counterinstance(p: Program, rule: Rule,
     frontier cap."""
     universe = herbrand_universe(p | Program([rule]), bound)
     for inst in closed_instances(rule, universe, ordered_subterms(universe)):
-        if all(proves(p, b, max_depth) for b in sorted(inst.body, key=render_atom)):
+        if all(proves(p, b, max_depth) for b in body_order(inst)):
             if not proves(p, inst.head, max_depth):
                 return inst
     return None

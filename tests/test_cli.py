@@ -556,6 +556,12 @@ def test_form_eval_bind_needs_an_equals_sign():
     assert err == "error: --bind expects NAME=SPEC, got 'corpus:nat'\n"
 
 
+def test_form_eval_binding_needs_a_path():
+    code, out, err = run("form-eval", "corpus:standard.lpf", "Plus", "--bind", "X=[nat]")
+    assert code == INPUT_ERROR and out == ""
+    assert err == "error: cannot parse binding spec '[nat]'\n"
+
+
 def test_form_eval_rejects_a_name_the_form_does_not_declare():
     code, out, err = run("form-eval", "corpus:standard", "Plus",
                          "--bind", "X=corpus:nat", "--bind", "Q=corpus:list")

@@ -84,10 +84,11 @@ def test_calls_resolve_to_earlier_forms():
 
 
 def test_param_placeholders():
-    t = table("form T(X[q](Xs)) = X;")
-    (p,) = t["T"].params
-    assert p.name == "X"
-    assert p.pred_placeholder == "q"
+    # the parser binds the placeholder into the rename that uses it, so the
+    # form keeps only its parameter names
+    t = table("form T(X[q](Xs)) = X[q/r];")
+    assert t["T"].params == ("X",)
+    assert t["T"].body.arg == ("q", "r", "X")
     # the tuple is checked, though it has no effect
     for bad in ("form T(X(xs)) = X;", "form T(X()) = X;"):
         with pytest.raises(ParseError):
@@ -155,7 +156,7 @@ def test_malformed_form_files_are_parse_errors(text, message):
 def test_calls_and_tuples_take_several_names():
     t = table("form A(X, Y) = X | Y; form B(X(U, V, W), Y) = A(Y, X);")
     assert t["B"].body == FormCall("A", ("Y", "X"))
-    assert [p.name for p in t["B"].params] == ["X", "Y"]
+    assert t["B"].params == ("X", "Y")
     a, b = make_binding(pg("p(a).")), make_binding(pg("q(b)."))
     assert eval_form(t, "B", {"X": a, "Y": b}) == pg("p(a). q(b).")
 
@@ -365,7 +366,7 @@ def test_a_form_body_means_what_a_call_of_the_form_means(file):
     t = corpus.forms_table(file)
     for name, fd in t.items():
         for prog in ("nat", "list", "plus", "even"):
-            env = {spec.name: make_binding(corpus.program(prog)) for spec in fd.params}
+            env = {param: make_binding(corpus.program(prog)) for param in fd.params}
             body = _outcome(lambda: Evaluator(t).eval(fd.body, env))
             call = _outcome(lambda: eval_form(t, name, env))
             assert type(body) is type(call), (name, prog)
@@ -402,13 +403,15 @@ def test_a_call_renames_the_form_body_once(monkeypatch):
     assert renamed == []
 
 
-def test_shared_evaluator_stops_growing_on_repeated_calls():
-    nat = corpus.program("nat")
-    corpus.eval_form("Even", nat)
-    ids = len(corpus.evaluator()._ids)
+def test_long_lived_evaluator_stops_growing_on_repeated_calls():
+    t = corpus.forms_table()
+    ev = Evaluator(t)
+    env = {"X": make_binding(corpus.program("nat"))}
+    eval_form(t, "Even", env, ev)
+    ids = len(ev._ids)
     for _ in range(1000):
-        corpus.eval_form("Even", nat)
-    assert len(corpus.evaluator()._ids) == ids
+        eval_form(t, "Even", env, ev)
+    assert len(ev._ids) == ids
 
 
 def test_memo_tells_placeholder_renames_from_plain_ones():

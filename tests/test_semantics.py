@@ -177,6 +177,15 @@ def test_tp_step_applies_rules_once():
     assert out == frozenset({parse_atom("nat(0)"), parse_atom("nat(s(0))")})
 
 
+def test_tp_step_overflows_past_its_atom_budget():
+    # An explicit universe builds nothing, so only the step's heads can pass
+    # the budget: three instances of p(X) fit under 3 atoms and not under 2.
+    p, u = pg("p(X)."), frozenset({term("a"), term("b"), term("c")})
+    assert len(tp_step(p, [], GroundingBound(universe=u, max_atoms=3))) == 3
+    with pytest.raises(GroundingOverflowError):
+        tp_step(p, [], GroundingBound(universe=u, max_atoms=2))
+
+
 def test_least_model_nat():
     lm = least_model(NAT, GroundingBound(max_term_depth=3))
     assert lm == frozenset(

@@ -40,6 +40,9 @@ class ProofSearchTest(unittest.TestCase):
         self.assertEqual(len(steps), 2)
         self.assertTrue(steps[-1].resolvent.is_empty)
 
+    def test_empty_query_is_proved_in_no_steps(self):
+        self.assertEqual(prove_with_trace(NAT, Query(())), [])
+
     def test_shortest_derivation_is_found_first(self):
         p = parse_program("p(a) :- q. p(a). q.")
         steps = prove_with_trace(p, Query((parse_atom("p(a)"),)))
