@@ -465,7 +465,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
 
     # A candidate is verified by the form checks of `check_proportion`.
     # Every pool form passes the fixed material check (see `form_pool`), so
-    # only non-constancy is run, once per form a candidate needs.  The
+    # only non-constancy is run, on the pairs the ranking pulls.  The
     # domain checks hold by construction.  Source vectors are rule sets of
     # P | Q, which lie in the source domain, and target vectors rule sets of
     # R, which lies in the target; the ffgg line is tried only when P, Q and
@@ -525,7 +525,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # when the lookups match, and the lookups read the values that
     # `check_proportion`'s `Evaluator.eval` gives, with the same Program
     # equality, so the check would agree.
-    blocks: dict = {}  # (line, source vector, target vector) -> its (F, G), as sets
+    blocks: dict = {}  # (line, source vector, target vector) -> its fitting (F, G), as sets
     by_s: dict = {}  # S -> (block, F, G in text order) of each block giving it
     f_gives_s = {line: ("s", "f", "r") in eqs for line, eqs in _LINE_EQUATIONS.items()}
     for line in _LINES:
@@ -537,6 +537,8 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         gives = {form + vec: known.get(prog) for prog, form, vec in _LINE_EQUATIONS[line]}
         f_source, f_target, g_source, g_target = (gives[fv] for fv in ("fp", "fr", "gp", "gr"))
         treach = [ti for ti, tv in enumerate(tvecs) if reach(tv, f_target) and reach(tv, g_target)]
+        if not treach:
+            continue
         for si, sv in enumerate(svecs):
             if not (reach(sv, f_source) and reach(sv, g_source)):
                 continue
@@ -547,11 +549,8 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
             for ti in treach:
                 value = tval(ti)
                 fs = fitting(f_at, value, f_target)
-                gs = fitting(g_at, value, g_target)
-                # The form checks run last: they evaluate the forms on the probes.
-                fs = [i for i in fs if form_ok(i)] if gs else ()
-                gs = [i for i in gs if form_ok(i)] if fs else ()
-                if not (fs and gs):
+                gs = fitting(g_at, value, g_target) if fs else ()
+                if not gs:
                     continue
                 gs.sort(key=lambda i: (len(text(i)), text(i)))  # the key grows along a row
                 block = (line, si, ti)
@@ -564,7 +563,10 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
                         (block, part, gs) if f_gives_s[line] else (block, fs, part))
 
     # A pair (F, G) of a block is dropped when another block on its line,
-    # with vectors pointwise inside its own, holds F and G too.
+    # with vectors pointwise inside its own, holds F and G too.  Both
+    # blocks agree on whether the pair verifies, which depends on F and G
+    # alone, so checking pulled pairs only keeps the output of checking
+    # every block first.
     def inside(vecs: list):
         """Per index, on first use, the indices of the vectors inside it."""
         return cache(lambda i: [a for a, sub in enumerate(vecs) if sub.issubset(vecs[i])])
@@ -596,7 +598,7 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         if len(out) >= budget.max_solutions:
             break
         merged = merge(*[row(block, f, gs) for block, fs, gs in by_s[s] for f in fs])
-        out.extend(islice((c for c in merged if not any(
+        out.extend(islice((c for c in merged if form_ok(c[2]) and form_ok(c[3]) and not any(
             c[2] in fs and c[3] in gs for fs, gs in lower(c[1]))), budget.witnesses_per_s))
     return [ProportionSolution(tval(ti)(f if f_gives_s[line] else g), ProportionWitness(
                 forms[f], forms[g], (make_binding(svecs[si]),), (make_binding(tvecs[ti]),), line))

@@ -293,10 +293,10 @@ class _Plan:
             # A condition shares no variable with the head or the core, so
             # its variables in `bound` change no key or open argument here.
             opens, head_vars = [], set()
-            for t in rule.head.args:
+            for j, t in enumerate(rule.head.args):
                 vs = set(term_vars(t))
                 if not bound.issuperset(vs):
-                    opens.append((t, () if isinstance(t, Var) else
+                    opens.append((j, t, () if isinstance(t, Var) else
                                   _key(term_keys, (t.functor, len(t.args)), t.args, bound)))
                 bound |= vs
                 head_vars |= vs
@@ -327,12 +327,17 @@ class _Plan:
         head-only variable takes only values that keep them closed."""
         head, body, body_keys, opens = rule_plan
         steps = [(match_atom, src, b, key) for src, b, key in zip(sources, body, body_keys)]
-        steps += [(_match_term, self.terms, t, key) for t, key in opens]
+        steps += [(_match_term, self.terms, t, key) for _, t, key in opens]
         universe = self.universe
         all_open = len(opens) == len(head.args)
+        # An open argument is already the universe term it matched; None marks it.
+        open_at = {j for j, _, _ in opens}
+        shut = [None if j in open_at else t for j, t in enumerate(head.args)]
 
         def close(s: dict, vals: tuple) -> Optional[Atom]:  # `vals`: the open arguments
-            args = vals if all_open else tuple([universe.get(t) for t in apply(s, head).args])
+            it = iter(vals)
+            args = vals if all_open else tuple(
+                [next(it) if t is None else universe.get(_apply_term(s, t)) for t in shut])
             return None if None in args else Atom(head.pred, args)
 
         # `vals` holds the universe terms matched by the head steps so far.

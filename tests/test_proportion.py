@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from hornalg import algebra, corpus
+from hornalg import algebra, corpus, proportion
 from hornalg.errors import FormEvalError, ProportionError
 from hornalg.forms import (
     Binary,
@@ -517,6 +517,26 @@ def test_solver_composes_each_operand_pair_once(monkeypatch):
         assert max(calls.values(), default=1) == 1, calls.most_common(1)
         composed += len(calls)
     assert composed > 0
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", corpus.names("proportions"))
+def test_solver_checks_only_the_forms_it_returns(monkeypatch, name, depth):
+    # Non-constancy runs on the pairs the ranking pulls, not on every
+    # form that fits a block.
+    checked = set()
+    is_nonconstant = proportion.is_nonconstant
+
+    def counting(form, ev):
+        checked.add(form_to_text(form))
+        return is_nonconstant(form, ev)
+
+    monkeypatch.setattr(proportion, "is_nonconstant", counting)
+    spec = corpus.problem_spec(name)
+    solutions = solve_proportion(spec.problem, SolveBudget(max_form_depth=depth),
+                                 Evaluator(spec.table))
+    assert checked == {form_to_text(f) for sol in solutions
+                       for f in (sol.witness.f, sol.witness.g)}
 
 
 def _output_digest(solutions) -> str:
