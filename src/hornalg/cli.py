@@ -202,6 +202,8 @@ def _parse_budget(text: Optional[str]) -> Optional[SolveBudget]:
         key, value = (s.strip() for s in part.split("=", 1))
         if key not in fields or not (value.isascii() and value.isdigit()):
             raise ProportionError(f"bad budget entry {part!r}")
+        if fields[key] in values:
+            raise ProportionError(f"duplicate budget key {key}")
         values[fields[key]] = int(value)
     return SolveBudget(**values)
 

@@ -287,9 +287,14 @@ class Evaluator:
 
     Each distinct expression (by kind, `_fields` and operands) gets a
     position the first time it is met, after its operands; a call of a form
-    shares the position of the form's body (see `position`).  Values are
-    kept per environment (the bindings, told apart by `name_key` and main
-    predicate) by position, and computed the first time they are read.  A
+    shares the position of the form's body (see `place`).  A node built
+    over operands that already have positions is positioned from them by
+    `place`, without walking it; `position` walks any other expression.
+    Values are kept per environment (the bindings, told apart by
+    `name_key` and main predicate) by position.  `values` reads them
+    lazily, each computed the first time it is read; `fill` computes every
+    position below a bound in one pass in position order, where each
+    node's operands come before it.  Both take one step per position: a
     `Binary` or `Unary` node applies its table entry's operation to its
     operands' values once per distinct operand `name_key`s and `arg` over
     all environments: concatenation sees variable names, so `{q(X).}` and
@@ -312,20 +317,24 @@ class Evaluator:
         # `arg` without the parameter a placeholder rename reads, and that
         # parameter or None).
         self._plan: list = []
-        self._envs: dict = {}  # environment key -> (values, failures) by position
+        self._envs: dict = {}  # environment key -> (value, failures, fill) of the environment
         self._applied: dict = {}  # (operation, operand name_keys, arg) -> (value, failure)
         self._probes: dict = {}  # free variable names -> value functions of the probes
 
     def position(self, expr) -> int:
-        """The position of `expr`.  A call of a form of the table with as
-        many arguments as the form has parameters takes the position of the
-        form's body with the call's arguments renamed in; it is filed under
-        its own key, so each distinct call renames the body once."""
+        """The position of `expr`, walking whatever part of it has none."""
         i = self._ids.get(id(expr))
         if i is not None:
             return i
+        return self.place(expr, tuple([self.position(sub) for sub in operands(expr)]))
+
+    def place(self, expr, args: tuple) -> int:
+        """The position of `expr`, whose operands are at the positions
+        `args`.  A call of a form of the table with as many arguments as the
+        form has parameters takes the position of the form's body with the
+        call's arguments renamed in; it is filed under its own key, so each
+        distinct call renames the body once."""
         kind = type(expr)
-        args = tuple([self.position(sub) for sub in operands(expr)])
         key = (kind, *_fields(expr), *args)
         i = self._at.get(key)
         if i is not None:
@@ -348,17 +357,23 @@ class Evaluator:
         where it fails to evaluate."""
         return self._env(env)[0]
 
+    def fill(self, env: dict, stop: int) -> list:
+        """The values in `env` of the positions below `stop`, None where a
+        form fails, computed in one pass in position order."""
+        return self._env(env)[2](stop)
+
     def eval(self, expr, env: Optional[dict] = None) -> Program:
         i = self.position(expr)
-        value, failures = self._env(env or {})
+        value, failures, _ = self._env(env or {})
         out = value(i)
         if out is None:
             raise failures[i].with_traceback(None)
         return out
 
     def _env(self, env: dict) -> tuple:
-        """`(value, failures)` of `env`: the value at a position, computed on
-        first read, and what was raised where it is None."""
+        """`(value, failures, fill)` of `env`: the value at a position,
+        computed on first read, what was raised where it is None, and the
+        one-pass fill of the positions below a bound."""
         key = tuple(sorted([(n, b.program.name_key(), b.main_pred) for n, b in env.items()]))
         hit = self._envs.get(key)
         if hit is None:
@@ -370,50 +385,70 @@ class Evaluator:
         vals: list = []  # by position; positions met later extend it
         failures: dict = {}
 
+        def compute(positions) -> None:
+            """Computes each unread position of `positions`, in order, from
+            its operands' values, which are there already up to the first
+            that fails."""
+            for i in positions:
+                if vals[i] is not _UNREAD:
+                    continue
+                node, args, op, arg, param = plan[i]
+                out = failure = None
+                xs, key = [], [op]
+                for a in args:
+                    if (x := vals[a]) is None:
+                        failure = failures[a]
+                        break
+                    xs.append(x)
+                    key.append(x.name_key())
+                else:
+                    try:
+                        if op is None:
+                            out = self._eval(node, env)
+                        else:
+                            if param is not None:
+                                b = env.get(param)
+                                if b is None or b.main_pred is None:
+                                    raise FormEvalError(f"placeholder {arg[0]} has no main"
+                                                        " predicate to resolve against")
+                                arg = (b.main_pred, arg[1])
+                            key = (*key, *arg)
+                            done = applied.get(key)
+                            if done is None:
+                                try:
+                                    done = (op(*xs, *arg), None)
+                                except _FAILURES as e:
+                                    done = (None, e)
+                                applied[key] = done
+                            out, failure = done
+                    except _FAILURES as e:
+                        failure = e
+                vals[i] = out
+                if out is None:
+                    failures[i] = failure
+
         def value(i: int) -> Optional[Program]:
             try:
                 out = vals[i]
             except IndexError:
                 vals.extend([_UNREAD] * (len(plan) - len(vals)))
                 out = _UNREAD
-            if out is not _UNREAD:
-                return out
-            node, args, op, arg, param = plan[i]
-            out = failure = None
-            xs = []
-            for a in args:
-                if (x := value(a)) is None:
-                    failure = failures[a]
-                    break
-                xs.append(x)
-            else:
-                try:
-                    if op is None:
-                        out = self._eval(node, env)
-                    else:
-                        if param is not None:
-                            b = env.get(param)
-                            if b is None or b.main_pred is None:
-                                raise FormEvalError(
-                                    f"placeholder {arg[0]} has no main predicate to resolve against")
-                            arg = (b.main_pred, arg[1])
-                        key = (op, *[x.name_key() for x in xs], *arg)
-                        done = applied.get(key)
-                        if done is None:
-                            try:
-                                done = (op(*xs, *arg), None)
-                            except _FAILURES as e:
-                                done = (None, e)
-                            applied[key] = done
-                        out, failure = done
-                except _FAILURES as e:
-                    failure = e
-            vals[i] = out
-            if out is None:
-                failures[i] = failure
+            if out is _UNREAD:  # its operands first, up to one that fails
+                for a in plan[i][1]:
+                    if (x := vals[a]) is _UNREAD:
+                        x = value(a)
+                    if x is None:
+                        break
+                compute((i,))
+                out = vals[i]
             return out
 
-        return value, failures
+        def fill(stop: int) -> list:
+            vals.extend([_UNREAD] * (len(plan) - len(vals)))
+            compute(range(stop))  # each operand comes before the nodes over it
+            return vals[:stop]
+
+        return value, failures, fill
 
     def _eval(self, expr, env: dict) -> Program:
         """The value of a variable or a literal in `env`, or the failure of a

@@ -43,7 +43,7 @@ from .forms import (
     rename_params,
 )
 from .parser import _Parser, key_value_lines, tokenize
-from .syntax import Program, Rule, Var, render_atom, render_program
+from .syntax import Program, Rule, Var, render_atom, render_program, term_functors
 
 # ---------------------------------------------------------------------------
 # Domains
@@ -404,34 +404,43 @@ class ProportionSolution:
     witness: ProportionWitness
 
 
-def form_pool(problem: ProportionProblem, budget: SolveBudget) -> list:
+def form_pool(problem: ProportionProblem, budget: SolveBudget,
+              place: Optional[Callable] = None) -> list:
     """Candidate forms over one variable X1: atoms of the problem that both
     domains allow (as single-fact literals), closed under the unary
     operations and — with a primary left operand — the binary ones, up to
     the depth budget.  Generation stops at `budget.max_forms` forms.
 
+    Each form's operands are earlier pool forms.  `place`, where given, is
+    called on each form as it is made, with its operands' positions, and
+    returns the form's position: `Evaluator.place` positions the pool
+    without walking any form.
+
     Every pool form passes `fixed_material_offences`, which the solver does
     not run: each literal lies in the domain intersection, and no operation
     of `_UNARY_OPS` or `_BINARY` renames or substitutes."""
+    place = place or (lambda form, args: None)
     inter = problem.source.intersection(problem.target)
     atoms = {}
     for prog in (problem.p, problem.q, problem.r):
         for a in prog.all_atoms():
-            lit = Program([Rule(a)])
-            if in_domain(lit, inter):
-                atoms.setdefault(render_atom(a), Lit(lit))
-    primaries: list = [VarRef("X1")] + [atoms[k] for k in sorted(atoms)]
-    pool = primaries[: budget.max_forms]
-    level = primaries
+            # the atom as a one-fact program lies in the intersection
+            if a.pred in inter.preds and {f for f, _ in term_functors(*a.args)} <= inter.functors:
+                if (key := render_atom(a)) not in atoms:
+                    atoms[key] = Lit(Program([Rule(a)]))
+    lits = [atoms[k] for k in sorted(atoms)]
+    # (form, position) pairs of the primaries and of the level last made
+    primaries = level = [(fm, place(fm, ())) for fm in ([VarRef("X1")] + lits)[: budget.max_forms]]
+    pool = [fm for fm, _ in level]
     for _ in range(budget.max_form_depth):
         if len(pool) >= budget.max_forms:
             break
         prev = level
-        level = list(islice(chain(
-            (Unary(op, e) for op in _UNARY_OPS for e in prev),
-            (Binary(op, l, r) for op in _BINARY for l in primaries for r in prev),
-        ), budget.max_forms - len(pool)))
-        pool.extend(level)
+        level = [(fm, place(fm, args)) for fm, args in islice(chain(
+            ((Unary(op, e), (i,)) for op in _UNARY_OPS for e, i in prev),
+            ((Binary(op, l, r), (j, i)) for op in _BINARY for l, j in primaries for r, i in prev),
+        ), budget.max_forms - len(pool))]
+        pool.extend(fm for fm, _ in level)
     return pool
 
 
@@ -454,8 +463,14 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
     # found once per copy.  Positions tell {q(X).} from {q(Y).}, which are
     # equal programs that concatenation tells apart.
     forms: dict = {}
-    for fm in form_pool(problem, budget):
-        forms.setdefault(ev.position(fm), fm)
+
+    def place(fm, args: tuple) -> int:
+        i = ev.place(fm, args)
+        forms.setdefault(i, fm)
+        return i
+
+    form_pool(problem, budget, place)
+    stop = max(forms, default=-1) + 1  # past the last pool position
     svecs = vector_pool((problem.p | problem.q).rules, budget)
     tvecs = vector_pool(problem.r.rules, budget)
     P, Q, R = problem.p, problem.q, problem.r
@@ -501,19 +516,20 @@ def solve_proportion(problem: ProportionProblem, budget: Optional[SolveBudget] =
         return [i for i in positions if value(i) == want]
 
     # Each vector's values by position, from the evaluator, made on first
-    # use.  A target vector is read only where a source lookup points; a
-    # source vector is read wherever it reaches what a line needs, to find
-    # the positions giving P, Q or R, the only values the lines look up.
+    # use.  A target vector is read lazily, only where a source lookup
+    # points; a source vector is read wherever it reaches what a line needs,
+    # in one pass over the pool's positions, to find the positions giving
+    # P, Q or R, the only values the lines look up.
     @cache
     def tval(ti: int) -> Callable:
         return ev.values(_vec_env((make_binding(tvecs[ti]),)))
 
     @cache
     def lookup(si: int) -> dict:
-        value = ev.values(_vec_env((make_binding(svecs[si]),)))
+        vals = ev.fill(_vec_env((make_binding(svecs[si]),)), stop)
         by_value: dict = {P: [], Q: [], R: []}
         for i in forms:
-            if (v := value(i)) is not None and (hit := by_value.get(v)) is not None:
+            if (v := vals[i]) is not None and (hit := by_value.get(v)) is not None:
                 hit.append(i)
         return by_value
 

@@ -643,3 +643,11 @@ def test_prop_solve_budget_skips_empty_entries():
     spaced = run("prop-solve", "corpus:ex43_joint", "--budget", "depth=1,,vec=1")
     assert spaced[0] == OK
     assert spaced == run("prop-solve", "corpus:ex43_joint", "--budget", "depth=1,vec=1")
+
+
+def test_prop_solve_budget_rejects_a_repeated_key():
+    # a `.prop` file rejects a duplicate key, and so does the budget
+    for budget in ("depth=1,depth=2", "depth=1, vec=1, depth=1"):
+        code, out, err = run("prop-solve", "corpus:ex43_joint", "--budget", budget)
+        assert (code, out) == (INPUT_ERROR, "")
+        assert "duplicate budget key depth" in err

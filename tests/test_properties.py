@@ -19,8 +19,8 @@ from hornalg.errors import (
     FormEvalError,
     ProportionError,
 )
-from hornalg.forms import (PROBE_PROGRAMS, Evaluator, form_to_text, free_vars, is_nonconstant,
-                          make_binding)
+from hornalg.forms import (PROBE_PROGRAMS, Evaluator, FormCall, form_to_text, free_vars,
+                          is_nonconstant, make_binding)
 from hornalg.parser import parse_program
 from hornalg.proportion import (
     DomainSig,
@@ -988,6 +988,73 @@ def _assert_pool_values_match_evaluator(problem, table, budget):
             else:
                 # equal down to variable names, which concatenation sees
                 assert got is not None and got.name_key() == want.name_key(), form_to_text(fm)
+
+
+def _outcome(ev, form, env):
+    """`name_key` of the form's value in `env`, or the type and message of
+    what it failed with."""
+    try:
+        return ev.eval(form, env).name_key()
+    except (FormEvalError, BudgetError) as e:
+        return type(e), str(e)
+
+
+def _positioned(ev, problem, table, budget) -> dict:
+    """Position -> first form, over the pool and every form of the table
+    called with X1 for each parameter (placeholder renames, calls that
+    fail), in the order `form_pool` and the calls position them."""
+    forms = {}
+
+    def place(fm, args):
+        i = ev.place(fm, args)
+        forms.setdefault(i, fm)
+        return i
+
+    form_pool(problem, budget, place)
+    for name, fd in table.items():
+        call = FormCall(name, ("X1",) * len(fd.params))
+        forms.setdefault(ev.position(call), call)
+    return forms
+
+
+def _assert_pass_matches_lazy_reader(problem, table, budget):
+    """On each source vector, the one-pass read (`Evaluator.fill`) and the
+    lazy reader (`Evaluator.values`) of two evaluators agree at every
+    position: values by `name_key`, failures by type and message."""
+    onepass, lazy = Evaluator(table), Evaluator(table)
+    forms = _positioned(onepass, problem, table, budget)
+    assert list(_positioned(lazy, problem, table, budget).items()) == list(forms.items())
+    stop = max(forms) + 1
+    for vec in vector_pool((problem.p | problem.q).rules, budget):
+        env = {"X1": make_binding(vec)}
+        vals = onepass.fill(env, stop)
+        value = lazy.values(env)
+        # read backwards, the lazy reader evaluates operands on demand
+        for i in sorted(forms, reverse=True):
+            fm = forms[i]
+            v = value(i)
+            want = v.name_key() if v is not None else _outcome(lazy, fm, env)
+            # `eval` reads what the pass left at a failing position
+            got = vals[i].name_key() if vals[i] is not None else _outcome(onepass, fm, env)
+            assert got == want, (form_to_text(fm), render_program(vec))
+
+
+def _pass_problems():
+    """Every bundled problem at form depths 1 and 2, then 100 seeded random
+    ones, each read with the ex43 and the standard forms in turn."""
+    for name in corpus.names("proportions"):
+        spec = corpus.problem_spec(name)
+        for depth in (1, 2):
+            yield spec.problem, spec.table, SolveBudget(max_form_depth=depth)
+    rng = random.Random(2727)
+    tables = [corpus.forms_table("ex43"), corpus.forms_table("standard")]
+    for k in range(100):
+        yield _rand_problem(rng), tables[k % 2], SolveBudget(max_form_depth=2)
+
+
+def test_one_pass_read_matches_the_lazy_reader():
+    for problem, table, budget in _pass_problems():
+        _assert_pass_matches_lazy_reader(problem, table, budget)
 
 
 def _assert_nonconstancy_ignores_sharing(problem, table, budget):

@@ -484,6 +484,40 @@ def test_pool_values_keep_the_first_form_of_each_expr_key():
     assert ev.values({"X1": make_binding(pg("r."))})(3) == pg("r. q(X).")
 
 
+def test_solver_walks_no_pool_form_from_its_root(monkeypatch):
+    # `form_pool` hands each form to `Evaluator.place` with its operands'
+    # positions as it makes it, so `position` is only asked for forms that
+    # have one already, and never descends into an operand.
+    calls, nested, depth = [], [], [0]
+    position = Evaluator.position
+
+    def watched(self, expr):
+        calls.append(expr)
+        if depth[0]:
+            nested.append(expr)
+        depth[0] += 1
+        try:
+            return position(self, expr)
+        finally:
+            depth[0] -= 1
+
+    checked, is_nonconstant = [], proportion.is_nonconstant
+
+    def counted(expr, ev):
+        checked.append(expr)
+        return is_nonconstant(expr, ev)
+
+    monkeypatch.setattr(Evaluator, "position", watched)
+    monkeypatch.setattr(proportion, "is_nonconstant", counted)
+    spec = joint_spec()
+    budget = SolveBudget(max_form_depth=2)
+    assert len(form_pool(spec.problem, budget)) == 1905
+    assert solve_proportion(spec.problem, budget, Evaluator(spec.table))
+    assert nested == []
+    # what is left is `is_nonconstant` reading back the forms it checks
+    assert calls == checked and calls
+
+
 def test_operation_memo_tells_operands_apart_by_name():
     # {q(X).} and {q(Y).} are equal programs, but concatenation sees the
     # names, so the memo must not hand one's result to the other.
