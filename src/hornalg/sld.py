@@ -1,16 +1,20 @@
 """SLD-resolution: derivations, proofs, and labeled traces.
 
 Search is determinized: leftmost atom selection, rules tried in canonical
-program order (a rule whose head clashes with the goal is not renamed),
-body goals put first in their rule's `body_order`.  It is breadth first:
-level d holds the non-empty resolvents d steps below the query, children
-in their parents' order, so the first empty resolvent met ends the
-leftmost proof of least length, the one iterative deepening finds.  A
-level that holds no resolvent ends the search, so a finitely failed goal
-costs the same at any depth and gives None (`no`).  `max_depth` bounds
-the levels expanded and `_FRONTIER_CAP` their width: expanding a level
-wider than the cap raises `BudgetError`, so a query expands at most
-`max_depth` levels of at most `_FRONTIER_CAP` resolvents each.
+program order, body goals put first in their rule's `body_order`.  A step
+unifies the goal with the rule as the program stores it; only the rule
+variables that escape the step, those left in the resolvent or in the
+bindings of the goal's variables, get fresh `_S` names, and only when the
+rule unifies.  A rule sharing a variable name with the query is renamed
+apart once per search.  Search is breadth first: level d holds the
+non-empty resolvents d steps below the query, children in their parents'
+order, so the first empty resolvent met ends the leftmost proof of least
+length, the one iterative deepening finds.  A level that holds no
+resolvent ends the search, so a finitely failed goal costs the same at
+any depth and gives None (`no`).  `max_depth` bounds the levels expanded
+and `_FRONTIER_CAP` their width: expanding a level wider than the cap
+raises `BudgetError`, so a query expands at most `max_depth` levels of at
+most `_FRONTIER_CAP` resolvents each.
 A trace records every step; when the program was assembled as a labeled
 union, each step carries the label of the sub-program its rule came from.
 """
@@ -33,9 +37,10 @@ from .syntax import (
     program_vars_ordered,
     render_atom,
     render_term,
+    rule_vars,
     term_vars,
 )
-from .unify import FreshNames, apply, fresh_variant, mgu_atoms
+from .unify import FreshNames, apply, fresh_variant, mgu_atoms, renamed
 
 DEFAULT_MAX_DEPTH = 16
 _FRONTIER_CAP = 4096  # resolvents a level may hold and still be expanded
@@ -57,9 +62,12 @@ class Query:
 
 @dataclass(frozen=True, slots=True)
 class DerivationStep:
-    """One resolution step on the query's first goal: the
-    (standardized-apart) rule used, the unifier, the label of the rule's
-    source sub-program, and the resolvent it produced."""
+    """One resolution step on the query's first goal: the rule used, with
+    the variables that escape the step renamed, the mgu of the goal and
+    that rule's head, the label of the rule's source sub-program, and the
+    resolvent it produced.  The rule's variables are apart from the goals
+    the step resolves and from the query's bindings so far, not from every
+    other step's rule."""
 
     rule_used: Rule
     unifier: dict
@@ -76,12 +84,15 @@ def _clashes(s, t) -> bool:
 
 def _steps(path: tuple, labels: Optional[Mapping[str, str]]) -> list:
     """The derivation steps along a path, from the root on.  A path is ()
-    at the root, else (parent path, rule, copy, unifier, resolvent)."""
+    at the root, else (parent path, rule, escaped, substitution, resolvent):
+    the substitution is the unifier followed by the renaming `escaped` of
+    the rule's escaping variables."""
     steps = []
     while path:
-        path, rule, copy, s, resolvent = path
+        path, rule, escaped, s, resolvent = path
         label = labels.get(canonical_key(rule), "") if labels else ""
-        steps.append(DerivationStep(copy, s, label, resolvent))
+        unifier = {v: t for v, t in s.items() if v not in escaped} if escaped else s
+        steps.append(DerivationStep(renamed(rule, escaped), unifier, label, resolvent))
     return steps[::-1]
 
 
@@ -90,12 +101,19 @@ def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
     """Breadth-first SLD search; returns the first (shortest, then leftmost)
     successful derivation as a list of steps, or None within `max_depth`
     steps.  Expanding a level of more than `_FRONTIER_CAP` resolvents
-    raises `BudgetError`; a level at `max_depth` is never expanded."""
+    raises `BudgetError`; a level at `max_depth` is never expanded.
+    Rules sharing a variable name with the query are renamed apart once;
+    a step renames, as it builds the resolvent, only the rule variables
+    its unifier leaves unbound: those that escape into the resolvent or
+    into the bindings of the goal's variables."""
     fresh = FreshNames(prefix="_S")
     fresh.reserve(v.name for v in program_vars_ordered(p))
-    fresh.reserve(v.name for g in q.goals for v in atom_vars(g))
+    names = {v.name for g in q.goals for v in atom_vars(g)}
+    fresh.reserve(names)
     if q.is_empty:
         return []
+    rules = [fresh_variant(r, fresh) if any(v.name in names for v in rule_vars(r)) else r
+             for r in p] if names else p
     level, width = [(q, ())], 1
     for depth in range(max_depth):
         if width > _FRONTIER_CAP:
@@ -104,16 +122,19 @@ def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
         children, width = [], 0
         for node, path in level:
             goal = node.goals[0]
-            for rule in p:
+            for rule in rules:
                 if (rule.head.pred != goal.pred or rule.head.arity != goal.arity
                         or any(map(_clashes, goal.args, rule.head.args))):
                     continue
-                copy = fresh_variant(rule, fresh)
-                s = mgu_atoms(goal, copy.head)
+                s = mgu_atoms(goal, rule.head)
                 if s is None:
                     continue
-                resolvent = Query(tuple(apply(s, g) for g in body_order(copy) + node.goals[1:]))
-                child = (path, rule, copy, s, resolvent)
+                escaped = {v: fresh.fresh() for v in rule_vars(rule) if v not in s}
+                if escaped:
+                    s = {v: t if t._ground else apply(escaped, t) for v, t in s.items()}
+                    s.update(escaped)
+                resolvent = Query(tuple(apply(s, g) for g in body_order(rule) + node.goals[1:]))
+                child = (path, rule, escaped, s, resolvent)
                 if resolvent.is_empty:
                     return _steps(child, labels)
                 width += 1

@@ -197,12 +197,17 @@ class FreshNames:
                 return Var(name)
 
 
-def fresh_variant(rule: Rule, fresh: FreshNames) -> Rule:
-    """A copy of the rule with fresh variables that keeps the rule's `body_order`."""
-    mapping = {v: fresh.fresh() for v in rule_vars(rule)}
-    if not mapping:
+def renamed(rule: Rule, renaming: dict) -> Rule:
+    """The rule under a variable renaming, keeping the rule's `body_order`;
+    the empty renaming returns the rule itself."""
+    if not renaming:
         return rule
-    order = tuple([_apply_atom(mapping, a) for a in body_order(rule)])
-    copy = Rule(_apply_atom(mapping, rule.head), frozenset(order))
+    order = tuple([_apply_atom(renaming, a) for a in body_order(rule)])
+    copy = Rule(_apply_atom(renaming, rule.head), frozenset(order))
     object.__setattr__(copy, "_order", order)
     return copy
+
+
+def fresh_variant(rule: Rule, fresh: FreshNames) -> Rule:
+    """A copy of the rule with fresh variables that keeps the rule's `body_order`."""
+    return renamed(rule, {v: fresh.fresh() for v in rule_vars(rule)})

@@ -214,6 +214,64 @@ def test_query_goal_order_ignores_fresh_names(tmp_path):
         assert out.splitlines() == ["yes", "<- pair(a,b)", "<- e(a), e(b)", "<- e(b)", "<- []"]
 
 
+_BRANCHING = "a :- a, x.\na :- a, y.\na :- a, z.\nx :- x.\ny :- y.\nz :- z.\n"
+
+# (exit code, sha256 prefix of stdout then stderr) of `query` on each case,
+# as text, text with --trace, JSON and JSON with --trace.  "{branching}"
+# names a file holding _BRANCHING, whose level 8 passes the frontier cap.
+_QUERY_PINS = {
+    ("corpus:plus", "plus(s(0),s(0),s(s(0)))"): (
+        (OK, "5040625b1fb6fa4a"), (OK, "1a7690d32f42abcf"),
+        (OK, "ddfe193d4e050835"), (OK, "55116abae3d43d02")),
+    ("corpus:plus", "plus(s(0),s(0),s(0))"): (
+        (EXHAUSTED, "564739ea8fa5926d"), (EXHAUSTED, "564739ea8fa5926d"),
+        (EXHAUSTED, "2325d36ba6d7dae5"), (EXHAUSTED, "2325d36ba6d7dae5")),
+    ("corpus:plus", "plus(X,Y,Z)"): (
+        (OK, "6ab52bd1b22ddfc3"), (OK, "780294e30b594243"),
+        (OK, "0dd6cc51756abfe7"), (OK, "e7c4f9e42a6d230e")),
+    ("corpus:member", "member(a,L)"): (
+        (OK, "8818686a40f5275e"), (OK, "02ae014284375c6f"),
+        (OK, "57c1afaf9ebad4c9"), (OK, "c5a951c54d5c172d")),
+    ("corpus:times_nat", "times(s(s(0)),s(s(0)),Z)"): (
+        (OK, "110c832ed8b71421"), (OK, "8f2e97056a16439f"),
+        (OK, "71843bfc6d311cce"), (OK, "eb50b59c734794c8")),
+    ("corpus:times_nat", "times(s(s(0)),s(0),s(s(0)))"): (
+        (OK, "5040625b1fb6fa4a"), (OK, "6234a110a17544a2"),
+        (OK, "ddfe193d4e050835"), (OK, "30727de3433ae0ec")),
+    ("corpus:times_nat", "times(s(s(0)),s(s(0)),s(s(s(0))))"): (
+        (EXHAUSTED, "564739ea8fa5926d"), (EXHAUSTED, "564739ea8fa5926d"),
+        (EXHAUSTED, "2325d36ba6d7dae5"), (EXHAUSTED, "2325d36ba6d7dae5")),
+    ("corpus:reverse", "reverse([a,b,c],Y)"): (
+        (OK, "b9724bcb43ee5ee4"), (OK, "b38c16f801f3332f"),
+        (OK, "86212b80e96ff82e"), (OK, "a77b09efd3595d0f")),
+    ("corpus:reverse", "reverse([a,b],[b,a])"): (
+        (OK, "5040625b1fb6fa4a"), (OK, "e943f3279104af6a"),
+        (OK, "ddfe193d4e050835"), (OK, "0f356bd3585ee124")),
+    ("corpus:q1rev", "corpus:plus", "plus([a],[b,c],Z)"): (
+        (OK, "b2cf04f2436ef4a8"), (OK, "1f839da2b31bfe6e"),
+        (OK, "daaf6c700622cfe0"), (OK, "498634767b8330c7")),
+    ("corpus:nat", "nat(s(s(s(s(0)))))", "--depth", "3"): (
+        (EXHAUSTED, "564739ea8fa5926d"), (EXHAUSTED, "564739ea8fa5926d"),
+        (EXHAUSTED, "2325d36ba6d7dae5"), (EXHAUSTED, "2325d36ba6d7dae5")),
+    ("{branching}", "a", "--depth", "9"): (
+        (EXHAUSTED, "f1df58fe1fc2aa35"), (EXHAUSTED, "f1df58fe1fc2aa35"),
+        (EXHAUSTED, "f1df58fe1fc2aa35"), (EXHAUSTED, "f1df58fe1fc2aa35")),
+}
+
+
+@pytest.mark.parametrize("case", list(_QUERY_PINS), ids=" ".join)
+def test_query_output_is_pinned(case, tmp_path):
+    branching = tmp_path / "branching.lp"
+    branching.write_text(_BRANCHING)
+    argv = [a.replace("{branching}", str(branching)) for a in case]
+    variants = ([], ["--trace"], ["--format", "json"], ["--trace", "--format", "json"])
+    got = []
+    for extra in variants:
+        code, out, err = run("query", *argv, *extra)
+        got.append((code, hashlib.sha256((out + err).encode()).hexdigest()[:16]))
+    assert tuple(got) == _QUERY_PINS[case]
+
+
 def _readme_examples():
     """Each `$ hornalg ...` line of README's examples with the output lines
     under it, up to a blank line or the end of the block."""

@@ -632,35 +632,35 @@ def _sld_cases():
 
 
 def test_sld_search_matches_plain_iterative_deepening(monkeypatch):
-    # A failed search that makes as many copies at max_depth + 3 as at
-    # max_depth has exited early: some level within the bound was empty.
+    # A failed search that makes as many unifications at max_depth + 3 as
+    # at max_depth has exited early: some level within the bound was empty.
     seen = Counter()
-    clashes, copies = sld._clashes, []
+    clashes, tries = sld._clashes, []
 
     def counted_clashes(s, t):
         out = clashes(s, t)
         seen["clash"] += out
         return out
 
-    def counted_copy(rule, fresh):
-        copies.append(rule)
-        return fresh_variant(rule, fresh)
+    def counted_mgu(goal, head):
+        tries.append(head)
+        return mgu_atoms(goal, head)
 
     monkeypatch.setattr(sld, "_clashes", counted_clashes)
-    monkeypatch.setattr(sld, "fresh_variant", counted_copy)
+    monkeypatch.setattr(sld, "mgu_atoms", counted_mgu)
     for p, query, max_depth in _sld_cases():
-        copies.clear()
+        tries.clear()
         steps = sld.prove_with_trace(p, query, max_depth)
         expected = _reference_proof(p, query, max_depth)
         assert _shown(steps, query) == _shown(expected, query), (render_program(p), query)
         seen["proved"] += steps is not None
         seen["open_goal"] += steps is not None and bool(answer_substitution(steps, query))
         if steps is None:
-            made = len(copies)
-            copies.clear()
+            made = len(tries)
+            tries.clear()
             with contextlib.suppress(BudgetError):  # a wide level is no early exit
                 sld.prove_with_trace(p, query, max_depth + 3)
-            seen["early_exit"] += len(copies) == made
+            seen["early_exit"] += len(tries) == made
     assert all(seen[k] > CASES // 10 for k in ("proved", "open_goal", "early_exit")), seen
     assert seen["clash"], seen
 
@@ -683,6 +683,27 @@ def test_sld_search_raises_exactly_past_a_small_frontier_cap(monkeypatch, cap):
             assert _shown(steps, query) == _shown(expected, query), (render_program(p), query)
             seen["proved"] += steps is not None
     assert seen["raised"] > CASES // 20 and seen["proved"] > CASES // 20, seen
+
+
+def test_derivation_steps_unify_their_goal_with_a_renamed_program_rule():
+    # Each step's unifier is the mgu of its goal and the head of the rule
+    # used; that rule is a variant of a program rule, apart from the goals
+    # it resolves and from the bindings earlier steps gave the query.
+    seen = Counter()
+    for p, query, max_depth in _sld_cases():
+        keys = {canonical_key(r) for r in p}
+        node, answers = query, [v for g in query.goals for v in atom_vars(g)]
+        for st in sld.prove_with_trace(p, query, max_depth) or ():
+            goal, rule = node.goals[0], st.rule_used
+            assert st.unifier == mgu_atoms(goal, rule.head), (render_program(p), query)
+            assert canonical_key(rule) in keys, (render_program(p), query)
+            live = term_vars(*(t for g in node.goals for t in g.args), *answers)
+            assert set(live).isdisjoint(rule_vars(rule)), (render_program(p), query)
+            answers = [apply(st.unifier, t) for t in answers]
+            node = st.resolvent
+            seen["steps"] += 1
+            seen["renamed"] += rule not in p.rules
+    assert seen["steps"] > CASES // 5 and seen["renamed"] > CASES // 10, seen
 
 
 def _small_programs():

@@ -18,7 +18,7 @@ from hornalg.sld import (
     render_trace,
 )
 from hornalg.syntax import body_order, render_atom, render_rule, render_term
-from hornalg.unify import FreshNames, fresh_variant
+from hornalg.unify import FreshNames, fresh_variant, mgu_atoms
 
 NAT = parse_program("nat(0). nat(s(X)) :- nat(X).")
 
@@ -156,19 +156,30 @@ def test_trace_mentions_rule_used():
     assert used[-1] == "nat(0)."
 
 
-def _count_copies(monkeypatch):
+def test_variables_escaping_through_the_goals_bindings_are_renamed():
+    # The fact's A leaves no trace in the resolvent, only in X's binding; a
+    # second use of the fact must not bind Y to the same A.
+    p = parse_program("p(f(f(A))).")
+    q = Query(parse_query("p(f(f(X))), p(f(f(Y)))"))
+    steps = prove_with_trace(p, q)
+    assert render_answer(answer_substitution(steps, q)) == "{X = _1, Y = _2}"
+
+
+def _count_unifications(monkeypatch):
+    # One `mgu_atoms` call per rule tried past the clash test: the measure of
+    # a search's work, whichever rules it renames.
     calls = []
 
-    def counted(rule, fresh):
-        calls.append(rule)
-        return fresh_variant(rule, fresh)
+    def counted(goal, head):
+        calls.append(head)
+        return mgu_atoms(goal, head)
 
-    monkeypatch.setattr(sld, "fresh_variant", counted)
+    monkeypatch.setattr(sld, "mgu_atoms", counted)
     return calls
 
 
 def test_finitely_failed_goal_costs_the_same_at_any_depth(monkeypatch):
-    calls = _count_copies(monkeypatch)
+    calls = _count_unifications(monkeypatch)
     plus, goal = corpus.program("plus"), parse_atom("plus(s(0),s(0),s(0))")
     counts = []
     for depth in (4, 16):
@@ -179,16 +190,16 @@ def test_finitely_failed_goal_costs_the_same_at_any_depth(monkeypatch):
 
 
 def test_goal_clashing_with_every_head_makes_no_copies(monkeypatch):
-    calls = _count_copies(monkeypatch)
+    calls = _count_unifications(monkeypatch)
     assert not proves(corpus.program("plus"), parse_atom("plus(a,b,c)"))
     assert not proves(corpus.program("member"), parse_atom("member(a,[])"))
     assert calls == []
 
 
 def test_each_level_is_expanded_once(monkeypatch):
-    # Plain deepening makes 1 + 2 + ... + 11 = 66 copies: bound k renames a
-    # rule at each of its k steps.
-    calls = _count_copies(monkeypatch)
+    # Plain deepening makes 1 + 2 + ... + 11 = 66 unifications: bound k
+    # tries a rule at each of its k steps.
+    calls = _count_unifications(monkeypatch)
     goal = parse_atom("nat(" + "s(" * 10 + "0" + ")" * 10 + ")")
     assert proves(corpus.program("nat"), goal)
     assert len(calls) <= 11
@@ -197,9 +208,9 @@ def test_each_level_is_expanded_once(monkeypatch):
 def test_expanding_a_level_past_the_cap_raises(monkeypatch):
     # Level k holds 3^k resolvents and the x, y, z loops never fail
     # finitely.  Under a cap of 16, levels 0-2 are expanded (3 + 9 + 27
-    # copies) and level 3, 27 wide, is not.
+    # unifications) and level 3, 27 wide, is not.
     branching = parse_program("a :- a, x. a :- a, y. a :- a, z. x :- x. y :- y. z :- z.")
-    calls = _count_copies(monkeypatch)
+    calls = _count_unifications(monkeypatch)
     monkeypatch.setattr(sld, "_FRONTIER_CAP", 16)
     with pytest.raises(BudgetError, match="level 3 holds 27 resolvents, more than .* cap of 16"):
         proves(branching, parse_atom("a"), max_depth=8)
