@@ -99,26 +99,31 @@ def compose(p: Program, r: Program, cap: int = DEFAULT_COMPOSE_CAP) -> Program:
 
         # Depth-first over assignments of rules to body atoms, threading a
         # triangular substitution; a resolvent's atoms tell if it is ground.
-        def assign(i: int, s: dict, bodies: tuple):
-            if i == len(goals):
-                theta = _resolve(s)
-                head = apply(theta, rho.head)
-                new_body = frozenset(apply(theta, a) for b in bodies for a in b)
-                out.append(Rule(head, new_body))
+        # The stack holds, per goal assigned so far, the rest of its options
+        # and what held before it: a nested function calling itself would
+        # form a cycle holding `out` and the substitutions.
+        stack = [(iter(goal_cands[0]), {}, ())]
+        while stack:
+            options, s, bodies = stack[-1]
+            i = len(stack) - 1
+            for idx, body in options:
+                s2 = s
+                if body is None:
+                    cand = r_rules[idx]
+                    copy = cand if is_ground(cand) else fresh_variant(cand, fresh)
+                    if (s2 := _unify_atoms(goals[i], copy.head, s)) is None:
+                        continue
+                    body = copy.body
+                if i + 1 < len(goals):
+                    stack.append((iter(goal_cands[i + 1]), s2, bodies + (body,)))
+                    break
+                theta = _resolve(s2)
+                new_body = frozenset(apply(theta, a) for b in (*bodies, body) for a in b)
+                out.append(Rule(apply(theta, rho.head), new_body))
                 if len(out) > cap:
                     raise CompositionOverflowError(cap)
-                return
-            for idx, body in goal_cands[i]:
-                if body is not None:
-                    assign(i + 1, s, bodies + (body,))
-                    continue
-                cand = r_rules[idx]
-                copy = cand if is_ground(cand) else fresh_variant(cand, fresh)
-                s2 = _unify_atoms(goals[i], copy.head, s)
-                if s2 is not None:
-                    assign(i + 1, s2, bodies + (copy.body,))
-
-        assign(0, {}, ())
+            else:
+                stack.pop()
     return Program(out)
 
 

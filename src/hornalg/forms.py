@@ -47,6 +47,7 @@ variables occurring only in heads (or only in facts) are left alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from . import algebra, semantics
@@ -250,12 +251,14 @@ def _fields(expr) -> tuple:
 def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
     """All fixed material a form forces into its outputs: the inline
     program literals, the predicates introduced by renames, and the functors
-    introduced by substitutions.  Walks into called forms."""
+    introduced by substitutions.  Walks into called forms, left to right
+    with a stack: a nested walk calling itself would form a cycle."""
     lits: list = []
     preds: set = set()
     functors: set = set()
-
-    def walk(e):
+    todo = [expr]
+    while todo:
+        e = todo.pop()
         kind = type(e)
         if kind is Lit:
             lits.append(e.program)
@@ -266,11 +269,8 @@ def literal_requirements(expr, table: Optional[dict] = None) -> tuple:
         elif kind is FormCall:
             if table is None or e.name not in table:
                 raise FormEvalError(f"call of unknown form {e.name}")
-            walk(table[e.name].body)
-        for sub in operands(e):
-            walk(sub)
-
-    walk(expr)
+            todo.append(table[e.name].body)
+        todo.extend(reversed(operands(e)))
     return tuple(lits), frozenset(preds), frozenset(functors)
 
 
@@ -317,9 +317,9 @@ class Evaluator:
         # `arg` without the parameter a placeholder rename reads, and that
         # parameter or None).
         self._plan: list = []
-        self._envs: dict = {}  # environment key -> (value, failures, fill) of the environment
+        self._envs: dict = {}  # environment key -> its state (see `_env`)
         self._applied: dict = {}  # (operation, operand name_keys, arg) -> (value, failure)
-        self._probes: dict = {}  # free variable names -> value functions of the probes
+        self._probes: dict = {}  # free variable names -> the probes' states
 
     def position(self, expr) -> int:
         """The position of `expr`, walking whatever part of it has none."""
@@ -355,100 +355,110 @@ class Evaluator:
     def values(self, env: dict) -> Callable[[int], Optional[Program]]:
         """A function from a position to its form's value in `env`, None
         where it fails to evaluate."""
-        return self._env(env)[0]
+        return partial(self._read, self._env(env))
 
     def fill(self, env: dict, stop: int) -> list:
         """The values in `env` of the positions below `stop`, None where a
         form fails, computed in one pass in position order."""
-        return self._env(env)[2](stop)
+        state = self._env(env)
+        vals = state[1]
+        vals.extend([_UNREAD] * (len(self._plan) - len(vals)))
+        self._compute(state, range(stop))  # each operand comes before the nodes over it
+        return vals[:stop]
 
     def eval(self, expr, env: Optional[dict] = None) -> Program:
+        state = self._env(env or {})
         i = self.position(expr)
-        value, failures, _ = self._env(env or {})
-        out = value(i)
+        out = self._read(state, i)
         if out is None:
-            raise failures[i].with_traceback(None)
+            try:
+                raise state[2][i].with_traceback(None)
+            finally:  # the kept failure's traceback holds this frame, which must not hold it
+                del self, state
         return out
 
     def _env(self, env: dict) -> tuple:
-        """`(value, failures, fill)` of `env`: the value at a position,
-        computed on first read, what was raised where it is None, and the
-        one-pass fill of the positions below a bound."""
+        """`(env, vals, failures)`: the bindings as first given, the values
+        by position (`_UNREAD` until computed), and what was raised where a
+        value is None.  No function reading them is kept, as it would hold
+        the evaluator, which holds them: a cycle."""
         key = tuple(sorted([(n, b.program.name_key(), b.main_pred) for n, b in env.items()]))
         hit = self._envs.get(key)
         if hit is None:
-            hit = self._envs[key] = self._new_env(env)
+            hit = self._envs[key] = (env, [], {})
         return hit
 
-    def _new_env(self, env: dict) -> tuple:
-        plan, applied = self._plan, self._applied
-        vals: list = []  # by position; positions met later extend it
-        failures: dict = {}
-
-        def compute(positions) -> None:
-            """Computes each unread position of `positions`, in order, from
-            its operands' values, which are there already up to the first
-            that fails."""
-            for i in positions:
-                if vals[i] is not _UNREAD:
-                    continue
-                node, args, op, arg, param = plan[i]
-                out = failure = None
-                xs, key = [], [op]
-                for a in args:
-                    if (x := vals[a]) is None:
-                        failure = failures[a]
-                        break
-                    xs.append(x)
-                    key.append(x.name_key())
-                else:
-                    try:
-                        if op is None:
-                            out = self._eval(node, env)
-                        else:
-                            if param is not None:
-                                b = env.get(param)
-                                if b is None or b.main_pred is None:
-                                    raise FormEvalError(f"placeholder {arg[0]} has no main"
-                                                        " predicate to resolve against")
-                                arg = (b.main_pred, arg[1])
-                            key = (*key, *arg)
-                            done = applied.get(key)
-                            if done is None:
-                                try:
-                                    done = (op(*xs, *arg), None)
-                                except _FAILURES as e:
-                                    done = (None, e)
-                                applied[key] = done
-                            out, failure = done
-                    except _FAILURES as e:
-                        failure = e
-                vals[i] = out
-                if out is None:
-                    failures[i] = failure
-
-        def value(i: int) -> Optional[Program]:
-            try:
-                out = vals[i]
-            except IndexError:
-                vals.extend([_UNREAD] * (len(plan) - len(vals)))
-                out = _UNREAD
-            if out is _UNREAD:  # its operands first, up to one that fails
-                for a in plan[i][1]:
-                    if (x := vals[a]) is _UNREAD:
-                        x = value(a)
-                    if x is None:
-                        break
-                compute((i,))
-                out = vals[i]
+    def _read(self, state: tuple, i: int) -> Optional[Program]:
+        """The value at position `i`, computed on first read after its
+        operands, in order up to one that fails.  Unread operands are
+        walked with a stack, as a nested function calling itself would
+        form a cycle through its own closure cell."""
+        vals = state[1]
+        try:
+            out = vals[i]
+        except IndexError:
+            vals.extend([_UNREAD] * (len(self._plan) - len(vals)))
+            out = _UNREAD
+        if out is not _UNREAD:
             return out
+        plan, todo = self._plan, [i]
+        while todo:
+            j = todo[-1]
+            for a in plan[j][1]:
+                if (x := vals[a]) is _UNREAD:
+                    todo.append(a)
+                    break
+                if x is None:
+                    break
+            if todo[-1] == j:  # no operand left to read first
+                self._compute(state, (j,))
+                todo.pop()
+        return vals[i]
 
-        def fill(stop: int) -> list:
-            vals.extend([_UNREAD] * (len(plan) - len(vals)))
-            compute(range(stop))  # each operand comes before the nodes over it
-            return vals[:stop]
-
-        return value, failures, fill
+    def _compute(self, state: tuple, positions) -> None:
+        """Computes each unread position of `positions`, in order, from its
+        operands' values, which are there already up to the first that
+        fails.  A failure is kept without its traceback, whose frames hold
+        the state that keeps it."""
+        env, vals, failures = state
+        plan, applied = self._plan, self._applied
+        for i in positions:
+            if vals[i] is not _UNREAD:
+                continue
+            node, args, op, arg, param = plan[i]
+            out = failure = None
+            xs, key = [], [op]
+            for a in args:
+                if (x := vals[a]) is None:
+                    failure = failures[a]
+                    break
+                xs.append(x)
+                key.append(x.name_key())
+            else:
+                try:
+                    if op is None:
+                        out = self._eval(node, env)
+                    else:
+                        if param is not None:
+                            b = env.get(param)
+                            if b is None or b.main_pred is None:
+                                raise FormEvalError(f"placeholder {arg[0]} has no main"
+                                                    " predicate to resolve against")
+                            arg = (b.main_pred, arg[1])
+                        key = (*key, *arg)
+                        done = applied.get(key)
+                        if done is None:
+                            try:
+                                done = (op(*xs, *arg), None)
+                            except _FAILURES as e:
+                                done = (None, e.with_traceback(None))
+                            applied[key] = done
+                        out, failure = done
+                except _FAILURES as e:
+                    failure = e.with_traceback(None)
+            vals[i] = out
+            if out is None:
+                failures[i] = failure
 
     def _eval(self, expr, env: dict) -> Program:
         """The value of a variable or a literal in `env`, or the failure of a
@@ -505,10 +515,10 @@ def is_nonconstant(expr, evaluator: Optional[Evaluator] = None) -> bool:
     i = ev.position(expr)
     names = free_vars(expr)
     if names not in ev._probes:
-        ev._probes[names] = [ev.values({n: b for n in names}) for b in _PROBE_BINDINGS]
+        ev._probes[names] = [ev._env({n: b for n in names}) for b in _PROBE_BINDINGS]
     first = None
-    for value in ev._probes[names] if names else ():
-        v = value(i)
+    for state in ev._probes[names] if names else ():
+        v = ev._read(state, i)
         if first is None:
             first = v
         elif v is not None and v != first:

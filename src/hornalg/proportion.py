@@ -257,6 +257,7 @@ def _identity_items(problem: ProportionProblem, witness: ProportionWitness,
             got = ev.eval(forms[form_key], envs[vec_key])
         except (FormEvalError, BudgetError) as e:
             items.append(CheckItem(code, False, f"{label} failed to evaluate: {e}"))
+            e.with_traceback(None)  # `ev` keeps e, and its traceback this frame, which holds `ev`
             continue
         expected = progs[prog_key]
         equal = got.strict_equals(expected) if strict else got == expected

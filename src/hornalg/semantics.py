@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import GroundingOverflowError
 from .syntax import (
@@ -340,22 +340,26 @@ class _Plan:
                 [next(it) if t is None else universe.get(_apply_term(s, t)) for t in shut])
             return None if None in args else Atom(head.pred, args)
 
-        # `vals` holds the universe terms matched by the head steps so far.
-        def match(i: int, s: dict, vals: tuple):
-            matcher, idx, pattern, key = steps[i]
-            for item in _lookup(idx, key, pattern, s):
-                s2 = matcher(pattern, item, s)
-                if s2 is None:
-                    continue
-                more = vals + (item,) if i >= len(body) else vals
-                if i + 1 < len(steps):
-                    yield from match(i + 1, s2, more)
-                elif (h := close(s2, more)) is not None:
-                    yield h
-
         if not steps:  # a variable-free head over conditions only
             return iter([h] if (h := close({}, ())) else [])
-        return match(0, {}, ())
+        return _matches(steps, len(body), close, 0, {}, ())
+
+
+def _matches(steps: list, n_body: int, close: Callable, i: int, s: dict, vals: tuple) -> Iterator[Atom]:
+    """The closed heads of `_Plan.fire` from step `i` on, under `s`; `vals`
+    holds the universe terms the head steps (those past `n_body`) have
+    matched so far.  A module function, as a nested generator calling
+    itself would form a cycle holding the steps and their indexes."""
+    matcher, idx, pattern, key = steps[i]
+    for item in _lookup(idx, key, pattern, s):
+        s2 = matcher(pattern, item, s)
+        if s2 is None:
+            continue
+        more = vals + (item,) if i >= n_body else vals
+        if i + 1 < len(steps):
+            yield from _matches(steps, n_body, close, i + 1, s2, more)
+        elif (h := close(s2, more)) is not None:
+            yield h
 
 
 def tp_step(p: Program, i: Iterable[Atom], bound: GroundingBound = DEFAULT_BOUND) -> frozenset:

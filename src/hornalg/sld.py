@@ -34,7 +34,6 @@ from .syntax import (
     atom_vars,
     body_order,
     canonical_key,
-    program_vars_ordered,
     render_atom,
     render_term,
     rule_vars,
@@ -107,7 +106,7 @@ def prove_with_trace(p: Program, q: Query, max_depth: int = DEFAULT_MAX_DEPTH,
     its unifier leaves unbound: those that escape into the resolvent or
     into the bindings of the goal's variables."""
     fresh = FreshNames(prefix="_S")
-    fresh.reserve(v.name for v in program_vars_ordered(p))
+    fresh.reserve(v.name for r in p for v in rule_vars(r) if v.name.startswith("_S"))  # none other is drawn
     names = {v.name for g in q.goals for v in atom_vars(g)}
     fresh.reserve(names)
     if q.is_empty:

@@ -66,6 +66,26 @@ def _hash_once(cls):
     return cls
 
 
+def _equal_deep(a: _Cached, b: _Cached) -> bool:
+    """`a == b` for two variables, compounds or atoms, walked with a stack.
+    A compound's or an atom's `==` compares its fields directly, which
+    recurses once per nesting level, and falls back on this walk only where
+    that recursion passes the limit."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if (a.__class__ is not b.__class__ or a._hash != b._hash
+                or a.__getstate__()[0] != b.__getstate__()[0]):  # the name, functor or predicate
+            return False
+        xs, ys = getattr(a, "args", ()), getattr(b, "args", ())
+        if len(xs) != len(ys):
+            return False
+        todo += zip(xs, ys)
+    return True
+
+
 @_hash_once
 @dataclass(frozen=True, slots=True)
 class Var(_Cached):
@@ -84,6 +104,15 @@ class Compound(_Cached):
 
     functor: str
     args: tuple = ()
+
+    def __eq__(self, other):  # the dataclass `==`, first told apart by hash (see `_equal_deep`)
+        if other.__class__ is not Compound:
+            return NotImplemented
+        try:
+            return self is other or (self._hash == other._hash and self.functor == other.functor
+                                     and self.args == other.args)
+        except RecursionError:
+            return _equal_deep(self, other)
 
     def __repr__(self) -> str:
         return f"Compound({render_term(self)})"
@@ -113,6 +142,15 @@ class Atom(_Cached):
     @property
     def arity(self) -> int:
         return len(self.args)
+
+    def __eq__(self, other):  # as `Compound.__eq__`
+        if other.__class__ is not Atom:
+            return NotImplemented
+        try:
+            return self is other or (self._hash == other._hash and self.pred == other.pred
+                                     and self.args == other.args)
+        except RecursionError:
+            return _equal_deep(self, other)
 
     def __repr__(self) -> str:
         return f"Atom({render_atom(self)})"
@@ -265,30 +303,35 @@ def render_rule(r: Rule) -> str:
 # once and memoises ties, so only symmetric same-shape atoms cost more.
 
 
+def _shape_parts(t: Term, seen: dict) -> tuple:
+    """Skeleton and local pattern of one term, numbering new variables in
+    `seen`.  Here and in `_ground_text`, the walks are module functions: a
+    nested walk calling itself would form a cycle through its closure cell."""
+    if isinstance(t, Var):
+        return "_", seen.setdefault(t, f"#{len(seen)}")
+    if not t.args:
+        text = "[]" if t.functor == _NIL_FUNCTOR else t.functor
+        return text, text
+    return tuple(t.functor + "(" + ",".join(part) + ")"
+                 for part in zip(*[_shape_parts(x, seen) for x in t.args]))
+
+
 def _shape(a: Atom) -> tuple:
     """Skeleton and local pattern from one walk: `e(_,[])`, `e(#0,[])` for `e(X,nil)`."""
     seen: dict = {}
-
-    def walk(t: Term) -> tuple:
-        if isinstance(t, Var):
-            return "_", seen.setdefault(t, f"#{len(seen)}")
-        if not t.args:
-            text = "[]" if t.functor == _NIL_FUNCTOR else t.functor
-            return text, text
-        return tuple(t.functor + "(" + ",".join(part) + ")" for part in zip(*map(walk, t.args)))
-
-    skeleton, pattern = zip(*map(walk, a.args)) if a.args else ((), ())
+    skeleton, pattern = zip(*[_shape_parts(t, seen) for t in a.args]) if a.args else ((), ())
     return a.pred + "(" + ",".join(skeleton) + ")", a.pred + "(" + ",".join(pattern) + ")"
+
+
+def _ground_text(t: Term) -> str:
+    if not t.args:
+        return "[]" if t.functor == _NIL_FUNCTOR else t.functor
+    return t.functor + "(" + ",".join([_ground_text(x) for x in t.args]) + ")"
 
 
 def _ground_skeleton(a: Atom) -> str:
     """`_shape(a)[0]` of a ground atom, from a walk that works out no pattern."""
-    def walk(t: Term) -> str:
-        if not t.args:
-            return "[]" if t.functor == _NIL_FUNCTOR else t.functor
-        return t.functor + "(" + ",".join([walk(x) for x in t.args]) + ")"
-
-    return a.pred + "(" + ",".join([walk(t) for t in a.args]) + ")"
+    return a.pred + "(" + ",".join([_ground_text(t) for t in a.args]) + ")"
 
 
 class _Names(dict):

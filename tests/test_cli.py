@@ -80,6 +80,16 @@ def test_lm_of_nat_at_depth_400_renders_past_the_recursion_limit():
     assert lines[-1] == "nat(" + "s(" * 400 + "0" + ")" * 401
 
 
+def test_lm_of_a_long_list_twice_in_one_process(tmp_path):
+    # the second parse finds the rule cached, and `==` of the two copies of
+    # the 1,500-deep list must not pass the recursion limit
+    path = tmp_path / "long.lp"
+    path.write_text("p([" + ",".join(["a"] * 1500) + "]).\n")
+    first = run("lm", str(path), "--depth", "0")
+    assert first[0] == OK and first[1].startswith("p([a,a,")
+    assert run("lm", str(path), "--depth", "0") == first
+
+
 def test_lm_of_empty_program_prints_nothing():
     code, out, _ = run("lm", "corpus:empty")
     assert code == OK
